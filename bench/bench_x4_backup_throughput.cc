@@ -15,15 +15,13 @@
 //
 // Experiment X12 rides in the same binary: BM_UpdatersDuringBackup runs
 // 1/4/16 updater threads against a continuously-active backup over a
-// device-shaped log (LatencyEnv, SSD profile), with the WAL in legacy
-// single-channel mode (channels:1) vs epoch-based group commit
-// (channels:4). In legacy mode every Iw/oF flush decision pays an
-// inline log force (seek + sync) under the cache mutex, so concurrent
-// updaters serialize behind one device; with per-thread channels the
-// install's durability wait rides the epoch watermark outside the
-// cache mutex and one group-commit sync covers every waiter.
+// device-shaped log (LatencyEnv, SSD profile), with the WAL on one or
+// four channels of epoch group commit. Every Iw/oF install waits out
+// the epoch watermark with the cache mutex released, so one
+// group-commit sync covers every concurrent waiter and updaters scale
+// past the single device sync whatever the channel count.
 // tools/benchrunner derives updates_during_backup_ops_per_s and
-// updater_scaling_t4 = ops(t4, c4) / ops(t4, c1), which
+// updater_scaling_t4 = ops(t4, c1) / ops(t1, c1), which
 // tools/bench_check.py gates >= 2x (EXPERIMENTS.md X12).
 
 #include <benchmark/benchmark.h>
@@ -183,7 +181,7 @@ void BM_BackupDuration_Online(benchmark::State& state) {
 BENCHMARK(BM_BackupDuration_Online)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// X12: multi-threaded updaters during backup, legacy force vs group commit.
+// X12: multi-threaded updaters during backup over epoch group commit.
 
 constexpr uint32_t kUpdaterPartitions = 16;  // one per updater at t=16
 constexpr uint32_t kFilesPerPartition = 64;  // > cache: every write faults

@@ -59,33 +59,10 @@ Status CacheManager::GetFrame(std::unique_lock<std::mutex>& lk,
 }
 
 Status CacheManager::EnsureRoom(std::unique_lock<std::mutex>& lk) {
-  if (!Overlapped()) {
-    while (frames_.size() >= options_.capacity_pages && !lru_.empty()) {
-      // Prefer the least-recently-used clean page.
-      PageId victim = kInvalidPageId;
-      for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-        if (!frames_[*it].dirty) {
-          victim = *it;
-          break;
-        }
-      }
-      if (victim == kInvalidPageId) {
-        // All dirty: install the coldest page's node, then evict it.
-        victim = lru_.back();
-        LLB_RETURN_IF_ERROR(FlushPageLocked(lk, victim));
-      }
-      auto it = frames_.find(victim);
-      lru_.erase(it->second.lru_pos);
-      frames_.erase(it);
-      ++stats_.evictions;
-    }
-    return Status::OK();
-  }
-
-  // Overlapped mode: flushing a dirty victim can release the mutex, so
-  // every round re-derives its facts, pinned frames are skipped, and a
-  // fully-pinned cache tolerates a transient overrun instead of
-  // deadlocking.
+  // Prefer the least-recently-used clean page. Flushing a dirty victim
+  // releases the mutex, so every round re-derives its facts, pinned
+  // frames are skipped, and a fully-pinned cache tolerates a transient
+  // overrun instead of deadlocking.
   while (frames_.size() >= options_.capacity_pages && !lru_.empty()) {
     PageId victim = kInvalidPageId;
     bool victim_dirty = false;
@@ -183,7 +160,6 @@ Status CacheManager::ExecuteOp(LogRecord* rec) {
     return Status::InvalidArgument("operation writes nothing");
   }
 
-  const bool overlapped = Overlapped();
   std::vector<PageId> pinned;
   auto unpin = [&] {
     for (const PageId& id : pinned) {
@@ -193,41 +169,44 @@ Status CacheManager::ExecuteOp(LogRecord* rec) {
     pinned.clear();
   };
 
-  if (overlapped) {
-    // Pre-fault and pin the declared pages so apply never misses with
-    // the mutex released (faulting can evict, and overlapped eviction
-    // unlocks mu_ — which would break the op's linearizability). Then
-    // wait until no writeset page is part of an in-flight install: its
-    // image is the frozen snapshot being written to S.
-    for (;;) {
-      for (const std::vector<PageId>* set : {&rec->readset, &rec->writeset}) {
-        for (const PageId& id : *set) {
-          Frame* frame = nullptr;
-          Status s = GetFrame(lock, id, &frame);
-          if (!s.ok()) {
-            unpin();
-            return s;
-          }
-          ++frame->pins;
-          pinned.push_back(id);
+  // Pre-fault and pin the declared pages so apply never misses with the
+  // mutex released (faulting can evict, and evicting a dirty page
+  // unlocks mu_ — which would break the op's linearizability). In
+  // restoring mode this also restores every writeset page before the
+  // record is appended: a concurrent Force could otherwise seal a blind
+  // write's record durably before the page's restore/bit became durable,
+  // and after a crash the fault path would overwrite the redone value
+  // with the backup state. Then wait until no writeset page is part of
+  // an in-flight install: its image is the frozen snapshot being written
+  // to S.
+  for (;;) {
+    for (const std::vector<PageId>* set : {&rec->readset, &rec->writeset}) {
+      for (const PageId& id : *set) {
+        Frame* frame = nullptr;
+        Status s = GetFrame(lock, id, &frame);
+        if (!s.ok()) {
+          unpin();
+          return s;
         }
+        ++frame->pins;
+        pinned.push_back(id);
       }
-      bool conflict = false;
-      for (const PageId& id : rec->writeset) {
-        if (installing_pages_.count(id) != 0) {
-          conflict = true;
-          break;
-        }
-      }
-      if (!conflict) break;
-      unpin();
-      ++stats_.install_waits;
-      install_cv_.wait(lock);
     }
+    bool conflict = false;
+    for (const PageId& id : rec->writeset) {
+      if (installing_pages_.count(id) != 0) {
+        conflict = true;
+        break;
+      }
+    }
+    if (!conflict) break;
+    unpin();
+    ++stats_.install_waits;
+    install_cv_.wait(lock);
   }
 
   CacheOpContext ctx(this, &lock);
-  in_apply_ = overlapped;
+  in_apply_ = true;
   Status applied = registry_->Apply(ctx, *rec);
   in_apply_ = false;
   if (!applied.ok()) {
@@ -244,19 +223,6 @@ Status CacheManager::ExecuteOp(LogRecord* rec) {
     if (!ctx.staged().count(id)) {
       unpin();
       return Status::Internal("apply missed declared target " + id.ToString());
-    }
-  }
-
-  // Restoring mode: fault in every writeset page BEFORE the record is
-  // appended. Read pages faulted during Apply; blind-write targets did
-  // not, and a concurrent Force could seal the record durably before the
-  // page's restore/bit became durable — after a crash the fault path
-  // would then overwrite the redone value with the backup state.
-  // (Overlapped mode pre-faulted the whole writeset above.)
-  if (page_fault_handler_ && !overlapped) {
-    for (const PageId& id : rec->writeset) {
-      Frame* frame = nullptr;
-      LLB_RETURN_IF_ERROR(GetFrame(lock, id, &frame));
     }
   }
 
@@ -357,73 +323,8 @@ void CacheManager::DecideBackupLogging(const InstallUnit& unit,
   }
 }
 
-Status CacheManager::InstallUnitLocked(std::unique_lock<std::mutex>& lk,
-                                       const InstallUnit& unit) {
-  if (unit.vars.empty()) {
-    graph_->MarkInstalled(unit.node_id);
-    return Status::OK();
-  }
-  PartitionId partition = unit.vars[0].partition;
-  for (const PageId& x : unit.vars) {
-    if (x.partition != partition) {
-      return Status::Internal("install unit spans partitions");
-    }
-  }
-
-  BackupProgress* progress =
-      coordinator_ != nullptr ? coordinator_->Get(partition) : nullptr;
-
-  // Hold the backup latch (share mode) across decide + log + flush so the
-  // fences cannot move mid-install (paper 3.4, Synchronization).
-  std::shared_lock<std::shared_mutex> latch;
-  if (progress != nullptr) {
-    latch = std::shared_lock<std::shared_mutex>(progress->latch());
-  }
-
-  std::vector<PageId> to_log;
-  if (progress != nullptr) DecideBackupLogging(unit, *progress, &to_log);
-
-  // Iw/oF: identity-write the chosen pages — their values go to the media
-  // recovery log, installing their operations in B without relying on the
-  // sweep (paper 3.2).
-  for (const PageId& x : to_log) {
-    Frame* frame = nullptr;
-    LLB_RETURN_IF_ERROR(GetFrame(lk, x, &frame));
-    LogRecord wip = MakeIdentityWrite(x, frame->image);
-    Lsn lsn = log_->Append(&wip);
-    graph_->OnIdentityWrite(x, lsn);
-    frame->image.set_lsn(lsn);
-    ++stats_.identity_writes;
-  }
-
-  // WAL: the operations being installed (and the identity writes) must be
-  // durable before their effects reach the stable database.
-  LLB_RETURN_IF_ERROR(log_->Force());
-
-  // Atomically flush vars(n). (The paper flushes identity-written pages
-  // too before dropping them: "we both log and flush X".)
-  std::vector<PageStore::Entry> batch;
-  batch.reserve(unit.vars.size());
-  for (const PageId& x : unit.vars) {
-    Frame* frame = nullptr;
-    LLB_RETURN_IF_ERROR(GetFrame(lk, x, &frame));
-    batch.push_back(PageStore::Entry{x, frame->image});
-  }
-  LLB_RETURN_IF_ERROR(stable_->WriteBatchAtomic(batch));
-
-  for (const PageId& x : unit.vars) {
-    auto it = frames_.find(x);
-    if (it != frames_.end()) it->second.dirty = false;
-    if (tracker_ != nullptr) tracker_->OnPageFlushed(x);
-  }
-  graph_->MarkInstalled(unit.node_id);
-  ++stats_.node_installs;
-  stats_.pages_flushed += unit.vars.size();
-  return Status::OK();
-}
-
-Status CacheManager::InstallPlanOverlapped(
-    std::unique_lock<std::mutex>& lk, const std::vector<InstallUnit>& plan) {
+Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
+                                 const std::vector<InstallUnit>& plan) {
   PartitionId partition = 0;
   bool have_partition = false;
   for (const InstallUnit& unit : plan) {
@@ -474,8 +375,11 @@ Status CacheManager::InstallPlanOverlapped(
   };
 
   // Phase 1 (cache mutex held): decide + append Iw records + snapshot the
-  // images to write + mark every unit installing. A planned node's vars
-  // are dirty and therefore resident, so lookups must hit.
+  // images to write + mark every unit installing. Iw/oF puts the chosen
+  // pages' values on the media recovery log, installing their operations
+  // in B without relying on the sweep (paper 3.2); the pages are still
+  // flushed too ("we both log and flush X"). A planned node's vars are
+  // dirty and therefore resident, so lookups must hit.
   for (const InstallUnit& unit : plan) {
     std::vector<PageId> to_log;
     if (progress != nullptr) DecideBackupLogging(unit, *progress, &to_log);
@@ -571,26 +475,9 @@ Status CacheManager::InstallPlanOverlapped(
 
 Status CacheManager::FlushPageLocked(std::unique_lock<std::mutex>& lk,
                                      const PageId& x) {
-  if (!Overlapped()) {
-    if (!graph_->IsTracked(x)) {
-      auto it = frames_.find(x);
-      if (it != frames_.end() && it->second.dirty) {
-        return Status::Internal("dirty page not tracked by write graph: " +
-                                x.ToString());
-      }
-      return Status::OK();
-    }
-    std::vector<InstallUnit> plan;
-    LLB_RETURN_IF_ERROR(graph_->PlanInstall(x, &plan));
-    for (const InstallUnit& unit : plan) {
-      LLB_RETURN_IF_ERROR(InstallUnitLocked(lk, unit));
-    }
-    return Status::OK();
-  }
-
-  // Overlapped mode: a plan touching a node already mid-install waits for
-  // it to finish (its pages come out clean), then re-plans — the graph
-  // may have changed while waiting.
+  // A plan touching a node already mid-install waits for it to finish
+  // (its pages come out clean), then re-plans — the graph may have
+  // changed while waiting.
   for (;;) {
     if (!graph_->IsTracked(x)) {
       auto it = frames_.find(x);
@@ -617,7 +504,7 @@ Status CacheManager::FlushPageLocked(std::unique_lock<std::mutex>& lk,
         break;
       }
     }
-    if (!busy) return InstallPlanOverlapped(lk, plan);
+    if (!busy) return InstallPlan(lk, plan);
     ++stats_.install_waits;
     install_cv_.wait(lk);
   }

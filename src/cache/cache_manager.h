@@ -53,9 +53,9 @@ struct CacheStats {
   uint64_t pages_flushed = 0;
   uint64_t identity_writes = 0;  // Iw/oF page loggings
 
-  // Overlapped-install path (log channels > 1): installs that released
-  // the cache mutex for their durability wait + stable write, and the
-  // times an operation or flush had to wait for an in-flight install.
+  // Install plans (every install releases the cache mutex for its
+  // durability wait + stable write), and the times an operation or
+  // flush had to wait for an in-flight install.
   uint64_t overlapped_installs = 0;
   uint64_t install_waits = 0;
 
@@ -112,13 +112,13 @@ class CacheManager {
   /// Installs (nullptr clears) the page-fault handler a restoring-mode
   /// database wires to its InstantRestorer: invoked on every cache miss,
   /// before the page is read from S, so a not-yet-restored page is
-  /// restored on demand first. While a handler is installed, ExecuteOp
-  /// additionally pre-faults each operation's writeset before logging it
-  /// — a blind write's record must not become durable (a concurrent
-  /// Force can seal it) before the page it overwrites is durably
-  /// restored and marked, or a crash would let the fault path clobber
-  /// the redone value. Takes the cache mutex: installation/removal
-  /// excludes in-flight faults (lock order cache -> restorer).
+  /// restored on demand first. ExecuteOp pre-faults each operation's
+  /// readset and writeset before logging it, so a blind write's record
+  /// never becomes durable (a concurrent Force can seal it) before the
+  /// page it overwrites is durably restored and marked — a crash would
+  /// otherwise let the fault path clobber the redone value. Takes the
+  /// cache mutex: installation/removal excludes in-flight faults (lock
+  /// order cache -> restorer).
   void SetPageFaultHandler(std::function<Status(const PageId&)> handler);
 
   /// Executes an operation: applies it to the cached pages via its
@@ -166,25 +166,17 @@ class CacheManager {
 
   class CacheOpContext;
 
-  /// True when the log has >1 channel: installs overlap their durability
-  /// wait and stable write with other operations (the cache mutex is
-  /// released for phase 2). With one channel every path is the classic
-  /// fully-serialized one — byte-identical behavior.
-  bool Overlapped() const { return log_->channels() > 1; }
-
   Status GetFrame(std::unique_lock<std::mutex>& lk, const PageId& id,
                   Frame** frame);
   Status EnsureRoom(std::unique_lock<std::mutex>& lk);
-  Status InstallUnitLocked(std::unique_lock<std::mutex>& lk,
-                           const InstallUnit& unit);
   Status FlushPageLocked(std::unique_lock<std::mutex>& lk, const PageId& x);
-  /// Overlapped install of a whole plan: phase 1 under the cache mutex
+  /// Installs a whole plan in three phases: phase 1 under the cache mutex
   /// (decide + Iw appends + image snapshots + mark units installing),
   /// phase 2 with the mutex released but the partition backup latch still
   /// held in share mode (epoch-watermark wait + stable writes), phase 3
   /// re-acquired (mark clean/installed, wake waiters).
-  Status InstallPlanOverlapped(std::unique_lock<std::mutex>& lk,
-                               const std::vector<InstallUnit>& plan);
+  Status InstallPlan(std::unique_lock<std::mutex>& lk,
+                     const std::vector<InstallUnit>& plan);
   void Touch(const PageId& id, Frame& frame);
 
   /// Decides which vars of the unit need Iw/oF logging given backup
@@ -208,13 +200,12 @@ class CacheManager {
   std::list<PageId> lru_;  // front = most recent
   CacheStats stats_;
 
-  // Overlapped-install bookkeeping (log channels > 1). While a plan is
-  // in phase 2 its nodes/pages are marked here: writes to a marked page
-  // and installs of a marked node wait on install_cv_ (reads stay
-  // allowed — the installing image is frozen). in_apply_ is set while an
-  // operation's apply function runs so a nested cache miss never
-  // releases the mutex mid-apply (eviction falls back to clean pages or
-  // a transient capacity overrun).
+  // Install bookkeeping. While a plan is in phase 2 its nodes/pages are
+  // marked here: writes to a marked page and installs of a marked node
+  // wait on install_cv_ (reads stay allowed — the installing image is
+  // frozen). in_apply_ is set while an operation's apply function runs
+  // so a nested cache miss never releases the mutex mid-apply (eviction
+  // falls back to clean pages or a transient capacity overrun).
   std::unordered_set<uint64_t> installing_nodes_;
   std::unordered_set<PageId, PageIdHash> installing_pages_;
   std::condition_variable install_cv_;

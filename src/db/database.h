@@ -72,17 +72,16 @@ struct DbOptions {
   /// matching batch_pages knob is > 1.
   uint32_t io_queue_depth = 0;
   /// Number of per-thread WAL append channels (LogManagerOptions::
-  /// channels). 1 keeps the classic single-mutex append path and the
-  /// fully-serialized install path — byte-identical log file and
-  /// behavior. >1 shards appends across channels with epoch-based group
-  /// commit: flush decisions ride a channel and wait on the epoch
-  /// watermark instead of forcing inline, and installs overlap their
-  /// durability wait + stable write with concurrent updaters.
+  /// channels) of epoch-based group commit. Every count, including 1,
+  /// runs the same path: flush decisions wait on the epoch watermark
+  /// instead of forcing inline, and installs overlap their durability
+  /// wait + stable write with concurrent updaters. More channels only
+  /// spread append-lock contention; the log file's bytes are the same.
   uint32_t log_channels = 1;
-  /// With log_channels > 1: when >0, a background advancer group-commits
-  /// every interval and waiters block on the watermark; 0 means the
-  /// first durability waiter leads the commit and concurrent waiters
-  /// piggyback on its single sync.
+  /// When >0, a background advancer group-commits every interval and
+  /// waiters block on the watermark; 0 means the first durability
+  /// waiter leads the commit and concurrent waiters piggyback on its
+  /// single sync.
   uint32_t group_commit_interval_us = 0;
   /// Write backups in store format v2: page-content compression (RLE),
   /// zero-page frames, and dedup refs against the newest complete full

@@ -141,10 +141,10 @@ struct ScenarioOptions {
   /// their durability-event sequences stay stable). kParallelRestore also
   /// reuses this (and batch_pages / pipelined) as its RestoreOptions.
   uint32_t sweep_threads = 1;
-  /// WAL append channels (DbOptions::log_channels). >1 runs the scenario
-  /// over epoch-based group commit: every Iw/oF flush decision waits on
-  /// the epoch watermark, so the sweep's crash points land between
-  /// "channel sealed" (the group commit's sync) and "epoch published" —
+  /// WAL append channels (DbOptions::log_channels) of epoch-based group
+  /// commit: every Iw/oF flush decision waits on the epoch watermark, so
+  /// the sweep's crash points land between "channels sealed" (the group
+  /// commit's sync) and "epoch published" —
   /// a crash there must salvage with no committed-but-lost records and
   /// no Iw-after-flush ordering violation. The scripts are single-
   /// threaded, so the durability-event sequence stays deterministic.

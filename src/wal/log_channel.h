@@ -25,8 +25,17 @@ class LogChannel {
   struct Pending {
     Epoch epoch = kInvalidEpoch;
     Lsn lsn = kInvalidLsn;
-    bool identity = false;
     std::string bytes;
+  };
+
+  /// Records and framed bytes appended through this channel, counted at
+  /// append time (stats must not wait for a seal), identity writes split
+  /// out.
+  struct Counters {
+    uint64_t records = 0;
+    uint64_t bytes = 0;
+    uint64_t identity_records = 0;
+    uint64_t identity_bytes = 0;
   };
 
   std::mutex& mu() { return mu_; }
@@ -37,9 +46,23 @@ class LogChannel {
     Pending p;
     p.epoch = epoch;
     p.lsn = record.lsn;
-    p.identity = record.IsIdentityWrite();
     record.EncodeTo(&p.bytes);
+    ++counters_.records;
+    counters_.bytes += p.bytes.size();
+    if (record.IsIdentityWrite()) {
+      ++counters_.identity_records;
+      counters_.identity_bytes += p.bytes.size();
+    }
     pending_.push_back(std::move(p));
+  }
+
+  /// Snapshot of the append counters; with `reset` they restart at zero.
+  /// Takes mu_ internally.
+  Counters ReadCounters(bool reset) {
+    std::lock_guard<std::mutex> lock(mu_);
+    Counters out = counters_;
+    if (reset) counters_ = Counters{};
+    return out;
   }
 
   /// Moves every buffered record with epoch <= up_to into *out. Epochs
@@ -57,6 +80,7 @@ class LogChannel {
  private:
   std::mutex mu_;
   std::deque<Pending> pending_;
+  Counters counters_;
 };
 
 }  // namespace llb

@@ -35,14 +35,12 @@ LogManager::LogManager(Env* env, std::string name, std::shared_ptr<File> file,
       writer_(file_),
       durable_lsn_(next_lsn - 1),
       next_lsn_(next_lsn) {
-  if (options_.channels > 1) {
-    channels_.reserve(options_.channels);
-    for (uint32_t i = 0; i < options_.channels; ++i) {
-      channels_.push_back(std::make_unique<LogChannel>());
-    }
-    if (options_.group_commit_interval_us > 0) {
-      advancer_ = std::thread([this] { AdvancerLoop(); });
-    }
+  channels_.reserve(options_.channels);
+  for (uint32_t i = 0; i < options_.channels; ++i) {
+    channels_.push_back(std::make_unique<LogChannel>());
+  }
+  if (options_.group_commit_interval_us > 0) {
+    advancer_ = std::thread([this] { AdvancerLoop(); });
   }
 }
 
@@ -67,26 +65,6 @@ LogChannel& LogManager::ChannelForThisThread() {
 }
 
 Lsn LogManager::Append(LogRecord* record, Epoch* epoch_out) {
-  if (options_.channels <= 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    {
-      std::lock_guard<std::mutex> issue(issue_mu_);
-      record->lsn = next_lsn_++;
-      if (epoch_out != nullptr) *epoch_out = open_epoch_;
-    }
-    writer_.Add(*record);
-    if (seal_first_lsn_ == kInvalidLsn) seal_first_lsn_ = record->lsn;
-    last_appended_ = record->lsn;
-    size_t encoded = record->EncodedSize();
-    ++stats_.records;
-    stats_.bytes += encoded;
-    if (record->IsIdentityWrite()) {
-      ++stats_.identity_records;
-      stats_.identity_bytes += encoded;
-    }
-    return record->lsn;
-  }
-
   LogChannel& channel = ChannelForThisThread();
   // The channel mutex is held across issuance AND buffering: once the
   // group commit closes epoch E, any record issued in an epoch <= E is
@@ -105,19 +83,6 @@ Lsn LogManager::Append(LogRecord* record, Epoch* epoch_out) {
 }
 
 Status LogManager::Force() {
-  if (options_.channels <= 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Epoch sealed;
-    {
-      std::lock_guard<std::mutex> issue(issue_mu_);
-      sealed = open_epoch_++;
-    }
-    LLB_RETURN_IF_ERROR(SealLocked(sealed));
-    ++stats_.forces;
-    durable_epoch_.store(sealed, std::memory_order_release);
-    watermark_cv_.notify_all();
-    return Status::OK();
-  }
   std::lock_guard<std::mutex> commit(commit_mu_);
   return GroupCommitLocked();
 }
@@ -159,16 +124,9 @@ Status LogManager::GroupCommitLocked() {
       return Status::Internal("group commit: merge does not reach epoch tail");
     }
     for (const LogChannel::Pending& entry : entries) {
-      size_t encoded = entry.bytes.size();
       writer_.AddRaw(Slice(entry.bytes));
       if (seal_first_lsn_ == kInvalidLsn) seal_first_lsn_ = entry.lsn;
       last_appended_ = entry.lsn;
-      ++stats_.records;
-      stats_.bytes += encoded;
-      if (entry.identity) {
-        ++stats_.identity_records;
-        stats_.identity_bytes += encoded;
-      }
     }
   }
   LLB_RETURN_IF_ERROR(SealLocked(sealed));
@@ -188,7 +146,6 @@ Status LogManager::GroupCommitLocked() {
 Status LogManager::WaitEpochDurable(Epoch epoch) {
   if (epoch == kInvalidEpoch) return Status::OK();
   if (durable_epoch() >= epoch) return Status::OK();
-  if (options_.channels <= 1) return Force();
   if (options_.group_commit_interval_us == 0) {
     // Caller-driven: lead a commit, or piggyback if a concurrent leader
     // already published our epoch while we queued on the commit lock.
@@ -371,17 +328,32 @@ Status LogManager::Scan(
 }
 
 LogStats LogManager::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  LogStats total;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    total = stats_;
+  }
+  // Channel mutexes rank above mu_, so they are read after releasing it.
+  for (const auto& channel : channels_) {
+    LogChannel::Counters c = channel->ReadCounters(/*reset=*/false);
+    total.records += c.records;
+    total.bytes += c.bytes;
+    total.identity_records += c.identity_records;
+    total.identity_bytes += c.identity_bytes;
+  }
+  return total;
 }
 
 void LogManager::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = LogStats{};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_ = LogStats{};
+  }
+  for (const auto& channel : channels_) channel->ReadCounters(/*reset=*/true);
 }
 
 Status LogManager::TruncatePrefix(Lsn keep_from) {
-  if (options_.channels > 1) {
+  {
     // Drain the channels through a full group commit first so the file
     // rewrite below sees every buffered record.
     std::lock_guard<std::mutex> commit(commit_mu_);

@@ -23,6 +23,7 @@ namespace llb {
 
 /// Per-operation-class logging statistics, used by the benchmarks to
 /// measure the extra logging the backup protocol induces (paper section 5).
+/// Record and byte counts are taken at append time.
 struct LogStats {
   uint64_t records = 0;
   uint64_t identity_records = 0;  // W_IP records: the Iw/oF "extra logging"
@@ -50,16 +51,16 @@ struct SealedSegment {
 
 /// Tuning knobs for the WAL append path.
 struct LogManagerOptions {
-  /// Number of per-thread log channels. 1 (the default) keeps the classic
-  /// single-mutex append path — byte-identical log file, identical
-  /// locking. >1 shards appends across channels; records become durable
-  /// in (epoch, LSN) order at the next group commit.
+  /// Number of per-thread log channels (0 is treated as 1). Appends are
+  /// sharded across the channels and become durable in (epoch, LSN)
+  /// order at the next group commit; the log file's bytes do not depend
+  /// on the channel count.
   uint32_t channels = 1;
-  /// When >0 (and channels > 1), a background advancer closes the open
-  /// epoch and group-commits every interval; WaitEpochDurable() then
-  /// blocks on the watermark instead of leading a commit itself. 0 means
-  /// caller-driven: the first waiter leads the commit and concurrent
-  /// waiters piggyback on its single sync.
+  /// When >0, a background advancer closes the open epoch and
+  /// group-commits every interval; WaitEpochDurable() then blocks on the
+  /// watermark instead of leading a commit itself. 0 means caller-driven:
+  /// the first waiter leads the commit and concurrent waiters piggyback
+  /// on its single sync.
   uint32_t group_commit_interval_us = 0;
 };
 
@@ -69,14 +70,14 @@ struct LogManagerOptions {
 /// conventional", paper section 1); media recovery simply scans from the
 /// start point recorded when its backup began.
 ///
-/// With channels > 1 the append path is sharded: each appender thread is
-/// bound round-robin to a LogChannel and only contends on its channel's
-/// mutex plus a tiny (lsn, epoch) issuance lock. A group commit closes
-/// the open epoch E, drains every channel's records for epochs <= E,
-/// merges them by LSN into the single log file (byte format unchanged),
-/// syncs once, and publishes durable_epoch = E — the commit point. The
-/// fence protocol's "identity write durable before flush to S" becomes
-/// "the epoch containing the Iw record has been published".
+/// The append path is sharded: each appender thread is bound round-robin
+/// to a LogChannel and only contends on its channel's mutex plus a tiny
+/// (lsn, epoch) issuance lock. A group commit closes the open epoch E,
+/// drains every channel's records for epochs <= E, merges them by LSN
+/// into the single log file (byte format unchanged), syncs once, and
+/// publishes durable_epoch = E — the commit point. The fence protocol's
+/// "identity write durable before flush to S" becomes "the epoch
+/// containing the Iw record has been published".
 class LogManager {
  public:
   /// Observes segment seals. Invoked after the seal is durable (the
@@ -100,18 +101,16 @@ class LogManager {
   /// issued in: the record is durable once durable_epoch() >= *epoch_out.
   Lsn Append(LogRecord* record, Epoch* epoch_out = nullptr);
 
-  /// Makes all appended records durable. With channels > 1 this is a
-  /// full group commit (closes the open epoch, drains every channel,
-  /// publishes the watermark). If the seal covered records, the seal
-  /// observer (if any) fires before Force returns.
+  /// Makes all appended records durable: a full group commit (closes the
+  /// open epoch, drains every channel, publishes the watermark). If the
+  /// seal covered records, the seal observer (if any) fires before Force
+  /// returns.
   Status Force();
 
   /// Blocks until durable_epoch() >= epoch (i.e. every record issued in
   /// `epoch` is durable). Caller-driven mode: the first waiter leads a
   /// group commit under the commit lock and concurrent waiters piggyback
   /// on its one sync. Background mode: waits on the advancer's watermark.
-  /// With channels == 1 this simply Force()s if the epoch is not yet
-  /// published.
   Status WaitEpochDurable(Epoch epoch);
 
   /// The epoch any subsequent Append() would be issued in. Waiting for
@@ -219,6 +218,8 @@ class LogManager {
   LogWriter writer_;
   Lsn durable_lsn_;
   Lsn last_appended_ = kInvalidLsn;
+  // Forces, group commits, and records ingested through AppendSealed;
+  // records appended through the channels are counted per channel.
   LogStats stats_;
   SealObserver seal_observer_;
   uint64_t seal_seq_ = 0;

@@ -1,11 +1,12 @@
 // Epoch-based group commit over per-thread log channels: epoch issuance
-// and watermark publication, channels=1 byte-identity with the legacy
-// single-mutex path, the (epoch, LSN) merge rules of AppendSealed, the
-// atomic seal-observer install, and the multi-threaded append / commit /
-// observer-swap races (run under the tsan preset).
+// and watermark publication, log bytes independent of the channel count,
+// the (epoch, LSN) merge rules of AppendSealed, the atomic seal-observer
+// install, and the multi-threaded append / commit / observer-swap races
+// (run under the tsan preset).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -96,7 +97,7 @@ TEST(GroupCommitTest, WaitEpochDurableLeadsCallerDrivenCommit) {
   EXPECT_EQ(expect, 6u);
 }
 
-TEST(GroupCommitTest, WaitEpochDurableWorksInLegacyMode) {
+TEST(GroupCommitTest, WaitEpochDurableWorksSingleChannel) {
   MemEnv env;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
                        LogManager::Open(&env, "log"));
@@ -139,12 +140,12 @@ TEST(GroupCommitTest, BackgroundAdvancerPublishesWithoutCaller) {
   EXPECT_EQ(log->durable_lsn(), 1u);
 }
 
-// ---------- channels=1 byte-identity ----------
+// ---------- channel-count independence ----------
 
 TEST(GroupCommitTest, SingleThreadLogBytesIdenticalAcrossChannelCounts) {
   // The same append/force script must produce the identical log file
-  // whether it runs through the legacy path or through channels: the
-  // group commit merges by LSN into the same frame encoding.
+  // whatever the channel count: the group commit merges by LSN into the
+  // same frame encoding.
   auto run = [](uint32_t channels) {
     MemEnv env;
     LogManagerOptions options;
@@ -160,10 +161,10 @@ TEST(GroupCommitTest, SingleThreadLogBytesIdenticalAcrossChannelCounts) {
     }
     return ReadWholeFile(&env, "log");
   };
-  std::string legacy = run(1);
+  std::string single = run(1);
   std::string grouped = run(4);
-  EXPECT_FALSE(legacy.empty());
-  EXPECT_EQ(legacy, grouped);
+  EXPECT_FALSE(single.empty());
+  EXPECT_EQ(single, grouped);
 }
 
 // ---------- AppendSealed epoch-merge edges ----------
@@ -350,7 +351,7 @@ TEST(GroupCommitTest, ShipperAttachRacesConcurrentForces) {
   // observer install must not lose (or double-count in a torn way) a
   // seal that lands in between. The shipper installs atomically via
   // InstallSealObserver, so every durable LSN reaches the channel
-  // exactly once in order after enough Pumps.
+  // exactly once after enough Pumps.
   MemEnv env;
   LogManagerOptions options;
   options.channels = 2;
@@ -376,11 +377,18 @@ TEST(GroupCommitTest, ShipperAttachRacesConcurrentForces) {
   ASSERT_OK(log->Force());
   while (shipper.backlog() > 0) ASSERT_OK(shipper.Pump());
 
-  // Every durable LSN must appear in the channel in order, no gaps: a
-  // lost mid-attach seal would leave a hole between the catch-up frame
-  // and the first observer frame.
+  // Every durable LSN must appear in the channel, no gaps: a lost
+  // mid-attach seal would leave a hole between the catch-up frame and the
+  // first observer frame. Poll may return frames in any order (the spool
+  // lists them by file name, so f10 precedes f2), and seq order is not
+  // LSN order either: the catch-up frame takes its seq after the seals
+  // that raced its scan. Walk them by first LSN, as the applier does.
   std::vector<ShipFrame> frames;
   ASSERT_OK(channel.Poll(1, &frames));
+  std::sort(frames.begin(), frames.end(),
+            [](const ShipFrame& a, const ShipFrame& b) {
+              return a.first_lsn < b.first_lsn;
+            });
   Lsn next = 1;
   for (const ShipFrame& frame : frames) {
     if (frame.first_lsn == kInvalidLsn) continue;
@@ -391,7 +399,7 @@ TEST(GroupCommitTest, ShipperAttachRacesConcurrentForces) {
   EXPECT_EQ(shipper.stats().last_shipped_lsn, log->durable_lsn());
 }
 
-// ---------- engine-level overlapped installs ----------
+// ---------- engine-level installs ----------
 
 DbOptions SmallGroupedOptions(uint32_t channels) {
   DbOptions options;
@@ -405,10 +413,12 @@ DbOptions SmallGroupedOptions(uint32_t channels) {
   return options;
 }
 
-TEST(GroupCommitTest, ConcurrentUpdatersDuringBackupStayConsistent) {
+// Four updaters race back-to-back backups; every install takes the
+// three-phase path whatever the channel count.
+void UpdatersDuringBackupStayConsistent(uint32_t channels) {
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<TestEngine> engine,
-      TestEngine::Create(SmallGroupedOptions(4)));
+      TestEngine::Create(SmallGroupedOptions(channels)));
   constexpr int kThreads = 4;
   constexpr int kRounds = 40;
   std::vector<std::unique_ptr<FileStore>> files;
@@ -457,64 +467,16 @@ TEST(GroupCommitTest, ConcurrentUpdatersDuringBackupStayConsistent) {
     }
   }
   DbStats stats = engine->db()->GatherStats();
-  EXPECT_EQ(stats.log_channels, 4u);
+  EXPECT_EQ(stats.log_channels, channels);
   EXPECT_GT(stats.cache.overlapped_installs, 0u);
   EXPECT_GE(stats.open_epoch, stats.durable_epoch);
 }
 
-
-// Same workload in legacy single-channel mode: installs hold the cache
-// mutex throughout, so this pins the baseline behavior the overlapped
-// path must match.
-TEST(GroupCommitTest, ConcurrentUpdatersDuringBackupLegacyChannel) {
-  ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<TestEngine> engine,
-      TestEngine::Create(SmallGroupedOptions(1)));
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 40;
-  std::vector<std::unique_ptr<FileStore>> files;
-  for (int t = 0; t < kThreads; ++t) {
-    files.push_back(std::make_unique<FileStore>(
-        engine->db(), /*partition=*/t, /*base_page=*/0,
-        /*pages_per_file=*/1, /*num_files=*/16));
+TEST(GroupCommitTest, ConcurrentUpdatersDuringBackupStayConsistent) {
+  for (uint32_t channels : {1u, 4u}) {
+    SCOPED_TRACE("channels=" + std::to_string(channels));
+    UpdatersDuringBackupStayConsistent(channels);
   }
-  std::atomic<bool> stop{false};
-  std::thread backups([&]() {
-    int round = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_OK(
-          engine->db()->TakeBackup("bk" + std::to_string(round++)).status());
-    }
-  });
-  std::vector<std::thread> updaters;
-  for (int t = 0; t < kThreads; ++t) {
-    updaters.emplace_back([&, t]() {
-      for (int i = 0; i < kRounds; ++i) {
-        ASSERT_OK(files[t]->WriteValues(
-            static_cast<uint32_t>(i) % 16,
-            {static_cast<int64_t>(t * 1000 + i)}));
-      }
-    });
-  }
-  for (auto& th : updaters) th.join();
-  stop.store(true);
-  backups.join();
-
-  ASSERT_OK(engine->db()->FlushAll());
-  for (int t = 0; t < kThreads; ++t) {
-    for (uint32_t f = 0; f < 16; ++f) {
-      ASSERT_OK_AND_ASSIGN(std::vector<int64_t> values,
-                           files[t]->ReadValues(f));
-      int last = -1;
-      for (int i = 0; i < kRounds; ++i) {
-        if (static_cast<uint32_t>(i) % 16 == f) last = i;
-      }
-      ASSERT_GE(last, 0);
-      ASSERT_EQ(values.size(), 1u);
-      EXPECT_EQ(values[0], t * 1000 + last);
-    }
-  }
-  EXPECT_EQ(engine->db()->GatherStats().cache.overlapped_installs, 0u);
 }
 
 }  // namespace

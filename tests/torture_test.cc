@@ -427,9 +427,9 @@ TEST(FenceProtocolTest, RacingFlushesKeepDecisionCountersExact) {
 }
 
 // Grouped-commit crash sweeps: log_channels=4 shards the WAL, so crash
-// points land between a channel seal and the epoch publish, and flushes
-// during the sweep take the overlapped three-phase install. Recovery and
-// backup verification must be oblivious to the sharding.
+// points land between the seal of several channels and the epoch
+// publish. Recovery and backup verification must be oblivious to the
+// sharding.
 TEST(CrashSweepTest, BackupScenarioGroupedChannels) {
   ScenarioOptions scenario =
       SmallScenario(ScenarioKind::kBackup, WriteGraphKind::kGeneral);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "io/mem_env.h"
@@ -189,21 +190,29 @@ TEST(LogManagerTest, DurableLsnAdvancesOnForce) {
 }
 
 TEST(LogManagerTest, StatsTrackIdentityRecords) {
-  MemEnv env;
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
-                       LogManager::Open(&env, "log"));
-  LogRecord normal = SampleRecord(0);
-  log->Append(&normal);
-  LogRecord identity;
-  identity.op_code = kOpIdentityWrite;
-  identity.writeset = {PageId{0, 1}};
-  identity.payload = std::string(kPageSize, 'x');
-  log->Append(&identity);
-  LogStats stats = log->stats();
-  EXPECT_EQ(stats.records, 2u);
-  EXPECT_EQ(stats.identity_records, 1u);
-  EXPECT_GT(stats.identity_bytes, kPageSize);
-  EXPECT_GT(stats.bytes, stats.identity_bytes);
+  // Counted at append time: no Force() before reading the stats.
+  for (uint32_t channels : {1u, 4u}) {
+    SCOPED_TRACE("channels=" + std::to_string(channels));
+    MemEnv env;
+    LogManagerOptions options;
+    options.channels = channels;
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(&env, "log", options));
+    LogRecord normal = SampleRecord(0);
+    log->Append(&normal);
+    LogRecord identity;
+    identity.op_code = kOpIdentityWrite;
+    identity.writeset = {PageId{0, 1}};
+    identity.payload = std::string(kPageSize, 'x');
+    log->Append(&identity);
+    LogStats stats = log->stats();
+    EXPECT_EQ(stats.records, 2u);
+    EXPECT_EQ(stats.identity_records, 1u);
+    EXPECT_GT(stats.identity_bytes, kPageSize);
+    EXPECT_GT(stats.bytes, stats.identity_bytes);
+    log->ResetStats();
+    EXPECT_EQ(log->stats().records, 0u);
+  }
 }
 
 TEST(LogManagerTest, ScanAbortsOnCallbackError) {

@@ -5,7 +5,7 @@
 # really for). Usage:
 #
 #   tools/verify.sh            # all three tiers
-#   tools/verify.sh default    # just one tier (default | asan | tsan)
+#   tools/verify.sh default    # one tier (default | release | asan | tsan)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
