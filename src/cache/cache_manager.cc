@@ -20,10 +20,8 @@ CacheManager::CacheManager(PageStore* stable, LogManager* log,
       tracker_(tracker),
       options_(options) {}
 
-void CacheManager::Touch(const PageId& id, Frame& frame) {
-  lru_.erase(frame.lru_pos);
-  lru_.push_front(id);
-  frame.lru_pos = lru_.begin();
+void CacheManager::Touch(Frame& frame) {
+  lru_.splice(lru_.begin(), lru_, frame.lru_pos);
 }
 
 void CacheManager::SetPageFaultHandler(
@@ -37,7 +35,7 @@ Status CacheManager::GetFrame(std::unique_lock<std::mutex>& lk,
   auto it = frames_.find(id);
   if (it != frames_.end()) {
     ++stats_.hits;
-    Touch(id, it->second);
+    Touch(it->second);
     *frame = &it->second;
     return Status::OK();
   }
@@ -83,7 +81,9 @@ Status CacheManager::EnsureRoom(std::unique_lock<std::mutex>& lk) {
     if (victim_dirty) {
       if (in_apply_) return Status::OK();  // never release mu_ mid-apply
       LLB_RETURN_IF_ERROR(FlushPageLocked(lk, victim));
-      continue;  // the cache changed while unlocked: re-derive everything
+      // The install touched the victim to the MRU end, so a rescan would
+      // walk the whole LRU to find it: evict it directly if it is still
+      // clean and unpinned, and otherwise re-derive everything.
     }
     auto it = frames_.find(victim);
     if (it != frames_.end() && !it->second.dirty && it->second.pins == 0) {
@@ -161,6 +161,7 @@ Status CacheManager::ExecuteOp(LogRecord* rec) {
   }
 
   std::vector<PageId> pinned;
+  pinned.reserve(rec->readset.size() + rec->writeset.size());
   auto unpin = [&] {
     for (const PageId& id : pinned) {
       auto it = frames_.find(id);
@@ -194,7 +195,7 @@ Status CacheManager::ExecuteOp(LogRecord* rec) {
     }
     bool conflict = false;
     for (const PageId& id : rec->writeset) {
-      if (installing_pages_.count(id) != 0) {
+      if (frames_.find(id)->second.installing) {  // pinned, so resident
         conflict = true;
         break;
       }
@@ -366,7 +367,8 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
   auto clear_marks = [&] {
     for (const PendingInstall& pi : pending) {
       for (const PageStore::Entry& entry : pi.batch) {
-        installing_pages_.erase(entry.id);
+        auto it = frames_.find(entry.id);
+        if (it != frames_.end()) it->second.installing = false;
       }
       installing_nodes_.erase(pi.node_id);
       graph_->EndInstall(pi.node_id);
@@ -392,7 +394,7 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
                                 x.ToString());
       }
       ++stats_.hits;
-      Touch(x, it->second);
+      Touch(it->second);
       Frame* frame = &it->second;
       LogRecord wip = MakeIdentityWrite(x, frame->image);
       Epoch epoch = kInvalidEpoch;
@@ -414,10 +416,10 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
                                 x.ToString());
       }
       ++stats_.hits;
-      Touch(x, it->second);
+      Touch(it->second);
       pi.batch.push_back(PageStore::Entry{x, it->second.image});
     }
-    for (const PageId& x : unit.vars) installing_pages_.insert(x);
+    for (const PageId& x : unit.vars) frames_.find(x)->second.installing = true;
     installing_nodes_.insert(unit.node_id);
     // Freeze the node's identity in the graph for the unlocked phase 2:
     // a cycle collapse merging it would make phase 3's MarkInstalled
@@ -459,9 +461,11 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
   for (const PendingInstall& pi : pending) {
     for (const PageStore::Entry& entry : pi.batch) {
       auto it = frames_.find(entry.id);
-      if (it != frames_.end()) it->second.dirty = false;
+      if (it != frames_.end()) {
+        it->second.dirty = false;
+        it->second.installing = false;
+      }
       if (tracker_ != nullptr) tracker_->OnPageFlushed(entry.id);
-      installing_pages_.erase(entry.id);
     }
     graph_->MarkInstalled(pi.node_id);
     installing_nodes_.erase(pi.node_id);
@@ -482,7 +486,7 @@ Status CacheManager::FlushPageLocked(std::unique_lock<std::mutex>& lk,
     if (!graph_->IsTracked(x)) {
       auto it = frames_.find(x);
       if (it != frames_.end() && it->second.dirty) {
-        if (installing_pages_.count(x) != 0) {
+        if (it->second.installing) {
           // Mid-install: phase 1 already logged the page's Iw (untracking
           // it) but phase 3 has not marked the frame clean yet. Wait for
           // the installer rather than treating the state as corruption.

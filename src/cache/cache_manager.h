@@ -161,6 +161,9 @@ class CacheManager {
     PageImage image;
     bool dirty = false;
     uint32_t pins = 0;  // pinned frames are never evicted
+    // Part of an install plan between its phases 1 and 3. Such a page is
+    // dirty until phase 3, so it stays resident while marked.
+    bool installing = false;
     std::list<PageId>::iterator lru_pos;
   };
 
@@ -177,7 +180,7 @@ class CacheManager {
   /// re-acquired (mark clean/installed, wake waiters).
   Status InstallPlan(std::unique_lock<std::mutex>& lk,
                      const std::vector<InstallUnit>& plan);
-  void Touch(const PageId& id, Frame& frame);
+  void Touch(Frame& frame);
 
   /// Decides which vars of the unit need Iw/oF logging given backup
   /// progress (called with the partition backup latch held in share
@@ -200,14 +203,14 @@ class CacheManager {
   std::list<PageId> lru_;  // front = most recent
   CacheStats stats_;
 
-  // Install bookkeeping. While a plan is in phase 2 its nodes/pages are
-  // marked here: writes to a marked page and installs of a marked node
-  // wait on install_cv_ (reads stay allowed — the installing image is
-  // frozen). in_apply_ is set while an operation's apply function runs
-  // so a nested cache miss never releases the mutex mid-apply (eviction
-  // falls back to clean pages or a transient capacity overrun).
+  // Install bookkeeping. While a plan is in phase 2 its nodes are marked
+  // here and its pages by Frame::installing: writes to a marked page and
+  // installs of a marked node wait on install_cv_ (reads stay allowed —
+  // the installing image is frozen). in_apply_ is set while an
+  // operation's apply function runs so a nested cache miss never releases
+  // the mutex mid-apply (eviction falls back to clean pages or a
+  // transient capacity overrun).
   std::unordered_set<uint64_t> installing_nodes_;
-  std::unordered_set<PageId, PageIdHash> installing_pages_;
   std::condition_variable install_cv_;
   bool in_apply_ = false;
 };

@@ -12,7 +12,7 @@
 namespace llb {
 
 /// One per-thread WAL append channel (the limestone `log_channel` shape).
-/// Appenders encode records into the channel's staging queue under the
+/// Appenders encode records into the channel's staging buffer under the
 /// channel mutex — held across LSN/epoch issuance AND buffering, so that
 /// once an epoch is closed, every record issued in it is either fully
 /// buffered or its appender still holds the channel mutex. The group
@@ -20,12 +20,13 @@ namespace llb {
 /// half-buffered epoch.
 class LogChannel {
  public:
-  /// One buffered record: its (epoch, LSN) key for the commit-time merge
-  /// plus its already-framed bytes.
-  struct Pending {
-    Epoch epoch = kInvalidEpoch;
-    Lsn lsn = kInvalidLsn;
+  /// A drained prefix of the channel: its framed records back to back in
+  /// LSN order (an appender holds the channel mutex across issuance, so
+  /// a channel's LSNs only grow), with each record's LSN and size.
+  struct Run {
     std::string bytes;
+    std::vector<Lsn> lsns;
+    std::vector<size_t> sizes;
   };
 
   /// Records and framed bytes appended through this channel, counted at
@@ -43,17 +44,16 @@ class LogChannel {
   /// Buffers an already-LSN-stamped record under `epoch`. mu_ held by
   /// the caller (the LogManager's append path).
   void AddLocked(Epoch epoch, const LogRecord& record) {
-    Pending p;
-    p.epoch = epoch;
-    p.lsn = record.lsn;
-    record.EncodeTo(&p.bytes);
+    size_t before = bytes_.size();
+    record.EncodeTo(&bytes_);
+    size_t size = bytes_.size() - before;
+    slots_.push_back(Slot{epoch, record.lsn, size});
     ++counters_.records;
-    counters_.bytes += p.bytes.size();
+    counters_.bytes += size;
     if (record.IsIdentityWrite()) {
       ++counters_.identity_records;
-      counters_.identity_bytes += p.bytes.size();
+      counters_.identity_bytes += size;
     }
-    pending_.push_back(std::move(p));
   }
 
   /// Snapshot of the append counters; with `reset` they restart at zero.
@@ -65,21 +65,42 @@ class LogChannel {
     return out;
   }
 
-  /// Moves every buffered record with epoch <= up_to into *out. Epochs
-  /// are issued monotonically per channel, so the eligible records form
-  /// a prefix of the queue. Takes mu_ internally; the caller (group
-  /// commit) must NOT hold any other LogManager lock while calling.
-  void Drain(Epoch up_to, std::vector<Pending>* out) {
+  /// Replaces *out with every buffered record with epoch <= up_to, moved
+  /// out of the channel. Epochs are issued monotonically per channel, so
+  /// the eligible records form a prefix of the queue. A caller that
+  /// reuses *out across drains keeps its buffers' capacity. Takes mu_
+  /// internally; the caller (group commit) must NOT hold any other
+  /// LogManager lock while calling.
+  void Drain(Epoch up_to, Run* out) {
+    out->bytes.clear();
+    out->lsns.clear();
+    out->sizes.clear();
     std::lock_guard<std::mutex> lock(mu_);
-    while (!pending_.empty() && pending_.front().epoch <= up_to) {
-      out->push_back(std::move(pending_.front()));
-      pending_.pop_front();
+    size_t drained = 0;
+    while (!slots_.empty() && slots_.front().epoch <= up_to) {
+      out->lsns.push_back(slots_.front().lsn);
+      out->sizes.push_back(slots_.front().size);
+      drained += slots_.front().size;
+      slots_.pop_front();
+    }
+    if (drained == bytes_.size()) {
+      out->bytes.swap(bytes_);
+    } else {
+      out->bytes.assign(bytes_, 0, drained);
+      bytes_.erase(0, drained);
     }
   }
 
  private:
+  struct Slot {
+    Epoch epoch;
+    Lsn lsn;
+    size_t size;
+  };
+
   std::mutex mu_;
-  std::deque<Pending> pending_;
+  std::string bytes_;        // framed records of slots_, back to back
+  std::deque<Slot> slots_;
   Counters counters_;
 };
 

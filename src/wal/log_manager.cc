@@ -1,6 +1,5 @@
 #include "wal/log_manager.h"
 
-#include <algorithm>
 #include <chrono>
 
 namespace llb {
@@ -39,6 +38,7 @@ LogManager::LogManager(Env* env, std::string name, std::shared_ptr<File> file,
   for (uint32_t i = 0; i < options_.channels; ++i) {
     channels_.push_back(std::make_unique<LogChannel>());
   }
+  runs_.resize(channels_.size());
   if (options_.group_commit_interval_us > 0) {
     advancer_ = std::thread([this] { AdvancerLoop(); });
   }
@@ -98,36 +98,56 @@ Status LogManager::GroupCommitLocked() {
     tail = next_lsn_ - 1;
   }
 
-  std::vector<LogChannel::Pending> entries;
-  for (auto& channel : channels_) channel->Drain(sealed, &entries);
-  std::sort(entries.begin(), entries.end(),
-            [](const LogChannel::Pending& a, const LogChannel::Pending& b) {
-              return a.lsn < b.lsn;
-            });
+  size_t total = 0;
+  for (size_t i = 0; i < channels_.size(); ++i) {
+    Run& run = runs_[i];
+    run.head = 0;
+    run.offset = 0;
+    channels_[i]->Drain(sealed, &run);
+    total += run.lsns.size();
+  }
 
   std::unique_lock<std::mutex> lock(mu_);
-  if (!entries.empty()) {
-    // The merged records must continue the log densely up to the LSN
-    // issuance tail captured at the epoch close; a gap means a record
-    // was issued but never buffered — an invariant violation, not an
-    // IO error.
-    Lsn expect =
+  if (total > 0) {
+    // Merge the runs by LSN: each is already in LSN order, so the next
+    // record is always some run's head. The merged records must continue
+    // the log densely up to the LSN issuance tail captured at the epoch
+    // close; a gap means a record was issued but never buffered — an
+    // invariant violation, not an IO error.
+    const Lsn first =
         (last_appended_ != kInvalidLsn ? last_appended_ : durable_lsn_) + 1;
-    for (const LogChannel::Pending& entry : entries) {
-      if (entry.lsn != expect) {
+    merge_order_.clear();
+    for (Lsn expect = first; merge_order_.size() < total; ++expect) {
+      size_t r = 0;
+      while (r < runs_.size() && (runs_[r].head == runs_[r].lsns.size() ||
+                                  runs_[r].lsns[runs_[r].head] != expect)) {
+        ++r;
+      }
+      if (r == runs_.size()) {
         return Status::Internal("group commit: channel merge gap at lsn " +
                                 std::to_string(expect));
       }
-      ++expect;
+      merge_order_.push_back(r);
+      ++runs_[r].head;
     }
-    if (entries.back().lsn != tail) {
+    if (first + total - 1 != tail) {
       return Status::Internal("group commit: merge does not reach epoch tail");
     }
-    for (const LogChannel::Pending& entry : entries) {
-      writer_.AddRaw(Slice(entry.bytes));
-      if (seal_first_lsn_ == kInvalidLsn) seal_first_lsn_ = entry.lsn;
-      last_appended_ = entry.lsn;
+    if (runs_[merge_order_.front()].lsns.size() == total) {
+      // One run holds everything (always so on one channel): it already
+      // is the merged order, so hand its buffer over without copying.
+      writer_.AddRaw(&runs_[merge_order_.front()].bytes);
+    } else {
+      for (Run& run : runs_) run.head = 0;
+      for (size_t r : merge_order_) {
+        Run& run = runs_[r];
+        size_t size = run.sizes[run.head++];
+        writer_.AddRaw(Slice(run.bytes.data() + run.offset, size));
+        run.offset += size;
+      }
     }
+    if (seal_first_lsn_ == kInvalidLsn) seal_first_lsn_ = first;
+    last_appended_ = tail;
   }
   LLB_RETURN_IF_ERROR(SealLocked(sealed));
   ++stats_.forces;

@@ -233,8 +233,16 @@ class LogManager {
 
   // Group commit: serializes epoch closes; piggybacking waiters queue
   // on commit_mu_ and re-check the watermark once the leader publishes.
+  // runs_ (one per channel, with merge cursors) and merge_order_ are the
+  // commit's scratch, kept across commits so their buffers are reused.
+  struct Run : LogChannel::Run {
+    size_t head = 0;    // next record of this run to merge
+    size_t offset = 0;  // its byte offset in `bytes`
+  };
   std::mutex commit_mu_;
   std::vector<std::unique_ptr<LogChannel>> channels_;
+  std::vector<Run> runs_;
+  std::vector<size_t> merge_order_;  // run index of each merged record
   std::atomic<Epoch> durable_epoch_{kInvalidEpoch};
 
   // Watermark publication + background advancer.

@@ -15,6 +15,17 @@ Status LogWriter::AddRaw(Slice framed) {
   return Status::OK();
 }
 
+Status LogWriter::AddRaw(std::string* framed) {
+  bytes_logged_ += framed->size();
+  if (buffer_.empty()) {
+    buffer_.swap(*framed);
+  } else {
+    buffer_.append(*framed);
+  }
+  framed->clear();
+  return Status::OK();
+}
+
 Status LogWriter::Force(std::string* sealed) {
   if (!buffer_.empty()) {
     LLB_RETURN_IF_ERROR(file_->Append(Slice(buffer_)));

@@ -28,6 +28,10 @@ class LogWriter {
   /// from another log) for the next Force().
   Status AddRaw(Slice framed);
 
+  /// Same, taking the bytes from *framed (left empty): when nothing is
+  /// buffered yet they are moved in without a copy.
+  Status AddRaw(std::string* framed);
+
   /// Appends all buffered records and syncs the file. When `sealed` is
   /// non-null it receives the byte range this force made durable (empty
   /// if nothing was buffered) — the "sealed segment" the log shipper
