@@ -13,7 +13,8 @@
 // pages:
 //
 //   BM_OfflineRestoreTTFT/threads:T — wipe S, full off-line restore
-//                                     (batch 32, pipelined, T workers),
+//                                     (batch 32, 2 runs in flight,
+//                                     T workers),
 //                                     open, recover, first read
 //   BM_InstantRestoreTTFT           — wipe S, OpenRestoring, recover,
 //                                     first read (faults its closure)
@@ -207,7 +208,8 @@ void CheckInstantMatchesOffline(DeviceEngine* engine) {
 
 // TTFT of the off-line procedure: nothing runs until the whole store is
 // rebuilt, so the first transaction pays the full restore (the tuned
-// pipeline: batch 32, prefetch, T workers) plus open + crash recovery.
+// pipeline: batch 32, 2 runs in flight, T workers) plus open + crash
+// recovery.
 void BM_OfflineRestoreTTFT(benchmark::State& state) {
   std::unique_ptr<DeviceEngine> engine =
       NewBackedUpEngine(LatencyProfile::Hdd());
@@ -215,7 +217,7 @@ void BM_OfflineRestoreTTFT(benchmark::State& state) {
   RegisterAllOps(&registry);
   RestoreOptions restore;
   restore.batch_pages = 32;
-  restore.pipelined = true;
+  restore.queue_depth = 2;
   restore.threads = static_cast<uint32_t>(state.range(0));
   std::unique_ptr<Database> db;
   for (auto _ : state) {

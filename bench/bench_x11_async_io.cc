@@ -1,8 +1,9 @@
 // Experiment X11: async deep-queue IO backend throughput.
 //
-// Double-buffered prefetch hides exactly one IO; a deep submission
-// queue keeps the device busy with queue_depth of them. This benchmark
-// measures the payoff of TransferOptions::queue_depth on two substrates:
+// One run at a time leaves the device idle between IOs; a deep
+// submission queue keeps it busy with queue_depth of them. This
+// benchmark measures the payoff of TransferOptions::queue_depth on two
+// substrates:
 //
 //   BM_AsyncSweep/qd:Q    — quiesced full backup sweep over
 //                           LatencyEnv(Nvme) (10 us op, 30 us sync,
@@ -10,8 +11,9 @@
 //                           device per-op latency, not transfer time,
 //                           is what a deep queue hides), one step (a
 //                           deep queue is pointless chopped into step
-//                           fences), qd1 = the synchronous pipelined
-//                           sweep, qd8 = windows of 8 runs in flight
+//                           fences), qd1 = one run at a time, qd2 =
+//                           the smallest overlapping window, qd8 =
+//                           windows of 8 runs in flight
 //   BM_AsyncRestore/qd:Q  — the media-recovery side, same profile
 //   BM_PosixSweep/qd:Q    — the same sweep over real files (PosixEnv
 //                           under TMPDIR): io_uring where the kernel
@@ -20,7 +22,7 @@
 //
 // The NVMe profile (not X7/X8's HDD) is deliberate: a deep queue pays
 // where per-op latency dominates transfer time — exactly the regime
-// fast devices live in, and the one double buffering serves worst.
+// fast devices live in.
 //
 // tools/benchrunner derives speedup_async_qd8 (sweep) and
 // speedup_async_restore_qd8 from the LatencyEnv families —
@@ -89,7 +91,6 @@ BackupJobOptions SweepJob(uint32_t queue_depth) {
   BackupJobOptions job;
   job.steps = kSteps;
   job.batch_pages = kBatch;
-  job.pipelined = true;  // qd1 gets the strongest synchronous baseline
   job.resumable = false;  // cursor writes would add per-step syncs
   job.queue_depth = queue_depth;
   return job;
@@ -98,7 +99,6 @@ BackupJobOptions SweepJob(uint32_t queue_depth) {
 RestoreOptions RestoreJob(uint32_t queue_depth) {
   RestoreOptions options;
   options.batch_pages = kBatch;
-  options.pipelined = true;
   options.threads = 1;  // equal threads: the queue is the only variable
   options.queue_depth = queue_depth;
   return options;
@@ -165,6 +165,7 @@ void BM_AsyncSweep(benchmark::State& state) {
 BENCHMARK(BM_AsyncSweep)
     ->ArgNames({"qd"})
     ->Arg(1)
+    ->Arg(2)
     ->Arg(8)
     // In-flight ops ride pool/ring threads; wall clock shows the overlap.
     ->UseRealTime()
@@ -214,6 +215,7 @@ void BM_AsyncRestore(benchmark::State& state) {
 BENCHMARK(BM_AsyncRestore)
     ->ArgNames({"qd"})
     ->Arg(1)
+    ->Arg(2)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

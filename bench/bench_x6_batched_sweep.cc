@@ -1,23 +1,20 @@
-// Experiment X6: batched/pipelined backup sweep throughput.
+// Experiment X6: batched backup sweep throughput.
 //
-// The legacy sweep moves one page per store-latch round trip and device
-// IO (and pays two CRC passes per page: verify on read, re-seal on
-// write). The batched sweep (BackupJobOptions::batch_pages = K) moves
-// maximal contiguous runs of up to K pages with one ReadRun / one
-// WriteSealedRun each — one latch acquisition, one vectored IO, one
-// durability round trip, and a single CRC pass per page (sealed bytes
-// are copied raw). `pipelined` adds double-buffered prefetch: the reader
-// fills run N+1 while the writer flushes run N to B.
+// The sweep (BackupJobOptions::batch_pages = K) moves maximal contiguous
+// runs of up to K pages, each with one read from S and one write into B
+// — one IO and one durability round trip per run, and a single CRC pass
+// per page (sealed bytes are copied raw). K = 1 is the page-at-a-time
+// sweep. Both rows run at the default queue depth: one run in flight.
 //
-//   BM_BatchedSweep/batch:K/pipelined:P   — quiesced full-sweep MB/s
-//   BM_BatchedSweepOnline/batch:K         — sweep MB/s with mid-step
-//                                           updates (fence traffic and
-//                                           identity writes live)
+//   BM_BatchedSweep/batch:K         — quiesced full-sweep MB/s
+//   BM_BatchedSweepOnline/batch:K   — sweep MB/s with mid-step updates
+//                                     (fence traffic and identity
+//                                     writes live)
 //
 // Counters (see tools/benchrunner, which aggregates them into
-// BENCH_backup.json): fence_updates, latch_acquisitions (2 per page
-// legacy, 1 per run batched), read/write_batches, read/write_stage_us
-// per sweep, identity_writes per sweep for the online variant.
+// BENCH_backup.json): fence_updates, latch_acquisitions (1 per run per
+// side), read/write_batches, read/write_stage_us per sweep,
+// identity_writes per sweep for the online variant.
 
 #include <benchmark/benchmark.h>
 
@@ -64,13 +61,10 @@ void ReportSweepCounters(benchmark::State& state, const BackupJobStats& stats,
                          double sweeps) {
   state.counters["fence_updates"] =
       static_cast<double>(stats.fence_updates) / sweeps;
-  // Store-latch economics: the legacy path locks twice per page (read +
-  // write); the batched path locks once per run per side.
-  double latches =
-      stats.read_batches == 0
-          ? 2.0 * static_cast<double>(stats.pages_copied)
-          : static_cast<double>(stats.read_batches + stats.write_batches);
-  state.counters["latch_acquisitions"] = latches / sweeps;
+  // Per-run economics: one round trip per run per side, so K pages per
+  // run cut them K-fold.
+  state.counters["latch_acquisitions"] =
+      static_cast<double>(stats.read_batches + stats.write_batches) / sweeps;
   state.counters["read_batches"] =
       static_cast<double>(stats.read_batches) / sweeps;
   state.counters["write_batches"] =
@@ -89,7 +83,6 @@ void BM_BatchedSweep(benchmark::State& state) {
   BackupJobOptions job;
   job.steps = kSteps;
   job.batch_pages = static_cast<uint32_t>(state.range(0));
-  job.pipelined = state.range(1) != 0;
 
   BackupJobStats total;
   int round = 0;
@@ -112,14 +105,10 @@ void BM_BatchedSweep(benchmark::State& state) {
   ReportSweepCounters(state, total, static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_BatchedSweep)
-    ->ArgNames({"batch", "pipelined"})
-    ->Args({1, 0})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({64, 0})
-    ->Args({64, 1})
-    // Wall-clock rates: the pipelined prefetch runs on a helper thread,
-    // so CPU-time rates would overstate its throughput.
+    ->ArgNames({"batch"})
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(64)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -131,7 +120,6 @@ void BM_BatchedSweepOnline(benchmark::State& state) {
   BackupJobOptions job;
   job.steps = kSteps;
   job.batch_pages = static_cast<uint32_t>(state.range(0));
-  job.pipelined = state.range(0) > 1;
   // Deterministic "concurrency": each step, update and flush files spread
   // across the store, so flushes land in every fence region and the
   // batched path is measured with live identity-write traffic.

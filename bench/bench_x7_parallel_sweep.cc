@@ -10,8 +10,8 @@
 // were designed for) and shards 8 partitions across 1/2/4/8 pool
 // workers:
 //
-//   BM_ParallelSweep/threads:T   — quiesced full-sweep MB/s, batched +
-//                                  pipelined, T sweep workers
+//   BM_ParallelSweep/threads:T   — quiesced full-sweep MB/s, batched,
+//                                  T sweep workers
 //
 // tools/benchrunner derives speedup_parallel_tT = MB/s(T) / MB/s(1) and
 // tools/bench_check.py gates speedup_parallel_t4 >= 2x (EXPERIMENTS.md
@@ -99,7 +99,6 @@ void BM_ParallelSweep(benchmark::State& state) {
   job.steps = kSteps;
   job.sweep_threads = static_cast<uint32_t>(state.range(0));
   job.batch_pages = 32;  // one run per step: the batched-sweep sweet spot
-  job.pipelined = true;
   job.resumable = false;  // cursor writes would add per-step syncs
 
   uint64_t pages_copied = 0;

@@ -4,7 +4,8 @@
 // Restore is the RTO side of the paper's story: after a media failure
 // the stable database is rebuilt from B, and every second of the
 // rebuild is downtime. The restore rides the same TransferPipeline as
-// the backup sweep — batched multi-page runs, double-buffered prefetch,
+// the backup sweep — batched multi-page runs with two in flight per
+// worker (the read of run N+1 overlaps the write of run N),
 // partition-sharded workers — and, being offline, has no fence protocol
 // to respect, so batching and parallelism are pure throughput knobs.
 // Like X7 this wraps MemEnv in a LatencyEnv with the HDD profile
@@ -130,7 +131,7 @@ void RunRestoreBench(benchmark::State& state, const std::string& chain) {
 
   RestoreOptions options;
   options.batch_pages = 32;  // the batched-sweep sweet spot, as in X7
-  options.pipelined = true;
+  options.queue_depth = 2;   // overlap run N+1's read with run N's write
   options.threads = static_cast<uint32_t>(state.range(0));
 
   uint64_t pages_restored = 0;

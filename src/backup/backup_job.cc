@@ -98,8 +98,8 @@ Status BackupJob::BackupPartition(TransferPipeline* pipeline,
     // Transient IO errors are retried (the pipeline wraps every IO in
     // WithRetry); if retries are exhausted the sweep aborts with the
     // fences still up and the cursor at the last completed step, ready
-    // for Resume. Each step is one plan, so pipelined prefetch never
-    // reads past this step's Doubt window [D, P).
+    // for Resume. Each step is one plan, so the pipeline's read-ahead
+    // never reaches past this step's Doubt window [D, P).
     TransferPlan plan;
     plan.AddRange(partition, copy_from, boundary, page_filter,
                   options_.batch_pages);
@@ -226,24 +226,17 @@ Result<BackupManifest> BackupJob::Sweep(BackupManifest manifest,
   auto raw_bytes = std::make_shared<std::atomic<uint64_t>>(0);
   auto stored_bytes = std::make_shared<std::atomic<uint64_t>>(0);
 
-  // Size the pool up front: one worker per concurrent partition sweeper,
-  // plus one prefetch slot per sweeper when the pipelined reader stage is
-  // on. Grow is idempotent and the pool never shrinks, so repeated
+  // Size the pool up front: one worker per concurrent partition
+  // sweeper. Grow is idempotent and the pool never shrinks, so repeated
   // backups reuse the same threads.
-  if (options_.pool != nullptr) {
-    uint32_t workers = SweepWorkers();
-    size_t need = workers > 1 ? workers : 0;
-    if (options_.pipelined && options_.batch_pages > 1) need += workers;
-    options_.pool->Grow(need);
-  }
+  const uint32_t workers = SweepWorkers();
+  if (options_.pool != nullptr && workers > 1) options_.pool->Grow(workers);
 
   // One shared pipeline for every partition sweeper: the run-oriented
-  // copy engine (batched vectored IO, double-buffered prefetch) lives in
-  // TransferPipeline; the sweep contributes its retry policy as the IO
-  // wrapper and keeps the fence/cursor protocol to itself.
+  // copy engine (windows of async run IO) lives in TransferPipeline; the
+  // sweep contributes its retry policy as the IO wrapper and keeps the
+  // fence/cursor protocol to itself.
   TransferOptions transfer;
-  transfer.batch_pages = options_.batch_pages;
-  transfer.pipelined = options_.pipelined;
   transfer.queue_depth = options_.queue_depth;
   transfer.pool = options_.pool;
   transfer.io_wrapper = [this](const std::function<Status()>& fn) {
@@ -298,6 +291,7 @@ Result<BackupManifest> BackupJob::Sweep(BackupManifest manifest,
     stats_.write_batches += moved.write_batches;
     stats_.read_stage_us += moved.read_stage_us;
     stats_.write_stage_us += moved.write_stage_us;
+    stats_.checksum_rereads += moved.checksum_rereads;
     stats_.threads_spawned += moved.threads_spawned;
   }
   LLB_RETURN_IF_ERROR(swept);

@@ -51,41 +51,33 @@ struct BackupJobOptions {
   /// advances on different partitions commute (DESIGN.md "Parallel
   /// sweeps"). 1 = serial. Clamped to the partition count.
   uint32_t sweep_threads = 1;
-  /// Persistent worker pool to run sweep workers and pipelined prefetch
-  /// on. Not owned. When null, parallel sweeps fall back to transient
-  /// std::threads and pipelined prefetch to std::async — both counted in
-  /// BackupJobStats::threads_spawned. Database attaches its own pool to
-  /// every job it drives, so Database-driven sweeps spawn zero transient
-  /// threads.
+  /// Persistent worker pool to run sweep workers on. Not owned. When
+  /// null, parallel sweeps fall back to transient std::threads, counted
+  /// in BackupJobStats::threads_spawned. Database attaches its own pool
+  /// to every job it drives, so Database-driven sweeps spawn zero
+  /// transient threads.
   SweepThreadPool* pool = nullptr;
   /// Retry policy for transient IO errors on page copies and sweep
   /// metadata writes.
   RetryPolicy retry;
-  /// Pages moved per batched device IO inside a step (the sweep's K).
-  /// 1 keeps the legacy per-page copy loop: one read, one write + sync,
-  /// and two store-latch round trips per page. K > 1 copies maximal
-  /// contiguous runs of up to K pages with one PageStore::ReadRun and
-  /// one PageStore::WriteSealedRun each — one latch acquisition, one
-  /// device IO, and one durability round trip per run instead of per
-  /// page. The fence protocol is untouched: fences move only at step
-  /// boundaries, so Done/Doubt/Pend classification of any concurrent
-  /// flush is identical for every K.
+  /// Pages moved per device IO inside a step (the sweep's K): each step
+  /// is planned as maximal contiguous runs of up to K pages, and each run
+  /// is one latch-free read from S and one write into B under B's
+  /// partition latch. The fence protocol is untouched: fences move only
+  /// at step boundaries, so Done/Doubt/Pend classification of any
+  /// concurrent flush is identical for every K.
   uint32_t batch_pages = 1;
-  /// Double-buffered prefetch inside each step (only effective with
-  /// batch_pages > 1): a reader stage fills batch N+1 from S while the
-  /// writer stage flushes batch N to B. Prefetch never crosses the
-  /// pending fence — only pages the current step already moved into
-  /// Doubt are read ahead, so a concurrent flush to a Pend page can
-  /// never race a read the fence maths doesn't know about.
+  /// No-op, kept declared only because the benchmark harness still sets
+  /// it; it goes with the next benchmark change. Every sweep moves its
+  /// runs through the async window engine sized by queue_depth.
   bool pipelined = false;
-  /// Deep-queue asynchronous IO inside each step (only effective with
-  /// batch_pages > 1, superseding `pipelined`): each sweep worker keeps
-  /// up to queue_depth run IOs in flight through Env::OpenAsync
-  /// (io_uring where the kernel grants it, the portable thread pool
-  /// elsewhere). Read-ahead stays bounded by the step's Doubt window,
-  /// exactly like prefetch: the pipeline never reaches past the plan it
-  /// is handed, and plans stop at the pending fence. <= 1 keeps the
-  /// synchronous path.
+  /// Runs in flight per sweep worker (TransferOptions::queue_depth; <= 1
+  /// moves one run at a time): each window of queue_depth runs is read
+  /// through Env::OpenAsync (io_uring where the kernel grants it, the
+  /// portable thread pool elsewhere), then written with one sync per
+  /// touched partition. Read-ahead stays bounded by the step's Doubt
+  /// window: the pipeline never reaches past the plan it is handed, and
+  /// plans stop at the pending fence.
   uint32_t queue_depth = 0;
   /// Persist a per-partition cursor in the backup store after every
   /// completed step, so an aborted Run can be continued with Resume
@@ -125,20 +117,22 @@ struct BackupJobStats {
   /// Page positions Resume skipped because the cursor showed them
   /// already durably in B.
   uint64_t pages_skipped_on_resume = 0;
-  /// Batched runs moved by the batch_pages > 1 path; each is one
-  /// store-latch acquisition plus one device IO on its side of the
-  /// pipeline (and, for writes, one durability round trip).
+  /// Runs moved; each is one device IO on its side of the pipeline
+  /// (and, for writes, part of one durability round trip per window).
   uint64_t read_batches = 0;
   uint64_t write_batches = 0;
   /// Wall-clock time spent inside the read / write stages, in
-  /// microseconds. With pipelining the stages overlap, so their sum can
-  /// exceed the sweep's elapsed time.
+  /// microseconds.
   uint64_t read_stage_us = 0;
   uint64_t write_stage_us = 0;
+  /// Runs whose read from S failed its checksum and were re-read under
+  /// the partition latch before the retry policy saw anything
+  /// (TransferStats::checksum_rereads): torn reads and transient
+  /// bit-flips heal here, so io_faults alone undercounts them.
+  uint64_t checksum_rereads = 0;
   /// Transient threads created because no SweepThreadPool was attached
-  /// (std::thread per partition worker, std::async per prefetch). A job
-  /// with a pool keeps this at exactly 0 — the regression guard for the
-  /// persistent-worker design.
+  /// (std::thread per partition worker). A job with a pool keeps this at
+  /// exactly 0 — the regression guard for the persistent-worker design.
   uint64_t threads_spawned = 0;
 };
 

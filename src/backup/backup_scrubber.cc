@@ -72,7 +72,6 @@ Status BackupScrubber::RepairManifest(PageStore* store,
   // sweep's fences cannot move mid-repair.
   if (!from_stable.empty()) {
     TransferOptions transfer;
-    transfer.batch_pages = kRepairBatchPages;
     transfer.transform = [this](const TransferRun& run,
                                 std::vector<PageImage>* images) -> Status {
       std::vector<Lsn> lsns(images->size(), kInvalidLsn);

@@ -272,7 +272,6 @@ Result<BackupManifest> Database::TakeBackup(const std::string& backup_name,
   job_options.steps = steps != 0 ? steps : options_.backup_steps;
   job_options.parallel_partitions = options_.parallel_backup;
   job_options.batch_pages = options_.backup_batch_pages;
-  job_options.pipelined = options_.backup_pipelined;
   job_options.queue_depth = options_.io_queue_depth;
   job_options.sweep_threads = options_.backup_sweep_threads;
   job_options.compress = options_.backup_compress;
@@ -455,7 +454,6 @@ Result<BackupManifest> Database::TakeIncrementalBackup(
   job_options.steps = steps != 0 ? steps : options_.backup_steps;
   job_options.parallel_partitions = options_.parallel_backup;
   job_options.batch_pages = options_.backup_batch_pages;
-  job_options.pipelined = options_.backup_pipelined;
   job_options.queue_depth = options_.io_queue_depth;
   job_options.sweep_threads = options_.backup_sweep_threads;
   job_options.compress = options_.backup_compress;

@@ -46,11 +46,11 @@ struct DbOptions {
   BackupPolicy backup_policy = BackupPolicy::kGeneral;
   uint32_t backup_steps = 8;
   bool parallel_backup = false;
-  /// Sweep batching (see BackupJobOptions::batch_pages / pipelined):
-  /// pages per batched backup IO, and whether the sweep double-buffers
-  /// reads from S against writes to B. 1 / false reproduce the legacy
-  /// page-at-a-time sweep exactly.
+  /// Pages per backup sweep IO (see BackupJobOptions::batch_pages).
   uint32_t backup_batch_pages = 1;
+  /// No-op, kept declared only because the benchmark harness still reads
+  /// it; it goes with the next benchmark change (see
+  /// BackupJobOptions::pipelined).
   bool backup_pipelined = false;
   /// Concurrent sweep workers for backups driven through this database
   /// (see BackupJobOptions::sweep_threads). Workers come from the
@@ -63,13 +63,11 @@ struct DbOptions {
   /// (see InstantRestoreOptions::batch_pages). Irrelevant outside
   /// OpenRestoring.
   uint32_t restore_batch_pages = 32;
-  /// Deep-queue asynchronous IO for every bulk transfer this database
+  /// Runs in flight per worker for every bulk transfer this database
   /// drives — backup sweeps, instant-restore seeding and installs (see
-  /// TransferOptions::queue_depth): up to this many run IOs stay in
-  /// flight per worker through Env::OpenAsync (io_uring where the
-  /// kernel grants it, the portable thread pool elsewhere). <= 1 keeps
-  /// the synchronous paths byte-for-byte. Only effective where the
-  /// matching batch_pages knob is > 1.
+  /// TransferOptions::queue_depth), through Env::OpenAsync (io_uring
+  /// where the kernel grants it, the portable thread pool elsewhere).
+  /// <= 1 moves one run at a time.
   uint32_t io_queue_depth = 0;
   /// Number of per-thread WAL append channels (LogManagerOptions::
   /// channels) of epoch-based group commit. Every count, including 1,
@@ -226,7 +224,7 @@ class Database {
   /// rolls the log forward. `registry` must hold the same operations the
   /// database logs with. Must NOT run while a Database over `name` is
   /// open — media recovery owns the store files. RestoreOptions carries
-  /// the bulk-transfer knobs (batch_pages / pipelined / threads) and the
+  /// the bulk-transfer knobs (batch_pages / queue_depth / threads) and the
   /// point-in-time / single-partition targets.
   static Result<MediaRecoveryReport> RestoreFromBackup(
       Env* env, const std::string& name, const std::string& backup_name,
@@ -278,7 +276,7 @@ class Database {
 
   OpRegistry* registry() { return &registry_; }
   /// The persistent worker pool every Database-driven backup runs on
-  /// (partition sweepers + pipelined prefetch). Starts empty; jobs grow
+  /// (partition sweepers). Starts empty; jobs grow
   /// it to what they need and the threads persist for the next backup.
   SweepThreadPool* sweep_pool() { return &sweep_pool_; }
   CacheManager* cache() { return cache_.get(); }

@@ -10,7 +10,8 @@ namespace llb {
 
 namespace {
 /// Thread cap for an env's shared fallback pool: beyond this, extra
-/// queue depth just queues inside the pool instead of adding threads.
+/// queue depth (or streams) just queues inside the pool instead of
+/// adding threads.
 constexpr uint32_t kMaxFallbackAsyncThreads = 16;
 }  // namespace
 
@@ -46,18 +47,21 @@ Result<std::shared_ptr<AsyncFile>> Env::OpenAsync(const std::string& name,
                                                   bool create,
                                                   const AsyncIoOptions& options) {
   uint32_t depth = std::max<uint32_t>(1, options.queue_depth);
+  uint32_t streams = std::max<uint32_t>(1, options.streams);
   LLB_ASSIGN_OR_RETURN(std::shared_ptr<File> file, OpenFile(name, create));
-  return {NewThreadPoolAsyncFile(std::move(file), depth,
-                                 FallbackAsyncPool(depth))};
+  // Depth 1 has nothing to overlap: no pool, ops complete inline.
+  return {NewThreadPoolAsyncFile(
+      std::move(file), depth,
+      depth > 1 ? FallbackAsyncPool(depth * streams) : nullptr)};
 }
 
-std::shared_ptr<SweepThreadPool> Env::FallbackAsyncPool(uint32_t queue_depth) {
+std::shared_ptr<SweepThreadPool> Env::FallbackAsyncPool(uint32_t threads) {
   std::lock_guard<std::mutex> lock(async_pool_mu_);
   if (async_pool_ == nullptr) {
     async_pool_ = std::make_shared<SweepThreadPool>();
   }
   async_pool_->Grow(
-      std::min<uint32_t>(std::max<uint32_t>(1, queue_depth),
+      std::min<uint32_t>(std::max<uint32_t>(1, threads),
                          kMaxFallbackAsyncThreads));
   return async_pool_;
 }

@@ -21,6 +21,12 @@ class SweepThreadPool;
 struct AsyncIoOptions {
   /// Maximum operations in flight (submitted and not yet reaped).
   uint32_t queue_depth = 8;
+  /// Streams that run at this depth at the same time (partition-sharded
+  /// transfer workers). Sizes only the thread-pool fallback, which every
+  /// async file of the env shares: it grows to queue_depth x streams
+  /// workers (capped), so parallel streams do not queue behind one
+  /// file's depth of threads.
+  uint32_t streams = 1;
 };
 
 /// A caller-owned destination buffer for vectored reads.
@@ -156,7 +162,7 @@ class Env {
   /// The lazily-created pool backing the default OpenAsync fallback,
   /// shared across all async files of this env so queue depth does not
   /// multiply into unbounded threads.
-  std::shared_ptr<SweepThreadPool> FallbackAsyncPool(uint32_t queue_depth);
+  std::shared_ptr<SweepThreadPool> FallbackAsyncPool(uint32_t threads);
 
  private:
   std::mutex async_pool_mu_;

@@ -12,6 +12,32 @@
 
 namespace llb {
 
+/// Counts durability events without ever failing one. Crash-sweep property
+/// tests first run a scenario under a RecordingInjector to learn how many
+/// stable writes it performs, then re-run it once per k in [1, total] under
+/// a CountdownFaultInjector(k) to crash at every possible point.
+class RecordingInjector : public FaultInjector {
+ public:
+  bool AllowDurableEvent() override {
+    ++count_;
+    return true;
+  }
+  uint64_t count() const { return count_; }
+
+ private:
+  uint64_t count_ = 0;
+};
+
+/// Fails exactly the n-th durability event (1-based) and every one after,
+/// i.e. the system crashes *during* that stable write. n == 0 is clamped
+/// to 1 (crash at the very first event): the naive `n - 1` would wrap to
+/// UINT64_MAX and the injector would effectively never fire.
+class CrashAtEventInjector : public CountdownFaultInjector {
+ public:
+  explicit CrashAtEventInjector(uint64_t n)
+      : CountdownFaultInjector(n == 0 ? 0 : n - 1) {}
+};
+
 /// The file operations a FaultPolicy can target. Sync faults model a
 /// device that fails a flush; read/write/append faults model transient
 /// controller or path errors that succeed on retry.

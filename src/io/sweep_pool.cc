@@ -52,20 +52,6 @@ std::future<Status> SweepThreadPool::Submit(std::function<Status()> fn) {
   return future;
 }
 
-bool SweepThreadPool::TrySubmit(std::function<Status()> fn,
-                                std::future<Status>* out) {
-  std::packaged_task<Status()> task(std::move(fn));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t idle = workers_.size() - busy_;
-    if (stop_ || queue_.size() >= idle) return false;
-    *out = task.get_future();
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-  return true;
-}
-
 size_t SweepThreadPool::threads() const {
   std::lock_guard<std::mutex> lock(mu_);
   return workers_.size();
@@ -85,15 +71,10 @@ void SweepThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // stop_ set and queue drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++busy_;
       ++tasks_run_;
     }
     space_cv_.notify_one();
     task();  // exceptions are captured into the future by packaged_task
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --busy_;
-    }
   }
 }
 

@@ -15,20 +15,14 @@
 namespace llb {
 
 /// A persistent pool of sweep workers shared by all backup work of one
-/// database. Replaces the one-std::async-per-run prefetch thread churn
-/// (ROADMAP PR 3 follow-up: "persistent reader thread"): threads are
-/// created once — lazily, via Grow — and reused across every backup run,
-/// so a fully pipelined sweep spawns zero transient threads.
+/// database: threads are created once — lazily, via Grow — and reused
+/// across every backup run, so a pooled sweep spawns zero transient
+/// threads. The same class backs Env::OpenAsync's portable thread-pool
+/// backend.
 ///
-/// Two submission paths with different blocking behavior:
-///  - Submit() enqueues unconditionally, blocking while the bounded run
-///    queue is full. Safe ONLY from threads outside the pool (the backup
-///    driver); a pool worker calling it could deadlock the pool.
-///  - TrySubmit() enqueues only if an idle worker can take the task right
-///    now, else declines. This is the path for nested work (a partition
-///    sweep running ON a worker submitting its read-ahead): when the pool
-///    is saturated the caller falls back to doing the work inline, which
-///    degrades throughput but can never deadlock.
+/// Submit() enqueues unconditionally, blocking while the bounded run
+/// queue is full. Safe ONLY from threads outside the pool (the thread
+/// running the backup); a pool worker calling it could deadlock the pool.
 ///
 /// Task results are Status futures; a task must not throw.
 class SweepThreadPool {
@@ -52,11 +46,6 @@ class SweepThreadPool {
   /// Must not be called from a pool worker thread.
   std::future<Status> Submit(std::function<Status()> fn);
 
-  /// Enqueues a task only if an idle worker is available to start it
-  /// immediately. Returns false (and leaves *out untouched) otherwise.
-  /// Safe to call from pool worker threads.
-  bool TrySubmit(std::function<Status()> fn, std::future<Status>* out);
-
   size_t threads() const;
   uint64_t tasks_run() const;
 
@@ -68,7 +57,6 @@ class SweepThreadPool {
   std::condition_variable space_cv_;  // submitters wait for queue space
   std::deque<std::packaged_task<Status()>> queue_;
   std::vector<std::thread> workers_;
-  size_t busy_ = 0;       // workers currently running a task
   uint64_t tasks_run_ = 0;
   bool stop_ = false;
 };

@@ -8,8 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/result.h"
-
 namespace llb {
 
 namespace {
@@ -72,92 +70,38 @@ void TransferStats::MergeFrom(const TransferStats& other) {
   write_stage_us += other.write_stage_us;
   threads_spawned += other.threads_spawned;
   pages_skipped += other.pages_skipped;
+  checksum_rereads += other.checksum_rereads;
 }
 
-Status TransferPipeline::ExecutePerPage(const TransferRun& run,
-                                        uint64_t* pages_moved) {
-  // Legacy mode: the exact IO sequence of the historical copy loops —
-  // one checksum-verified ReadPage and one seal + write + sync WritePage
-  // per page — so scripted fault countdowns and recorded durability-event
-  // sequences stay stable at batch_pages = 1.
-  for (uint32_t i = 0; i < run.count; ++i) {
-    PageId id{run.partition, run.first_page + i};
-    PageImage image;
-    LLB_RETURN_IF_ERROR(
-        CallIo([&] { return source_->ReadPage(id, &image); }));
-    if (options_.transform) {
-      std::vector<PageImage> one(1, image);
-      TransferRun single{run.partition, id.page, 1};
-      LLB_RETURN_IF_ERROR(options_.transform(single, &one));
-      image = std::move(one.front());
-    }
-    LLB_RETURN_IF_ERROR(CallIo([&] { return dest_->WritePage(id, image); }));
-    if (options_.after_run) {
-      TransferRun single{run.partition, id.page, 1};
-      LLB_RETURN_IF_ERROR(
-          options_.after_run(single, std::vector<PageImage>(1, image)));
-    }
-    ++*pages_moved;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.pages_moved;
-    }
-  }
-  return Status::OK();
-}
-
-Status TransferPipeline::WriteRun(const TransferRun& run,
-                                  std::vector<PageImage>* images,
-                                  uint64_t* pages_moved) {
-  if (options_.transform) {
-    LLB_RETURN_IF_ERROR(options_.transform(run, images));
-  }
-  auto started = std::chrono::steady_clock::now();
-  LLB_RETURN_IF_ERROR(CallIo([&] {
-    return dest_->WriteSealedRun(run.partition, run.first_page, *images);
-  }));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.write_batches;
-    stats_.write_stage_us += ElapsedUs(started);
-    stats_.pages_moved += images->size();
-  }
-  *pages_moved += images->size();
-  if (options_.after_run) {
-    LLB_RETURN_IF_ERROR(options_.after_run(run, *images));
-  }
-  return Status::OK();
-}
-
-Status TransferPipeline::ExecuteWindowAsync(
-    PageStore::AsyncRunReader* reader, PageStore::AsyncRunWriter* writer,
-    const std::vector<TransferRun>& window, uint64_t* pages_moved) {
-  if (window.empty()) return Status::OK();
+Status TransferPipeline::ExecuteWindow(Mover* mover, const TransferRun* window,
+                                       size_t count, uint64_t* pages_moved) {
+  if (count == 0) return Status::OK();
+  PageStore::AsyncRunReader* reader = mover->reader.get();
+  std::vector<std::vector<PageImage>> images(count);
+  std::vector<PageStore::AsyncRunResult> results;
 
   // Read phase: every run of the window in flight at once, one reap.
   // Retried as a unit by the io_wrapper — reads are idempotent and
   // ReapAll always drains the queue, so a retry starts clean.
-  std::vector<std::vector<PageImage>> images(window.size());
   auto read_window = [&]() -> Status {
     auto started = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < window.size(); ++i) {
-      Status submitted = reader->SubmitRead(
-          window[i].partition, window[i].first_page, window[i].count, i);
-      if (!submitted.ok()) {
-        // Earlier reads of this window may already be in flight: drain
-        // them (results discarded) so the retry genuinely starts with an
-        // empty queue instead of hitting "async reader full".
-        std::vector<PageStore::AsyncRunResult> discard;
-        reader->ReapAll(&discard);
-        return submitted;
-      }
+    const uint64_t rereads_before = reader->checksum_rereads();
+    results.clear();
+    Status reaped;
+    for (size_t i = 0; i < count && reaped.ok(); ++i) {
+      // A failed submit leaves earlier reads of this window in flight:
+      // the ReapAll below drains them, so a retry genuinely starts with
+      // an empty queue instead of hitting "async reader full".
+      reaped = reader->SubmitRead(window[i].partition, window[i].first_page,
+                                  window[i].count, i);
     }
-    std::vector<PageStore::AsyncRunResult> results;
-    Status reaped = reader->ReapAll(&results);
+    Status drained = reader->ReapAll(&results);
+    if (reaped.ok()) reaped = drained;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.read_batches += window.size();
+      stats_.read_batches += count;
       stats_.read_stage_us += ElapsedUs(started);
+      stats_.checksum_rereads += reader->checksum_rereads() - rereads_before;
     }
     LLB_RETURN_IF_ERROR(reaped);
     for (PageStore::AsyncRunResult& result : results) {
@@ -168,8 +112,8 @@ Status TransferPipeline::ExecuteWindowAsync(
   };
   LLB_RETURN_IF_ERROR(CallIo(read_window));
 
-  for (size_t i = 0; i < window.size(); ++i) {
-    if (options_.transform) {
+  if (options_.transform) {
+    for (size_t i = 0; i < count; ++i) {
       LLB_RETURN_IF_ERROR(options_.transform(window[i], &images[i]));
     }
   }
@@ -177,19 +121,19 @@ Status TransferPipeline::ExecuteWindowAsync(
   // Write phase: the whole window in flight, one durability barrier per
   // touched partition. Also retried as a unit — rewriting the same
   // sealed bytes to the same slots is idempotent.
+  std::vector<PageStore::SealedRunWrite> writes;
+  writes.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    writes.push_back(PageStore::SealedRunWrite{
+        window[i].partition, window[i].first_page, &images[i], i});
+  }
   auto write_window = [&]() -> Status {
     auto started = std::chrono::steady_clock::now();
-    std::vector<PageStore::SealedRunWrite> writes;
-    writes.reserve(window.size());
-    for (size_t i = 0; i < window.size(); ++i) {
-      writes.push_back(PageStore::SealedRunWrite{
-          window[i].partition, window[i].first_page, &images[i], i});
-    }
-    std::vector<PageStore::AsyncRunResult> results;
-    Status window_status = writer->WriteWindow(writes, &results);
+    results.clear();
+    Status window_status = mover->writer->WriteWindow(writes, &results);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.write_batches += window.size();
+      stats_.write_batches += count;
       stats_.write_stage_us += ElapsedUs(started);
     }
     LLB_RETURN_IF_ERROR(window_status);
@@ -201,41 +145,65 @@ Status TransferPipeline::ExecuteWindowAsync(
   LLB_RETURN_IF_ERROR(CallIo(write_window));
 
   // Durable: count pages and fire after_run in plan order.
-  for (size_t i = 0; i < window.size(); ++i) {
-    *pages_moved += images[i].size();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.pages_moved += images[i].size();
-    }
-    if (options_.after_run) {
+  uint64_t moved = 0;
+  for (size_t i = 0; i < count; ++i) moved += images[i].size();
+  *pages_moved += moved;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.pages_moved += moved;
+  }
+  if (options_.after_run) {
+    for (size_t i = 0; i < count; ++i) {
       LLB_RETURN_IF_ERROR(options_.after_run(window[i], images[i]));
     }
   }
   return Status::OK();
 }
 
-Status TransferPipeline::ExecuteRunsAsync(const TransferRun* runs,
-                                          size_t count,
-                                          uint64_t* pages_moved) {
-  const uint32_t depth = options_.queue_depth;
-  std::unique_ptr<PageStore::AsyncRunReader> reader =
-      source_->NewAsyncReader(depth);
-  std::unique_ptr<PageStore::AsyncRunWriter> writer =
-      dest_->NewAsyncWriter(depth);
+Status TransferPipeline::ExecuteRuns(const TransferRun* runs, size_t count,
+                                     uint64_t* pages_moved) {
+  // Nothing to move, or paused before the first run (instant restore's
+  // background steps, while faults wait): skip opening a mover.
+  if (count == 0 || (options_.pause && options_.pause())) return Status::OK();
+  std::unique_ptr<Mover> mover;
+  {
+    std::lock_guard<std::mutex> lock(movers_mu_);
+    if (!idle_movers_.empty()) {
+      mover = std::move(idle_movers_.back());
+      idle_movers_.pop_back();
+    }
+  }
+  if (mover == nullptr) {
+    const uint32_t depth = std::max<uint32_t>(1, options_.queue_depth);
+    // RunParallel's workers each own a mover: size the env's shared
+    // fallback pool for all of them, not for one.
+    const uint32_t streams = std::max<uint32_t>(1, options_.workers);
+    mover = std::make_unique<Mover>();
+    mover->reader = source_->NewAsyncReader(depth, streams);
+    mover->writer = dest_->NewAsyncWriter(depth, streams);
+  }
+  Status s = MoveRuns(mover.get(), runs, count, pages_moved);
+  if (s.ok()) {  // a failed mover may hold undrained state: drop it
+    std::lock_guard<std::mutex> lock(movers_mu_);
+    idle_movers_.push_back(std::move(mover));
+  }
+  return s;
+}
 
+Status TransferPipeline::MoveRuns(Mover* mover, const TransferRun* runs,
+                                  size_t count, uint64_t* pages_moved) {
+  const uint32_t depth = mover->reader->queue_depth();
+
+  // Windows assemble run by run: the pause hook is consulted before every
+  // planned run, and the skip predicate is re-evaluated just before the
+  // run moves, splitting it into maximal sub-runs of still-wanted pages.
   std::vector<TransferRun> window;
   window.reserve(depth);
   for (size_t i = 0; i < count; ++i) {
-    if (options_.pause && options_.pause()) {
-      return ExecuteWindowAsync(reader.get(), writer.get(), window,
-                                pages_moved);
-    }
+    if (options_.pause && options_.pause()) break;
     if (!options_.skip) {
       window.push_back(runs[i]);
     } else {
-      // Re-evaluate the skip predicate just before the run moves,
-      // splitting it into maximal sub-runs of still-wanted pages (same
-      // contract as the synchronous hooked path).
       uint64_t skipped = 0;
       size_t first_sub = window.size();
       for (uint32_t k = 0; k < runs[i].count; ++k) {
@@ -256,147 +224,14 @@ Status TransferPipeline::ExecuteRunsAsync(const TransferRun* runs,
         stats_.pages_skipped += skipped;
       }
     }
-    while (window.size() >= depth) {
-      std::vector<TransferRun> full(window.begin(), window.begin() + depth);
-      window.erase(window.begin(), window.begin() + depth);
+    size_t full = window.size() - window.size() % depth;
+    for (size_t w = 0; w < full; w += depth) {
       LLB_RETURN_IF_ERROR(
-          ExecuteWindowAsync(reader.get(), writer.get(), full, pages_moved));
+          ExecuteWindow(mover, window.data() + w, depth, pages_moved));
     }
+    window.erase(window.begin(), window.begin() + full);
   }
-  return ExecuteWindowAsync(reader.get(), writer.get(), window, pages_moved);
-}
-
-Status TransferPipeline::ExecuteRuns(const TransferRun* runs, size_t count,
-                                     uint64_t* pages_moved) {
-  if (options_.queue_depth > 1 && options_.batch_pages > 1) {
-    return ExecuteRunsAsync(runs, count, pages_moved);
-  }
-  if (!options_.skip && !options_.pause) {
-    return ExecuteRunsRaw(runs, count, pages_moved);
-  }
-  // Hooked mode: consult the pause hook between planned runs (priority
-  // yield, run granularity) and re-evaluate the skip predicate against
-  // each run just before it moves, splitting it into maximal sub-runs of
-  // still-wanted pages. Prefetch overlaps within one planned run's
-  // sub-runs; cross-run prefetch is given up so a pause can never have
-  // speculatively read past the stop point.
-  for (size_t i = 0; i < count; ++i) {
-    if (options_.pause && options_.pause()) return Status::OK();
-    if (!options_.skip) {
-      LLB_RETURN_IF_ERROR(ExecuteRunsRaw(&runs[i], 1, pages_moved));
-      continue;
-    }
-    std::vector<TransferRun> sub;
-    uint64_t skipped = 0;
-    for (uint32_t k = 0; k < runs[i].count; ++k) {
-      const uint32_t page = runs[i].first_page + k;
-      if (options_.skip(PageId{runs[i].partition, page})) {
-        ++skipped;
-        continue;
-      }
-      if (!sub.empty() &&
-          sub.back().first_page + sub.back().count == page) {
-        ++sub.back().count;
-      } else {
-        sub.push_back(TransferRun{runs[i].partition, page, 1});
-      }
-    }
-    if (skipped != 0) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.pages_skipped += skipped;
-    }
-    if (!sub.empty()) {
-      LLB_RETURN_IF_ERROR(ExecuteRunsRaw(sub.data(), sub.size(), pages_moved));
-    }
-  }
-  return Status::OK();
-}
-
-Status TransferPipeline::ExecuteRunsRaw(const TransferRun* runs, size_t count,
-                                        uint64_t* pages_moved) {
-  if (options_.batch_pages <= 1) {
-    for (size_t i = 0; i < count; ++i) {
-      LLB_RETURN_IF_ERROR(ExecutePerPage(runs[i], pages_moved));
-    }
-    return Status::OK();
-  }
-
-  // Reader stage: one latched, checksum-verified vectored read per run.
-  // Runs on a prefetch thread when pipelined; the io_wrapper and the
-  // stats counters are locked, so the two stages may overlap freely.
-  auto read_run = [this](TransferRun run) -> Result<std::vector<PageImage>> {
-    auto started = std::chrono::steady_clock::now();
-    std::vector<PageImage> images;
-    Status s = CallIo([&] {
-      return source_->ReadRun(run.partition, run.first_page, run.count,
-                              &images);
-    });
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.read_batches;
-      stats_.read_stage_us += ElapsedUs(started);
-    }
-    if (!s.ok()) return s;
-    return images;
-  };
-
-  // Prefetch slot: a pool task filling a shared buffer when a pool is
-  // attached (zero transient threads), else a std::async thread counted
-  // in threads_spawned. When the pool is saturated (its workers are all
-  // busy running partition sweeps), TrySubmit declines and the next read
-  // simply happens inline — slower, never deadlocked.
-  using RunImages = Result<std::vector<PageImage>>;
-  std::shared_ptr<RunImages> pool_slot;
-  std::future<Status> pool_prefetch;
-  std::future<RunImages> async_prefetch;
-
-  Status result;
-  for (size_t i = 0; i < count && result.ok(); ++i) {
-    RunImages batch = [&]() -> RunImages {
-      if (pool_prefetch.valid()) {
-        Status done = pool_prefetch.get();  // slot is filled once this returns
-        (void)done;                         // same status lives in the slot
-        return std::move(*pool_slot);
-      }
-      if (async_prefetch.valid()) return async_prefetch.get();
-      return read_run(runs[i]);
-    }();
-    // Kick off the next read before draining this batch to the
-    // destination: the writer stage below overlaps the reader stage
-    // filling buffer N+1.
-    if (options_.pipelined && i + 1 < count) {
-      const TransferRun next_run = runs[i + 1];
-      if (options_.pool != nullptr) {
-        auto slot = std::make_shared<RunImages>(
-            Status::Internal("prefetch task never ran"));
-        std::future<Status> future;
-        if (options_.pool->TrySubmit(
-                [slot, read_run, next_run] {
-                  *slot = read_run(next_run);
-                  return slot->status();
-                },
-                &future)) {
-          pool_slot = std::move(slot);
-          pool_prefetch = std::move(future);
-        }
-      } else {
-        async_prefetch = std::async(std::launch::async, read_run, next_run);
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.threads_spawned;
-      }
-    }
-    if (!batch.ok()) {
-      result = batch.status();
-      break;
-    }
-    result = WriteRun(runs[i], &batch.value(), pages_moved);
-  }
-  // Drain any in-flight prefetch before returning: its task captures
-  // `this`, which an error return would otherwise let the caller destroy
-  // while a pool worker is still reading. (The std::async future's
-  // destructor blocks on its own.)
-  if (pool_prefetch.valid()) pool_prefetch.wait();
-  return result;
+  return ExecuteWindow(mover, window.data(), window.size(), pages_moved);
 }
 
 Status TransferPipeline::Run(const TransferPlan& plan,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -57,65 +58,53 @@ class TransferPlan {
 /// transfers are still executing on other threads.
 struct TransferStats {
   uint64_t pages_moved = 0;
-  /// Batched runs moved by the batch_pages > 1 path; each is one
-  /// store-latch acquisition plus one device IO on its side of the
-  /// pipeline (per-page mode keeps these at 0, like the legacy sweep).
+  /// Runs moved; each is one device IO on its side of the pipeline
+  /// (reads latch-free and checksum-verified at reap, writes under the
+  /// window's partition latches).
   uint64_t read_batches = 0;
   uint64_t write_batches = 0;
   /// Wall-clock time inside the read / write stages, in microseconds.
-  /// With pipelining the stages overlap, so their sum can exceed the
-  /// transfer's elapsed time.
   uint64_t read_stage_us = 0;
   uint64_t write_stage_us = 0;
   /// Transient threads created because no SweepThreadPool was attached
-  /// (std::thread per parallel worker, std::async per prefetch).
+  /// (std::thread per RunParallel worker).
   uint64_t threads_spawned = 0;
   /// Pages dropped by the skip predicate at execution time (instant
   /// restore's background sweep skips pages already faulted in).
   uint64_t pages_skipped = 0;
+  /// Runs whose optimistic unlatched read failed its checksum and were
+  /// re-read under the partition latch (PageStore::AsyncRunReader). A
+  /// torn read or a transient bit-flip heals here without ever reaching
+  /// the io_wrapper, so this is where such faults are counted.
+  uint64_t checksum_rereads = 0;
 
   void MergeFrom(const TransferStats& other);
 };
 
 struct TransferOptions {
-  /// Pages per batched device IO. <= 1 selects the legacy per-page mode:
-  /// one ReadPage + one WritePage (seal + write + sync) per page, byte-
-  /// and fault-sequence-compatible with the historical copy loops. > 1
-  /// moves each run with one PageStore::ReadRun and one
-  /// PageStore::WriteSealedRun.
-  uint32_t batch_pages = 1;
-  /// Double-buffered prefetch inside Run (only effective with
-  /// batch_pages > 1): a reader stage fills run N+1 from the source
-  /// while the writer stage flushes run N to the destination. Prefetch
-  /// never reaches past the plan handed to Run, so callers bound what
-  /// may be read ahead (the backup sweep passes one step's Doubt window
-  /// at a time).
-  bool pipelined = false;
-  /// Deep-queue asynchronous IO (only effective with batch_pages > 1,
-  /// where it supersedes `pipelined`): each worker moves windows of up
-  /// to queue_depth runs with every read, then every write, in flight
-  /// at once through PageStore's async reader/writer (Env::OpenAsync —
-  /// io_uring on capable kernels, the portable thread pool elsewhere).
-  /// Replaces the 1-deep prefetch with an N-deep device queue; like
-  /// prefetch, a window never reaches past the plan handed in, so the
-  /// read-ahead bound callers rely on is unchanged. <= 1 keeps the
-  /// synchronous path byte-for-byte.
+  /// Runs in flight per window: each worker moves windows of up to
+  /// max(1, queue_depth) runs with every read, then every write, in
+  /// flight at once through PageStore's async reader/writer
+  /// (Env::OpenAsync — io_uring on capable kernels, the portable thread
+  /// pool elsewhere, which completes inline at depth 1). A window never
+  /// reaches past the plan handed in, so callers bound what may be read
+  /// ahead (the backup sweep passes one step's Doubt window at a time).
+  /// Run length is the plan's: callers chop runs at their batch size.
   uint32_t queue_depth = 0;
-  /// Pool for prefetch tasks and RunParallel workers. Not owned. When
-  /// null, prefetch falls back to std::async and RunParallel to
-  /// transient std::threads — both counted in threads_spawned.
+  /// Pool for RunParallel workers. Not owned. When null, RunParallel
+  /// falls back to transient std::threads, counted in threads_spawned.
   SweepThreadPool* pool = nullptr;
   /// Concurrent workers for RunParallel (clamped to the number of
   /// partitions in the plan; 1 = serial).
   uint32_t workers = 1;
-  /// Wraps every device IO call (run reads, run writes, per-page reads
-  /// and writes). The backup sweep passes its retry policy here; null
-  /// invokes the IO exactly once.
+  /// Wraps every device IO call (one window's reads, one window's
+  /// writes). The backup sweep passes its retry policy here; null invokes
+  /// the IO exactly once.
   std::function<Status(const std::function<Status()>&)> io_wrapper;
   /// Invoked between a run's read and its write with the images about to
   /// land in the destination. May mutate them (the scrubber appends
   /// identity-write log records and restamps LSNs); mutated images must
-  /// be re-Sealed — batched mode writes them raw, without re-sealing.
+  /// be re-Sealed — the writer installs them raw, without re-sealing.
   std::function<Status(const TransferRun&, std::vector<PageImage>*)>
       transform;
   /// Invoked after a run is durably in the destination, with the images
@@ -147,7 +136,8 @@ struct TransferOptions {
 /// with the callers, wired in through the TransferOptions hooks.
 ///
 /// Thread-safe: concurrent Run calls (the parallel backup sweep runs one
-/// per partition sweeper) share only the stats, which are locked.
+/// per partition sweeper) share only the stats and the idle movers, both
+/// locked.
 class TransferPipeline {
  public:
   TransferPipeline(PageStore* source, PageStore* dest,
@@ -157,9 +147,9 @@ class TransferPipeline {
   TransferPipeline(const TransferPipeline&) = delete;
   TransferPipeline& operator=(const TransferPipeline&) = delete;
 
-  /// Executes the plan's runs in order on the calling thread, double
-  /// buffering reads when options.pipelined. Adds the number of pages
-  /// durably written to *pages_moved (also on partial failure).
+  /// Executes the plan's runs in order on the calling thread, one window
+  /// of queue_depth runs at a time. Adds the number of pages durably
+  /// written to *pages_moved (also on partial failure).
   Status Run(const TransferPlan& plan, uint64_t* pages_moved = nullptr);
 
   /// Shards the plan's runs by partition across up to options.workers
@@ -181,34 +171,36 @@ class TransferPipeline {
     return options_.io_wrapper ? options_.io_wrapper(fn) : fn();
   }
 
-  /// Executes a span of runs serially with optional prefetch; the inner
-  /// loop shared by Run and every RunParallel worker. When skip/pause
-  /// hooks are set, each run is filtered and the pause hook consulted
-  /// before it executes (ExecuteRunsRaw is the hook-free core).
+  /// One worker's async reader/writer pair. Idle movers wait in the
+  /// pipeline for the next Run, so a sweep opens its async channels and
+  /// sizes its read slots once, not once per step.
+  struct Mover {
+    std::unique_ptr<PageStore::AsyncRunReader> reader;
+    std::unique_ptr<PageStore::AsyncRunWriter> writer;
+  };
+
+  /// Executes a span of runs serially on an idle (or new) mover; the
+  /// inner loop shared by Run and every RunParallel worker.
   Status ExecuteRuns(const TransferRun* runs, size_t count,
                      uint64_t* pages_moved);
-  Status ExecuteRunsRaw(const TransferRun* runs, size_t count,
-                        uint64_t* pages_moved);
-  /// Deep-queue path (queue_depth > 1): windows of runs move with all
-  /// reads, then all writes, in flight at once. Applies the skip/pause
-  /// hooks itself — pause is consulted between runs during window
-  /// assembly, so a window never out-runs a pause by more than the IOs
-  /// already submitted.
-  Status ExecuteRunsAsync(const TransferRun* runs, size_t count,
-                          uint64_t* pages_moved);
-  Status ExecuteWindowAsync(PageStore::AsyncRunReader* reader,
-                            PageStore::AsyncRunWriter* writer,
-                            const std::vector<TransferRun>& window,
-                            uint64_t* pages_moved);
-  Status ExecutePerPage(const TransferRun& run, uint64_t* pages_moved);
-  Status WriteRun(const TransferRun& run, std::vector<PageImage>* images,
+  /// Assembles the runs into windows of the mover's queue depth, applying
+  /// the skip/pause hooks — pause is consulted between runs during
+  /// window assembly, so a window never out-runs a pause by more than
+  /// the IOs already submitted.
+  Status MoveRuns(Mover* mover, const TransferRun* runs, size_t count,
                   uint64_t* pages_moved);
+  /// Moves one window: all reads in flight, then all writes, then one
+  /// durability barrier per touched partition.
+  Status ExecuteWindow(Mover* mover, const TransferRun* window, size_t count,
+                       uint64_t* pages_moved);
 
   PageStore* const source_;
   PageStore* const dest_;
   const TransferOptions options_;
   mutable std::mutex stats_mu_;
   TransferStats stats_;
+  std::mutex movers_mu_;
+  std::vector<std::unique_ptr<Mover>> idle_movers_;
 };
 
 }  // namespace llb

@@ -23,6 +23,22 @@ namespace llb {
 
 AsyncFile::~AsyncFile() = default;
 
+namespace {
+
+size_t TotalSize(const std::vector<Slice>& chunks) {
+  size_t total = 0;
+  for (const Slice& chunk : chunks) total += chunk.size();
+  return total;
+}
+
+size_t TotalSize(const std::vector<IoBuffer>& chunks) {
+  size_t total = 0;
+  for (const IoBuffer& chunk : chunks) total += chunk.size;
+  return total;
+}
+
+}  // namespace
+
 AlignedIoString MakeAlignedIoString(size_t size) {
   AlignedIoString out;
   // size + alignment always exceeds the small-string buffer, so the
@@ -41,6 +57,9 @@ namespace {
 /// running the synchronous File call; completions queue up locally for
 /// Reap. Queue depth genuinely overlaps device time because every
 /// in-flight op occupies its own pool worker (LatencyEnv sleeps there).
+/// Without a pool (Env::OpenAsync at depth 1, where no overlap is
+/// possible) ops run inline on the submitting thread instead: same slot
+/// and completion bookkeeping, no pool handoff.
 class ThreadPoolAsyncFile : public AsyncFile {
  public:
   ThreadPoolAsyncFile(std::shared_ptr<File> file, uint32_t queue_depth,
@@ -54,29 +73,26 @@ class ThreadPoolAsyncFile : public AsyncFile {
     done_cv_.wait(lock, [this] { return pending_ == 0; });
   }
 
-  Status SubmitReadAt(uint64_t offset, const IoBuffer& buffer,
-                      uint64_t tag) override {
-    if (buffer.data == nullptr || buffer.size == 0) {
+  Status SubmitReadAtv(uint64_t offset, const std::vector<IoBuffer>& chunks,
+                       uint64_t tag) override {
+    if (TotalSize(chunks) == 0) {
       return Status::InvalidArgument("async read needs a non-empty buffer");
     }
     LLB_RETURN_IF_ERROR(ReserveSlot());
-    pool_->Submit([this, offset, buffer, tag] {
-      Status status = file_->ReadAtv(offset, {buffer});
-      Complete(tag, std::move(status));
-      return Status::OK();
+    Dispatch(tag, [this, offset, chunks] {
+      return file_->ReadAtv(offset, chunks);
     });
     return Status::OK();
   }
 
-  Status SubmitWriteAt(uint64_t offset, Slice data, uint64_t tag) override {
-    if (data.empty()) {
+  Status SubmitWriteAtv(uint64_t offset, const std::vector<Slice>& chunks,
+                        uint64_t tag) override {
+    if (TotalSize(chunks) == 0) {
       return Status::InvalidArgument("async write needs a non-empty buffer");
     }
     LLB_RETURN_IF_ERROR(ReserveSlot());
-    pool_->Submit([this, offset, data, tag] {
-      Status status = file_->WriteAt(offset, data);
-      Complete(tag, std::move(status));
-      return Status::OK();
+    Dispatch(tag, [this, offset, chunks] {
+      return file_->WriteAtv(offset, chunks);
     });
     return Status::OK();
   }
@@ -120,6 +136,18 @@ class ThreadPoolAsyncFile : public AsyncFile {
     }
     ++pending_;
     return Status::OK();
+  }
+
+  template <typename Op>
+  void Dispatch(uint64_t tag, Op op) {
+    if (pool_ == nullptr) {
+      Complete(tag, op());
+      return;
+    }
+    pool_->Submit([this, tag, op] {
+      Complete(tag, op());
+      return Status::OK();
+    });
   }
 
   void Complete(uint64_t tag, Status status) {
@@ -192,7 +220,14 @@ class UringAsyncFile : public AsyncFile {
       std::vector<AsyncIoCompletion> discard;
       std::unique_lock<std::mutex> lock(mu_);
       while (pending_ > 0) {
-        if (!WaitLocked(&discard).ok()) break;
+        if (!WaitLocked(&discard).ok()) {
+          // Undrainable: in-flight ops may still use the bounce buffers,
+          // so leak them rather than free them under the kernel.
+          for (Op& op : slots_) {
+            new std::string(std::move(op.bounce.storage));  // intentional leak
+          }
+          break;
+        }
       }
     }
     if (sqes_ != nullptr) {
@@ -263,20 +298,22 @@ class UringAsyncFile : public AsyncFile {
     return Status::OK();
   }
 
-  Status SubmitReadAt(uint64_t offset, const IoBuffer& buffer,
-                      uint64_t tag) override {
-    if (buffer.data == nullptr || buffer.size == 0) {
+  Status SubmitReadAtv(uint64_t offset, const std::vector<IoBuffer>& chunks,
+                       uint64_t tag) override {
+    const size_t len = TotalSize(chunks);
+    if (len == 0) {
       return Status::InvalidArgument("async read needs a non-empty buffer");
     }
-    return SubmitOp(/*write=*/false, offset, buffer.data, buffer.size, tag);
+    return SubmitOp(offset, len, tag, nullptr, &chunks);
   }
 
-  Status SubmitWriteAt(uint64_t offset, Slice data, uint64_t tag) override {
-    if (data.empty()) {
+  Status SubmitWriteAtv(uint64_t offset, const std::vector<Slice>& chunks,
+                        uint64_t tag) override {
+    const size_t len = TotalSize(chunks);
+    if (len == 0) {
       return Status::InvalidArgument("async write needs a non-empty buffer");
     }
-    return SubmitOp(/*write=*/true, offset,
-                    const_cast<char*>(data.data()), data.size(), tag);
+    return SubmitOp(offset, len, tag, &chunks, nullptr);
   }
 
   Status Reap(size_t min_completions,
@@ -316,24 +353,48 @@ class UringAsyncFile : public AsyncFile {
 
  private:
   /// Book-keeping for one in-flight operation; user_data is the slot
-  /// index so completions map back here.
+  /// index so completions map back here. The ring only ever reads and
+  /// writes `bounce`, the slot's own aligned staging buffer (reused
+  /// across ops; it only ever grows): a write's chunks are copied in at
+  /// submit, a read is scattered out to the caller's chunks at
+  /// completion.
   struct Op {
     uint64_t tag = 0;
-    char* data = nullptr;
     size_t len = 0;
     uint64_t offset = 0;
     bool write = false;
+    AlignedIoString bounce;
+    std::vector<IoBuffer> scatter;  // reads: the caller's chunks
   };
 
-  Status SubmitOp(bool write, uint64_t offset, char* data, size_t len,
-                  uint64_t tag) {
+  /// Exactly one of `gather` (a write) and `scatter` (a read) is set.
+  Status SubmitOp(uint64_t offset, size_t len, uint64_t tag,
+                  const std::vector<Slice>* gather,
+                  const std::vector<IoBuffer>* scatter) {
     std::lock_guard<std::mutex> lock(mu_);
     if (pending_ + completed_.size() >= depth_ || free_slots_.empty()) {
       return Status::FailedPrecondition("async queue full: reap first");
     }
     uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-    slots_[slot] = Op{tag, data, len, offset, write};
+    Op& op = slots_[slot];
+    op.tag = tag;
+    op.len = len;
+    op.offset = offset;
+    op.write = gather != nullptr;
+    if (op.bounce.storage.size() < len + kIoAlignment) {
+      op.bounce = MakeAlignedIoString(len);
+    }
+    char* const data = op.bounce.data;
+    if (op.write) {
+      char* at = data;
+      for (const Slice& chunk : *gather) {
+        std::memcpy(at, chunk.data(), chunk.size());
+        at += chunk.size();
+      }
+    } else {
+      op.scatter = *scatter;
+    }
 
     int op_fd = fd_;
     if (direct_fd_ >= 0 && UringAligned(offset, data, len)) op_fd = direct_fd_;
@@ -342,7 +403,7 @@ class UringAsyncFile : public AsyncFile {
     unsigned index = tail & *sq_mask_;
     struct io_uring_sqe* sqe = &sqes_[index];
     std::memset(sqe, 0, sizeof(*sqe));
-    sqe->opcode = write ? IORING_OP_WRITE : IORING_OP_READ;
+    sqe->opcode = op.write ? IORING_OP_WRITE : IORING_OP_READ;
     sqe->fd = op_fd;
     sqe->off = offset;
     sqe->addr = reinterpret_cast<uint64_t>(data);
@@ -379,7 +440,7 @@ class UringAsyncFile : public AsyncFile {
     while (head != tail) {
       const struct io_uring_cqe* cqe = &cqes_[head & *cq_mask_];
       uint32_t slot = static_cast<uint32_t>(cqe->user_data);
-      const Op& op = slots_[slot];
+      Op& op = slots_[slot];
       Status status;
       if (cqe->res < 0) {
         status = Status::IoError(std::string(op.write ? "async write: "
@@ -391,9 +452,17 @@ class UringAsyncFile : public AsyncFile {
         } else if (on_write_extent_) {
           on_write_extent_(op.offset + op.len);
         }
-      } else if (static_cast<size_t>(cqe->res) < op.len) {
+      } else {
         // Past end of file: zero-fill, the never-written-page convention.
-        std::memset(op.data + cqe->res, 0, op.len - cqe->res);
+        const size_t got = static_cast<size_t>(cqe->res);
+        if (got < op.len) {
+          std::memset(op.bounce.data + got, 0, op.len - got);
+        }
+        const char* from = op.bounce.data;
+        for (const IoBuffer& chunk : op.scatter) {
+          std::memcpy(chunk.data, from, chunk.size);
+          from += chunk.size;
+        }
       }
       completed_.push_back(AsyncIoCompletion{op.tag, std::move(status)});
       free_slots_.push_back(slot);

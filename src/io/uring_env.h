@@ -53,16 +53,27 @@ class AsyncFile {
   AsyncFile(const AsyncFile&) = delete;
   AsyncFile& operator=(const AsyncFile&) = delete;
 
-  /// Enqueues a read of buffer.size bytes at `offset` into the
-  /// caller-owned buffer, which must stay valid until the completion is
-  /// reaped. Bytes past end of file read as zero (the never-written-page
-  /// convention, matching File::ReadAtv).
-  virtual Status SubmitReadAt(uint64_t offset, const IoBuffer& buffer,
-                              uint64_t tag) = 0;
+  /// Enqueues one read of the bytes at `offset` scattered across
+  /// `chunks`, caller-owned buffers that must stay valid until the
+  /// completion is reaped (the vector itself is copied at submit). Bytes
+  /// past end of file read as zero (the never-written-page convention,
+  /// matching File::ReadAtv).
+  virtual Status SubmitReadAtv(uint64_t offset,
+                               const std::vector<IoBuffer>& chunks,
+                               uint64_t tag) = 0;
 
-  /// Enqueues a write of `data` (caller-owned until reaped) at `offset`,
-  /// extending the file if needed.
-  virtual Status SubmitWriteAt(uint64_t offset, Slice data, uint64_t tag) = 0;
+  /// Enqueues one write of the concatenated `chunks` at `offset`,
+  /// extending the file if needed; the chunk bytes are caller-owned until
+  /// reaped (the vector itself is copied at submit).
+  ///
+  /// Both directions are vectored so a run of page images moves with no
+  /// gather/scatter copy on the thread-pool backend. The io_uring backend
+  /// stages every op in its own kIoAlignment-aligned buffer (copy-in at
+  /// submit, copy-out at completion), so aligned ops can ride the
+  /// O_DIRECT fd and the ring never touches caller memory.
+  virtual Status SubmitWriteAtv(uint64_t offset,
+                                const std::vector<Slice>& chunks,
+                                uint64_t tag) = 0;
 
   /// Blocks until at least min_completions operations have finished
   /// (clamped to the number in flight) and appends their completions to
@@ -94,13 +105,16 @@ bool UringAvailable();
 /// Portable fallback: async semantics over any File via a SweepThreadPool
 /// whose workers run the synchronous calls. The pool is shared (the env
 /// owns one for all its async files) and kept alive by the returned file.
+/// A null `pool` makes every op complete inline on the submitting thread
+/// (what Env::OpenAsync picks at queue_depth 1, where nothing overlaps).
 std::shared_ptr<AsyncFile> NewThreadPoolAsyncFile(
     std::shared_ptr<File> file, uint32_t queue_depth,
     std::shared_ptr<SweepThreadPool> pool);
 
 /// Native backend: an io_uring over `fd` (and, when >= 0, `direct_fd`
-/// for 4 KB-aligned operations on O_DIRECT-capable files — buffers must
-/// also be 4 KB-aligned to ride it; see MakeAlignedIoString).
+/// for operations whose offset and length are 4 KB-aligned on
+/// O_DIRECT-capable files; the ring's own staging buffers are always
+/// aligned, see MakeAlignedIoString).
 /// `on_write_extent` is invoked with the end offset of each completed
 /// write so the owning File can keep its cached size honest; `sync_fn`
 /// supplies the durability barrier (the File's Sync). Fails if the

@@ -237,7 +237,6 @@ Status InstantRestorer::RestoreClosureLocked(const std::vector<PageId>& seeds,
     TransferPlan seed_plan;
     seed_plan.AddPages(claims[i], options_.batch_pages);
     TransferOptions seed_opts;
-    seed_opts.batch_pages = options_.batch_pages;
     seed_opts.queue_depth = options_.queue_depth;
     seed_opts.transform = [this](const TransferRun& run,
                                  std::vector<PageImage>* images) {
@@ -300,7 +299,6 @@ Status InstantRestorer::RestoreClosureLocked(const std::vector<PageId>& seeds,
   TransferPlan install_plan;
   install_plan.AddPages(to_install, options_.batch_pages);
   TransferOptions install_opts;
-  install_opts.batch_pages = options_.batch_pages;
   install_opts.queue_depth = options_.queue_depth;
   install_opts.pause = pause;
   install_opts.after_run = [this, installed](

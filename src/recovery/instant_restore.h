@@ -28,9 +28,9 @@ struct InstantRestoreOptions {
   /// and when installing restored pages into S (the restore's K,
   /// mirroring RestoreOptions::batch_pages).
   uint32_t batch_pages = 32;
-  /// Deep-queue asynchronous IO for the seed (carrier reads) and install
-  /// (S writes) transfers, mirroring RestoreOptions::queue_depth (only
-  /// effective with batch_pages > 1; <= 1 keeps the synchronous path).
+  /// Runs in flight for the seed (carrier reads) and install (S writes)
+  /// transfers, mirroring RestoreOptions::queue_depth (<= 1 moves one
+  /// run at a time).
   uint32_t queue_depth = 0;
   /// Soft cap on pages per background Step: the step's seed batch (its
   /// dependency closure may pull in a few more).

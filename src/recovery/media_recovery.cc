@@ -138,8 +138,6 @@ Result<MediaRecoveryReport> RestoreFromBackupWithOptions(
     TransferPlan plan;
     plan.AddPages(claims[i], options.batch_pages);
     TransferOptions transfer;
-    transfer.batch_pages = options.batch_pages;
-    transfer.pipelined = options.pipelined;
     transfer.queue_depth = options.queue_depth;
     transfer.workers = options.threads;
     transfer.transform = [&decoder](const TransferRun& run,

@@ -98,13 +98,8 @@ struct RestoreOptions {
   /// Restore runs offline, so there is no fence protocol to respect —
   /// batching is purely a throughput knob and the default is batched.
   uint32_t batch_pages = 32;
-  /// Double-buffered prefetch: read run N+1 from B while run N drains
-  /// into S (only effective with batch_pages > 1).
-  bool pipelined = false;
-  /// Deep-queue asynchronous IO (only effective with batch_pages > 1,
-  /// superseding `pipelined`): each restore worker keeps up to
-  /// queue_depth run IOs in flight via Env::OpenAsync. <= 1 keeps the
-  /// synchronous path.
+  /// Runs in flight per restore worker (TransferOptions::queue_depth),
+  /// via Env::OpenAsync. <= 1 moves one run at a time.
   uint32_t queue_depth = 0;
   /// Concurrent restore workers; partitions are sharded across them
   /// exactly like the parallel backup sweep (each partition's pages stay

@@ -1,7 +1,6 @@
 #include "storage/page_store.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -172,8 +171,12 @@ Status PageStore::WriteSealedRun(PartitionId partition, uint32_t first_page,
 }
 
 PageStore::AsyncRunReader::AsyncRunReader(const PageStore* store,
-                                          uint32_t queue_depth)
-    : store_(store), depth_(std::max<uint32_t>(1, queue_depth)) {
+                                          uint32_t queue_depth,
+                                          uint32_t streams)
+    : store_(store),
+      depth_(std::max<uint32_t>(1, queue_depth)),
+      streams_(streams),
+      slots_(depth_) {
   channels_.resize(store_->num_partitions_);
 }
 
@@ -181,13 +184,14 @@ PageStore::AsyncRunReader::~AsyncRunReader() {
   // Channel destructors drain any still-in-flight reads (the kernel may
   // hold our buffers); results are discarded.
   std::vector<AsyncRunResult> discard;
-  if (!pending_.empty()) ReapAll(&discard);
+  if (in_flight_ != 0) ReapAll(&discard);
 }
 
 Result<AsyncFile*> PageStore::AsyncRunReader::Channel(PartitionId partition) {
   if (channels_[partition] == nullptr) {
     AsyncIoOptions options;
     options.queue_depth = depth_;
+    options.streams = streams_;
     LLB_ASSIGN_OR_RETURN(
         channels_[partition],
         store_->env_->OpenAsync(
@@ -211,23 +215,26 @@ Status PageStore::AsyncRunReader::SubmitRead(PartitionId partition,
     return Status::InvalidArgument("partition out of range");
   }
   if (count == 0) return Status::InvalidArgument("empty run read");
-  if (pending_.size() >= depth_) {
+  if (in_flight_ >= depth_) {
     return Status::FailedPrecondition("async reader full: reap first");
   }
   LLB_ASSIGN_OR_RETURN(AsyncFile * channel, Channel(partition));
-  const uint64_t op = next_op_++;
-  PendingRead& read = pending_[op];
+  // Scatter straight into per-page buffers, like ReadRun: no reassembly
+  // copy at reap.
+  PendingRead& read = slots_[in_flight_];
   read.partition = partition;
   read.first_page = first_page;
-  read.count = count;
   read.tag = tag;
-  read.buffer = MakeAlignedIoString(uint64_t{count} * kPageSize);
-  Status s = channel->SubmitReadAt(uint64_t{first_page} * kPageSize,
-                                   IoBuffer{read.buffer.data,
-                                            read.buffer.size},
-                                   op);
-  if (!s.ok()) pending_.erase(op);
-  return s;
+  read.pages.resize(count);
+  std::vector<IoBuffer> chunks(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    read.pages[i].assign(kPageSize, '\0');
+    chunks[i] = IoBuffer{read.pages[i].data(), kPageSize};
+  }
+  LLB_RETURN_IF_ERROR(channel->SubmitReadAtv(uint64_t{first_page} * kPageSize,
+                                             chunks, in_flight_));
+  ++in_flight_;
+  return Status::OK();
 }
 
 Status PageStore::AsyncRunReader::ReapAll(std::vector<AsyncRunResult>* out) {
@@ -239,9 +246,8 @@ Status PageStore::AsyncRunReader::ReapAll(std::vector<AsyncRunResult>* out) {
     LLB_RETURN_IF_ERROR(channel->Reap(in_flight, &completions));
   }
   for (AsyncIoCompletion& completion : completions) {
-    auto it = pending_.find(completion.tag);
-    if (it == pending_.end()) continue;  // cannot happen; be defensive
-    PendingRead& read = it->second;
+    if (completion.tag >= in_flight_) continue;  // cannot happen; defensive
+    PendingRead& read = slots_[completion.tag];
     AsyncRunResult result;
     result.tag = read.tag;
     if (!completion.status.ok()) {
@@ -249,12 +255,11 @@ Status PageStore::AsyncRunReader::ReapAll(std::vector<AsyncRunResult>* out) {
       // fault injection means this sweep must abort, not self-heal.
       result.status = std::move(completion.status);
     } else {
-      result.images.reserve(read.count);
+      const uint32_t count = static_cast<uint32_t>(read.pages.size());
+      result.images.reserve(count);
       Status verify;
-      for (uint32_t i = 0; i < read.count && verify.ok(); ++i) {
-        result.images.push_back(PageImage::FromRaw(
-            std::string(read.buffer.data + uint64_t{i} * kPageSize,
-                        kPageSize)));
+      for (uint32_t i = 0; i < count && verify.ok(); ++i) {
+        result.images.push_back(PageImage::FromRaw(std::move(read.pages[i])));
         verify = result.images.back().VerifyChecksum();
       }
       if (!verify.ok()) {
@@ -262,20 +267,24 @@ Status PageStore::AsyncRunReader::ReapAll(std::vector<AsyncRunResult>* out) {
         // torn read (a writer was mid-run). One latched synchronous
         // re-read settles it: success means torn, failure means the
         // corruption is really on the media.
+        ++checksum_rereads_;
         result.images.clear();
         result.status = store_->ReadRun(read.partition, read.first_page,
-                                        read.count, &result.images);
+                                        count, &result.images);
       }
     }
     out->push_back(std::move(result));
-    pending_.erase(it);
   }
+  in_flight_ = 0;
   return Status::OK();
 }
 
 PageStore::AsyncRunWriter::AsyncRunWriter(PageStore* store,
-                                          uint32_t queue_depth)
-    : store_(store), depth_(std::max<uint32_t>(1, queue_depth)) {
+                                          uint32_t queue_depth,
+                                          uint32_t streams)
+    : store_(store),
+      depth_(std::max<uint32_t>(1, queue_depth)),
+      streams_(streams) {
   channels_.resize(store_->num_partitions_);
 }
 
@@ -285,6 +294,7 @@ Result<AsyncFile*> PageStore::AsyncRunWriter::Channel(PartitionId partition) {
   if (channels_[partition] == nullptr) {
     AsyncIoOptions options;
     options.queue_depth = depth_;
+    options.streams = streams_;
     LLB_ASSIGN_OR_RETURN(
         channels_[partition],
         store_->env_->OpenAsync(
@@ -328,26 +338,19 @@ Status PageStore::AsyncRunWriter::WriteWindow(
     latches.emplace_back(store_->PartitionMutex(partition));
   }
 
-  // Submit all writes: each run's sealed images gather into one aligned
-  // buffer (O_DIRECT-ready) and ride the deep queue. Every failure exit
-  // between the first submit and the last reap goes through
-  // drain_for_error below — in-flight ops reference `gathers`, so none
-  // may outlive this frame.
-  std::vector<AlignedIoString> gathers(runs.size());
+  // Submit all writes: each run's sealed images go down as one vectored
+  // write. Every failure exit between the first submit and the last reap
+  // goes through the drain below.
   std::vector<Status> statuses(runs.size());
   auto submit_and_reap = [&]() -> Status {
     for (size_t i = 0; i < runs.size(); ++i) {
       const SealedRunWrite& run = runs[i];
       LLB_ASSIGN_OR_RETURN(AsyncFile * channel, Channel(run.partition));
-      gathers[i] = MakeAlignedIoString(run.images->size() * kPageSize);
-      char* at = gathers[i].data;
-      for (const PageImage& image : *run.images) {
-        std::memcpy(at, image.raw().data(), kPageSize);
-        at += kPageSize;
-      }
-      Status submitted = channel->SubmitWriteAt(
-          uint64_t{run.first_page} * kPageSize,
-          Slice(gathers[i].data, gathers[i].size), i);
+      std::vector<Slice> chunks;
+      chunks.reserve(run.images->size());
+      for (const PageImage& image : *run.images) chunks.push_back(image.raw());
+      const uint64_t offset = uint64_t{run.first_page} * kPageSize;
+      Status submitted = channel->SubmitWriteAtv(offset, chunks, i);
       if (!submitted.ok() && submitted.IsFailedPrecondition()) {
         // Channel momentarily full (window larger than one channel's
         // queue): absorb a round of completions and retry once.
@@ -356,9 +359,7 @@ Status PageStore::AsyncRunWriter::WriteWindow(
         for (AsyncIoCompletion& completion : completions) {
           statuses[completion.tag] = std::move(completion.status);
         }
-        submitted = channel->SubmitWriteAt(
-            uint64_t{run.first_page} * kPageSize,
-            Slice(gathers[i].data, gathers[i].size), i);
+        submitted = channel->SubmitWriteAtv(offset, chunks, i);
       }
       LLB_RETURN_IF_ERROR(submitted);
     }
@@ -378,21 +379,15 @@ Status PageStore::AsyncRunWriter::WriteWindow(
   Status window = submit_and_reap();
   if (!window.ok()) {
     // Drain every touched channel (discarding results) while the latches
-    // are still held, so no op can reference `gathers` after we return.
-    // If a channel cannot be drained (backend enter failure), its ops may
-    // still DMA into the buffers, so leak that storage rather than free
-    // it under an in-flight write.
+    // are still held, so no write lands after the window has failed. A
+    // channel that cannot be drained (ring enter failure) only ever
+    // references its own bounce buffers, never the caller's images.
     for (PartitionId partition : touched) {
       AsyncFile* channel = channels_[partition].get();
       if (channel == nullptr) continue;
       while (channel->in_flight() > 0) {
         std::vector<AsyncIoCompletion> discard;
-        if (!channel->Reap(channel->in_flight(), &discard).ok()) {
-          for (AlignedIoString& gather : gathers) {
-            new std::string(std::move(gather.storage));  // intentional leak
-          }
-          return window;
-        }
+        if (!channel->Reap(channel->in_flight(), &discard).ok()) break;
       }
     }
     return window;
@@ -415,15 +410,15 @@ Status PageStore::AsyncRunWriter::WriteWindow(
 }
 
 std::unique_ptr<PageStore::AsyncRunReader> PageStore::NewAsyncReader(
-    uint32_t queue_depth) const {
+    uint32_t queue_depth, uint32_t streams) const {
   return std::unique_ptr<AsyncRunReader>(
-      new AsyncRunReader(this, queue_depth));
+      new AsyncRunReader(this, queue_depth, streams));
 }
 
 std::unique_ptr<PageStore::AsyncRunWriter> PageStore::NewAsyncWriter(
-    uint32_t queue_depth) {
+    uint32_t queue_depth, uint32_t streams) {
   return std::unique_ptr<AsyncRunWriter>(
-      new AsyncRunWriter(this, queue_depth));
+      new AsyncRunWriter(this, queue_depth, streams));
 }
 
 Status PageStore::WriteBatchAtomic(const std::vector<Entry>& entries) {

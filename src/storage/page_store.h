@@ -2,7 +2,6 @@
 #define LLB_STORAGE_PAGE_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -122,8 +121,11 @@ class PageStore {
     /// in the results; the returned Status covers the reap machinery.
     Status ReapAll(std::vector<AsyncRunResult>* out);
 
-    size_t in_flight() const { return pending_.size(); }
+    size_t in_flight() const { return in_flight_; }
     uint32_t queue_depth() const { return depth_; }
+    /// Runs re-read under the latch after a checksum miss at reap, over
+    /// this reader's lifetime (TransferStats::checksum_rereads).
+    uint64_t checksum_rereads() const { return checksum_rereads_; }
     /// Backend of the first open channel ("io_uring" / "thread-pool"),
     /// "none" before the first submit.
     const char* backend() const;
@@ -134,22 +136,25 @@ class PageStore {
     struct PendingRead {
       PartitionId partition = 0;
       uint32_t first_page = 0;
-      uint32_t count = 0;
       uint64_t tag = 0;
-      AlignedIoString buffer;
+      std::vector<std::string> pages;  // scatter targets, one per page
     };
 
-    AsyncRunReader(const PageStore* store, uint32_t queue_depth);
+    AsyncRunReader(const PageStore* store, uint32_t queue_depth,
+                   uint32_t streams);
     Result<AsyncFile*> Channel(PartitionId partition);
 
     const PageStore* const store_;
     const uint32_t depth_;
-    // pending_ owns the read buffers and is declared before channels_ on
+    const uint32_t streams_;
+    // slots_ owns the read buffers and is declared before channels_ on
     // purpose: members destroy in reverse order, so the channels (whose
-    // destructors drain in-flight reads that DMA into those buffers) go
-    // away first.
-    std::map<uint64_t, PendingRead> pending_;           // by internal op id
-    uint64_t next_op_ = 0;
+    // destructors drain in-flight reads into those buffers) go away
+    // first. Slots [0, in_flight_) are in flight; a slot's index is its
+    // async op tag. ReapAll drains every slot, so they refill from 0.
+    std::vector<PendingRead> slots_;
+    size_t in_flight_ = 0;
+    uint64_t checksum_rereads_ = 0;
     std::vector<std::shared_ptr<AsyncFile>> channels_;  // per partition
   };
 
@@ -191,18 +196,22 @@ class PageStore {
    private:
     friend class PageStore;
 
-    AsyncRunWriter(PageStore* store, uint32_t queue_depth);
+    AsyncRunWriter(PageStore* store, uint32_t queue_depth, uint32_t streams);
     Result<AsyncFile*> Channel(PartitionId partition);
 
     PageStore* const store_;
     const uint32_t depth_;
+    const uint32_t streams_;
     std::vector<std::shared_ptr<AsyncFile>> channels_;  // per partition
   };
 
   /// Creates a deep-queue reader/writer over this store's partitions.
-  /// Channels open lazily on first touch, via env->OpenAsync.
-  std::unique_ptr<AsyncRunReader> NewAsyncReader(uint32_t queue_depth) const;
-  std::unique_ptr<AsyncRunWriter> NewAsyncWriter(uint32_t queue_depth);
+  /// Channels open lazily on first touch, via env->OpenAsync; `streams`
+  /// is AsyncIoOptions::streams (readers/writers running at once).
+  std::unique_ptr<AsyncRunReader> NewAsyncReader(uint32_t queue_depth,
+                                                 uint32_t streams = 1) const;
+  std::unique_ptr<AsyncRunWriter> NewAsyncWriter(uint32_t queue_depth,
+                                                 uint32_t streams = 1);
 
   /// Number of pages ever written in the partition (file size based).
   Result<uint32_t> PageCount(PartitionId partition) const;

@@ -8,7 +8,7 @@
 #include "btree/btree.h"
 #include "common/random.h"
 #include "filestore/filestore.h"
-#include "io/fault_env.h"
+#include "io/faulty_env.h"
 #include "ship/log_shipper.h"
 #include "ship/standby_applier.h"
 #include "torture/torture_util.h"
@@ -160,7 +160,6 @@ DbOptions CrashSweeper::MakeDbOptions() const {
                               : BackupPolicy::kGeneral;
   options.backup_steps = scenario_.backup_steps;
   options.backup_batch_pages = scenario_.batch_pages;
-  options.backup_pipelined = scenario_.pipelined;
   options.io_queue_depth = scenario_.queue_depth;
   options.backup_sweep_threads = scenario_.sweep_threads;
   options.log_channels = scenario_.log_channels;
@@ -193,14 +192,13 @@ std::unique_ptr<ScenarioWorkload> MakeWorkload(Database* db,
 /// The RestoreOptions every off-line restore of this scenario uses —
 /// including salvage restores after a crash, so crash-during-restore
 /// coverage exercises the same transfer configuration the scenario
-/// targets. Pre-existing scenarios stay on the per-page legacy path
-/// (their documented contract: stable durability-event sequences);
-/// kParallelRestore turns on batched runs, prefetch, and >= 2 workers.
+/// targets. Pre-existing scenarios restore one page per run;
+/// kParallelRestore turns on batched runs, queue_depth, and >= 2
+/// workers.
 RestoreOptions RestoreOptionsForScenario(const ScenarioOptions& s) {
   RestoreOptions options;
   if (s.kind == ScenarioKind::kParallelRestore) {
     options.batch_pages = std::max<uint32_t>(2, s.batch_pages);
-    options.pipelined = s.pipelined;
     options.queue_depth = s.queue_depth;
     options.threads = std::max<uint32_t>(2, s.sweep_threads);
   } else {
@@ -470,7 +468,6 @@ Status CrashSweeper::RunScenario(TortureEngine* e) const {
       BackupJobOptions job;
       job.steps = scenario_.backup_steps;
       job.batch_pages = scenario_.batch_pages;
-      job.pipelined = scenario_.pipelined;
       job.queue_depth = scenario_.queue_depth;
       job.mid_step = [&](PartitionId, uint32_t) {
         return workload->Update(scenario_.updates_mid);
@@ -529,7 +526,6 @@ Status CrashSweeper::RunScenario(TortureEngine* e) const {
       BackupJobOptions job;
       job.steps = scenario_.backup_steps;
       job.batch_pages = scenario_.batch_pages;
-      job.pipelined = scenario_.pipelined;
       job.queue_depth = scenario_.queue_depth;
       job.sweep_threads = std::max<uint32_t>(2, scenario_.sweep_threads);
       job.mid_step = [&](PartitionId partition, uint32_t) {

@@ -28,7 +28,7 @@ enum class ScenarioKind {
   /// (verified against a log-prefix oracle), then full restore to the end
   /// of the log and reopen.
   kRestore,
-  /// The batched/pipelined sweep pipeline: a batched full backup with
+  /// The batched sweep pipeline: a batched full backup with
   /// mid-step updates, then a scripted transient fault that kills one
   /// batched (multi-page) write mid-step, updates under the still-up
   /// fences, a batched Resume from the mid-sweep durable cursor, and a
@@ -47,8 +47,8 @@ enum class ScenarioKind {
   kParallelBackup,
   /// The batched + parallel restore path: full + incremental chain, then
   /// the kRestore sequence (PITR restore, full restore, reopen) executed
-  /// through the TransferPipeline with multi-page runs, double-buffered
-  /// prefetch, and >= 2 restore workers sharding the partitions. Crashes
+  /// through the TransferPipeline with multi-page runs, queue_depth runs
+  /// in flight, and >= 2 restore workers sharding the partitions. Crashes
   /// land mid-parallel-restore: the restore-marker protocol must route
   /// salvage to a re-restore (itself parallel) rather than plain crash
   /// redo, including nested crashes during that salvage restore. The
@@ -125,21 +125,18 @@ struct ScenarioOptions {
   uint32_t updates_mid = 2;    // workload steps per backup mid-step hook
   uint32_t updates_post = 8;   // workload steps after each backup
   /// Sweep batching for kBatchedBackup (and the engine's DbOptions):
-  /// pages per batched backup IO and double-buffered prefetch. The
-  /// defaults keep every pre-existing scenario on the legacy per-page
-  /// sweep so their durability-event sequences stay stable.
+  /// pages per backup IO. The default sweeps one page per run.
   uint32_t batch_pages = 1;
-  bool pipelined = false;
-  /// Deep-queue asynchronous IO for the scenario's bulk transfers (see
-  /// TransferOptions::queue_depth; only effective with batch_pages > 1).
-  /// Crash scheduling is unaffected: durability events stay on the
-  /// driver thread in the same count, which is what the sweeper's
-  /// countdown injectors key on. 0 keeps the synchronous path.
+  /// Runs in flight for the scenario's bulk transfers (see
+  /// TransferOptions::queue_depth). Crash scheduling is unaffected:
+  /// durability events stay on the scenario thread in the same count,
+  /// which is what the sweeper's countdown injectors key on. <= 1 moves
+  /// one run at a time.
   uint32_t queue_depth = 0;
   /// Concurrent sweep workers (kParallelBackup / kParallelRestore need
   /// >= 2 and >= 2 partitions; other scenarios keep the serial default so
   /// their durability-event sequences stay stable). kParallelRestore also
-  /// reuses this (and batch_pages / pipelined) as its RestoreOptions.
+  /// reuses this (and batch_pages / queue_depth) as its RestoreOptions.
   uint32_t sweep_threads = 1;
   /// WAL append channels (DbOptions::log_channels) of epoch-based group
   /// commit: every Iw/oF flush decision waits on the epoch watermark, so

@@ -88,7 +88,7 @@ Status WipeStable(TortureEngine* engine);
 /// Off-line media recovery from backup `chain` with roll-forward capped
 /// at `stop_at_lsn` (kInvalidLsn = end of log). Restartable: safe to
 /// re-run after a crash mid-restore. `base` carries the bulk-transfer
-/// knobs (batch_pages / pipelined / threads) a scenario wants exercised;
+/// knobs (batch_pages / queue_depth / threads) a scenario wants exercised;
 /// its stop_at_lsn / partition fields are overridden here.
 Status OfflineRestore(TortureEngine* engine, const std::string& chain,
                       Lsn stop_at_lsn, RestoreOptions base = {});

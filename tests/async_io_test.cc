@@ -50,8 +50,8 @@ TEST(AsyncFileTest, WriteReapSyncReadRoundTrip) {
 
   std::string a = Pattern(512, 'a');
   std::string b = Pattern(512, 'b');
-  ASSERT_OK(file->SubmitWriteAt(0, Slice(a), /*tag=*/1));
-  ASSERT_OK(file->SubmitWriteAt(512, Slice(b), /*tag=*/2));
+  ASSERT_OK(file->SubmitWriteAtv(0, {Slice(a)}, /*tag=*/1));
+  ASSERT_OK(file->SubmitWriteAtv(512, {Slice(b)}, /*tag=*/2));
   EXPECT_EQ(file->in_flight(), 2u);
 
   std::vector<AsyncIoCompletion> done = ReapAllOf(file.get());
@@ -71,7 +71,8 @@ TEST(AsyncFileTest, WriteReapSyncReadRoundTrip) {
 
   // And the async read view round-trips the same bytes.
   std::string buf(1024, '\0');
-  ASSERT_OK(file->SubmitReadAt(0, IoBuffer{&buf[0], buf.size()}, /*tag=*/7));
+  ASSERT_OK(
+      file->SubmitReadAtv(0, {IoBuffer{&buf[0], buf.size()}}, /*tag=*/7));
   done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_OK(done[0].status);
@@ -84,13 +85,13 @@ TEST(AsyncFileTest, ReadPastEndOfFileZeroFills) {
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<AsyncFile> file,
                        env.OpenAsync("f", /*create=*/true));
   std::string data = Pattern(100, 'x');
-  ASSERT_OK(file->SubmitWriteAt(0, Slice(data), 1));
+  ASSERT_OK(file->SubmitWriteAtv(0, {Slice(data)}, 1));
   ReapAllOf(file.get());
 
   // Read straddling EOF: bytes [0, 100) are the data, [100, 256) zero —
   // the never-written-page convention (File::ReadAtv parity).
   std::string buf(256, '\xff');
-  ASSERT_OK(file->SubmitReadAt(0, IoBuffer{&buf[0], buf.size()}, 2));
+  ASSERT_OK(file->SubmitReadAtv(0, {IoBuffer{&buf[0], buf.size()}}, 2));
   std::vector<AsyncIoCompletion> done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_OK(done[0].status);
@@ -99,7 +100,8 @@ TEST(AsyncFileTest, ReadPastEndOfFileZeroFills) {
 
   // Entirely past EOF: all zero.
   std::string past(64, '\xff');
-  ASSERT_OK(file->SubmitReadAt(4096, IoBuffer{&past[0], past.size()}, 3));
+  ASSERT_OK(
+      file->SubmitReadAtv(4096, {IoBuffer{&past[0], past.size()}}, 3));
   done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_OK(done[0].status);
@@ -115,17 +117,17 @@ TEST(AsyncFileTest, SubmitFailsOnlyOnMisuse) {
   EXPECT_EQ(file->queue_depth(), 2u);
 
   // Empty buffer is a caller bug, rejected at submit.
-  EXPECT_TRUE(file->SubmitReadAt(0, IoBuffer{nullptr, 0}, 1)
+  EXPECT_TRUE(file->SubmitReadAtv(0, {IoBuffer{nullptr, 0}}, 1)
                   .IsInvalidArgument());
-  EXPECT_TRUE(file->SubmitWriteAt(0, Slice(), 1).IsInvalidArgument());
+  EXPECT_TRUE(file->SubmitWriteAtv(0, {Slice()}, 1).IsInvalidArgument());
 
   // Queue-depth overflow is a caller bug too: the (depth+1)-th submit
   // fails without enqueueing, and nothing about the in-flight ops is
   // disturbed.
   std::string data = Pattern(64, 'q');
-  ASSERT_OK(file->SubmitWriteAt(0, Slice(data), 1));
-  ASSERT_OK(file->SubmitWriteAt(64, Slice(data), 2));
-  Status overflow = file->SubmitWriteAt(128, Slice(data), 3);
+  ASSERT_OK(file->SubmitWriteAtv(0, {Slice(data)}, 1));
+  ASSERT_OK(file->SubmitWriteAtv(64, {Slice(data)}, 2));
+  Status overflow = file->SubmitWriteAtv(128, {Slice(data)}, 3);
   EXPECT_TRUE(overflow.IsFailedPrecondition()) << overflow.ToString();
   EXPECT_EQ(file->in_flight(), 2u);
   std::vector<AsyncIoCompletion> done = ReapAllOf(file.get());
@@ -143,7 +145,7 @@ TEST(AsyncFileTest, ReapClampsToInFlight) {
   EXPECT_TRUE(done.empty());
 
   std::string data = Pattern(32, 'r');
-  ASSERT_OK(file->SubmitWriteAt(0, Slice(data), 1));
+  ASSERT_OK(file->SubmitWriteAtv(0, {Slice(data)}, 1));
   ASSERT_OK(file->Reap(100, &done));
   EXPECT_EQ(done.size(), 1u);
   EXPECT_EQ(file->in_flight(), 0u);
@@ -154,8 +156,8 @@ TEST(AsyncFileTest, SyncDrainsInFlightWritesAndKeepsCompletions) {
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<AsyncFile> file,
                        env.OpenAsync("f", /*create=*/true));
   std::string data = Pattern(128, 's');
-  ASSERT_OK(file->SubmitWriteAt(0, Slice(data), 1));
-  ASSERT_OK(file->SubmitWriteAt(128, Slice(data), 2));
+  ASSERT_OK(file->SubmitWriteAtv(0, {Slice(data)}, 1));
+  ASSERT_OK(file->SubmitWriteAtv(128, {Slice(data)}, 2));
   ASSERT_OK(file->Sync());
 
   // Sync waited for the writes, but their completions are still owed.
@@ -182,7 +184,7 @@ TEST(AsyncFaultTest, DeviceErrorSurfacesOnReapNotSubmit) {
                        env.OpenAsync("f", /*create=*/true));
   std::string buf(64, '\0');
   // The submit itself is clean — the fault fires on the worker.
-  ASSERT_OK(file->SubmitReadAt(0, IoBuffer{&buf[0], buf.size()}, 9));
+  ASSERT_OK(file->SubmitReadAtv(0, {IoBuffer{&buf[0], buf.size()}}, 9));
   std::vector<AsyncIoCompletion> done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_TRUE(done[0].status.IsIoError()) << done[0].status.ToString();
@@ -190,7 +192,7 @@ TEST(AsyncFaultTest, DeviceErrorSurfacesOnReapNotSubmit) {
   EXPECT_EQ(env.stats().read_faults, 1u);
 
   // The fault was transient: the same read succeeds afterwards.
-  ASSERT_OK(file->SubmitReadAt(0, IoBuffer{&buf[0], buf.size()}, 10));
+  ASSERT_OK(file->SubmitReadAtv(0, {IoBuffer{&buf[0], buf.size()}}, 10));
   done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_OK(done[0].status);
@@ -207,7 +209,7 @@ TEST(AsyncFaultTest, WriteErrorSurfacesOnReapAndOthersComplete) {
                        env.OpenAsync("f", /*create=*/true));
   std::string data = Pattern(64, 'w');
   for (uint64_t tag = 1; tag <= 3; ++tag) {
-    ASSERT_OK(file->SubmitWriteAt((tag - 1) * 64, Slice(data), tag));
+    ASSERT_OK(file->SubmitWriteAtv((tag - 1) * 64, {Slice(data)}, tag));
   }
   std::vector<AsyncIoCompletion> done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 3u);
@@ -254,7 +256,8 @@ TEST(PosixAsyncTest, BothBackendsRoundTripRealFiles) {
       blocks.push_back(Pattern(kIoAlignment, static_cast<char>('A' + i)));
     }
     for (size_t i = 0; i < blocks.size(); ++i) {
-      ASSERT_OK(file->SubmitWriteAt(i * kIoAlignment, Slice(blocks[i]), i));
+      ASSERT_OK(
+          file->SubmitWriteAtv(i * kIoAlignment, {Slice(blocks[i])}, i));
     }
     std::vector<AsyncIoCompletion> done = ReapAllOf(file.get());
     ASSERT_EQ(done.size(), blocks.size());
@@ -264,8 +267,8 @@ TEST(PosixAsyncTest, BothBackendsRoundTripRealFiles) {
     std::vector<std::string> read(blocks.size());
     for (size_t i = 0; i < blocks.size(); ++i) {
       read[i].assign(kIoAlignment, '\0');
-      ASSERT_OK(file->SubmitReadAt(i * kIoAlignment,
-                                   IoBuffer{&read[i][0], read[i].size()}, i));
+      ASSERT_OK(file->SubmitReadAtv(
+          i * kIoAlignment, {IoBuffer{&read[i][0], read[i].size()}}, i));
     }
     done = ReapAllOf(file.get());
     ASSERT_EQ(done.size(), blocks.size());
@@ -278,6 +281,47 @@ TEST(PosixAsyncTest, BothBackendsRoundTripRealFiles) {
                          env->OpenFile("data", /*create=*/false));
     ASSERT_OK_AND_ASSIGN(uint64_t size, plain->Size());
     EXPECT_EQ(size, blocks.size() * kIoAlignment);
+  }
+}
+
+/// Vectored submits gather a write from several chunks and scatter a
+/// read across several buffers on both backends (the thread pool runs
+/// File::WriteAtv/ReadAtv in place; io_uring stages through its own
+/// aligned buffer) — including the zero-fill of a chunk past end of file.
+TEST(PosixAsyncTest, VectoredSubmitsGatherAndScatter) {
+  for (bool use_uring : {true, false}) {
+    SCOPED_TRACE(use_uring ? "io_uring" : "thread-pool");
+    PosixEnvOptions opt;
+    opt.use_io_uring = use_uring;
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<PosixEnv> env,
+        PosixEnv::Open(TestRoot(use_uring ? "uring_vec" : "pool_vec"), opt));
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<AsyncFile> file,
+                         env->OpenAsync("data", /*create=*/true));
+
+    std::string a = Pattern(kIoAlignment, 'a');
+    std::string b = Pattern(100, 'b');
+    std::string c = Pattern(kIoAlignment - 100, 'c');
+    ASSERT_OK(file->SubmitWriteAtv(0, {Slice(a), Slice(b), Slice(c)}, 1));
+    std::vector<AsyncIoCompletion> done = ReapAllOf(file.get());
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_OK(done[0].status);
+    ASSERT_OK(file->Sync());
+
+    // Scatter the two written pages plus 64 bytes past EOF across three
+    // differently split buffers.
+    std::string x(3000, '\xff');
+    std::string y(2 * kIoAlignment - 3000, '\xff');
+    std::string z(64, '\xff');
+    ASSERT_OK(file->SubmitReadAtv(
+        0, {IoBuffer{&x[0], x.size()}, IoBuffer{&y[0], y.size()},
+            IoBuffer{&z[0], z.size()}},
+        2));
+    done = ReapAllOf(file.get());
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_OK(done[0].status);
+    EXPECT_EQ(x + y, a + b + c);
+    EXPECT_EQ(z, std::string(64, '\0'));
   }
 }
 
@@ -297,14 +341,15 @@ TEST(PosixAsyncTest, DirectIoAlignedAndMisalignedRoundTrip) {
   AlignedIoString aligned = MakeAlignedIoString(kIoAlignment);
   std::string page = Pattern(kIoAlignment, 'D');
   std::memcpy(aligned.data, page.data(), page.size());
-  ASSERT_OK(file->SubmitWriteAt(0, Slice(aligned.data, aligned.size), 1));
+  ASSERT_OK(
+      file->SubmitWriteAtv(0, {Slice(aligned.data, aligned.size)}, 1));
   std::vector<AsyncIoCompletion> done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_OK(done[0].status);
   ASSERT_OK(file->Sync());
 
   AlignedIoString back = MakeAlignedIoString(kIoAlignment);
-  ASSERT_OK(file->SubmitReadAt(0, IoBuffer{back.data, back.size}, 2));
+  ASSERT_OK(file->SubmitReadAtv(0, {IoBuffer{back.data, back.size}}, 2));
   done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_OK(done[0].status);
@@ -312,15 +357,15 @@ TEST(PosixAsyncTest, DirectIoAlignedAndMisalignedRoundTrip) {
 
   // Misaligned offset and size: must fall back to buffered IO, not fail.
   std::string odd = Pattern(100, 'm');
-  ASSERT_OK(file->SubmitWriteAt(kIoAlignment + 13, Slice(odd), 3));
+  ASSERT_OK(file->SubmitWriteAtv(kIoAlignment + 13, {Slice(odd)}, 3));
   done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_OK(done[0].status);
   ASSERT_OK(file->Sync());
 
   std::string odd_back(100, '\0');
-  ASSERT_OK(file->SubmitReadAt(kIoAlignment + 13,
-                               IoBuffer{&odd_back[0], odd_back.size()}, 4));
+  ASSERT_OK(file->SubmitReadAtv(
+      kIoAlignment + 13, {IoBuffer{&odd_back[0], odd_back.size()}}, 4));
   done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_OK(done[0].status);
@@ -341,13 +386,13 @@ TEST(PosixAsyncTest, FaultInjectionOverRealFiles) {
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<AsyncFile> file,
                        env.OpenAsync("data", /*create=*/true));
   std::string data = Pattern(kIoAlignment, 'F');
-  ASSERT_OK(file->SubmitWriteAt(0, Slice(data), 1));
+  ASSERT_OK(file->SubmitWriteAtv(0, {Slice(data)}, 1));
   std::vector<AsyncIoCompletion> done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_TRUE(done[0].status.IsIoError()) << done[0].status.ToString();
 
   // Transient: the retry lands on disk.
-  ASSERT_OK(file->SubmitWriteAt(0, Slice(data), 2));
+  ASSERT_OK(file->SubmitWriteAtv(0, {Slice(data)}, 2));
   done = ReapAllOf(file.get());
   ASSERT_EQ(done.size(), 1u);
   EXPECT_OK(done[0].status);

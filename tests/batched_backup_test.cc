@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -13,12 +14,12 @@
 namespace llb {
 namespace {
 
-/// Deterministic coverage of the batched/pipelined sweep path
-/// (BackupJobOptions::batch_pages / pipelined): the fence protocol must be
-/// invisible to batching. Fences move only at step boundaries, so a flush
-/// that lands while a step's batch is in flight — pending fence advanced
-/// over it, batched runs not yet durable in B — must classify exactly as
-/// it would under the legacy per-page sweep.
+/// Deterministic coverage of the batched sweep path
+/// (BackupJobOptions::batch_pages / queue_depth): the fence protocol must
+/// be invisible to the IO shape. Fences move only at step boundaries, so
+/// a flush that lands while a step's batch is in flight — pending fence
+/// advanced over it, batched runs not yet durable in B — must classify
+/// exactly as it would under a page-at-a-time sweep.
 
 constexpr uint32_t kPages = 32;
 constexpr uint32_t kSteps = 4;
@@ -44,15 +45,15 @@ Status SeedFiles(Database* db, FileStore* files) {
 
 /// Mirrors FenceProtocolTest.MidStepFlushPerRegionTakesExactPath, but the
 /// sweep moves whole steps as single batched runs (batch_pages covers the
-/// 8-page step) with double-buffered prefetch on. The mid-step hook fires
-/// while step 2's batch is in flight: P has been advanced to 16, the
+/// 8-page step), one run or a 4-deep window in flight. The mid-step hook
+/// fires while step 2's batch is in flight: P has been advanced to 16, the
 /// batch's pages sit in Doubt, and nothing of the step has reached B yet.
 /// Done/Doubt/Pend classification must be identical to the per-page sweep:
 /// Done and Doubt flushes take the identity-write path and are logged,
 /// Pend flushes are not.
 TEST(BatchedBackupTest, MidBatchFlushClassificationUnchanged) {
-  for (bool pipelined : {false, true}) {
-    SCOPED_TRACE(pipelined ? "pipelined" : "serial");
+  for (uint32_t queue_depth : {1u, 4u}) {
+    SCOPED_TRACE("queue_depth=" + std::to_string(queue_depth));
     TortureEngine engine(BatchedOptions());
     ASSERT_OK(engine.Open());
     Database* db = engine.db.get();
@@ -68,7 +69,7 @@ TEST(BatchedBackupTest, MidBatchFlushClassificationUnchanged) {
     BackupJobOptions job;
     job.steps = kSteps;
     job.batch_pages = 16;  // one batched run spans the whole 8-page step
-    job.pipelined = pipelined;
+    job.queue_depth = queue_depth;
     job.mid_step = [&](PartitionId, uint32_t step) -> Status {
       if (step != 2) return Status::OK();
       checked = true;
@@ -116,9 +117,10 @@ TEST(BatchedBackupTest, MidBatchFlushClassificationUnchanged) {
   }
 }
 
-/// Batching is a pure IO-shape change: with no concurrent updates, a
-/// batched sweep must produce a backup store logically identical to the
-/// legacy per-page sweep's, and the same fence-update count.
+/// Batching and queue depth are pure IO-shape changes: with no
+/// concurrent updates, every (batch_pages, queue_depth) sweep must leave
+/// a backup store byte-identical to the quiesced stable store S, with the
+/// same page traffic and the same fence walk.
 TEST(BatchedBackupTest, BatchedSweepMatchesLegacyOutput) {
   TortureEngine engine(BatchedOptions());
   ASSERT_OK(engine.Open());
@@ -126,39 +128,34 @@ TEST(BatchedBackupTest, BatchedSweepMatchesLegacyOutput) {
   FileStore files(db, 0, 0, 1, kPages);
   ASSERT_OK(SeedFiles(db, &files));
 
-  BackupJobOptions legacy;
-  legacy.steps = kSteps;  // batch_pages = 1: per-page sweep
-  BackupJobStats legacy_stats;
-  ASSERT_OK_AND_ASSIGN(BackupManifest legacy_manifest,
-                       db->TakeBackupWithOptions("bk_k1", legacy,
-                                                 &legacy_stats));
-  EXPECT_TRUE(legacy_manifest.complete);
-  EXPECT_EQ(legacy_stats.read_batches, 0u);
-  EXPECT_EQ(legacy_stats.write_batches, 0u);
+  uint64_t reference_fences = 0;
+  for (uint32_t batch : {1u, 16u}) {
+    for (uint32_t queue_depth : {1u, 4u}) {
+      std::string shape =
+          "k" + std::to_string(batch) + "_qd" + std::to_string(queue_depth);
+      SCOPED_TRACE(shape);
+      BackupJobOptions job;
+      job.steps = kSteps;
+      job.batch_pages = batch;
+      job.queue_depth = queue_depth;
+      BackupJobStats stats;
+      ASSERT_OK_AND_ASSIGN(
+          BackupManifest manifest,
+          db->TakeBackupWithOptions("bk_" + shape, job, &stats));
+      EXPECT_TRUE(manifest.complete);
+      EXPECT_EQ(stats.pages_copied, kPages);
+      // One read and one write per planned run of up to K pages.
+      EXPECT_EQ(stats.read_batches, kPages / std::min(batch, kPages / kSteps));
+      EXPECT_EQ(stats.write_batches, stats.read_batches);
+      if (reference_fences == 0) reference_fences = stats.fence_updates;
+      EXPECT_EQ(stats.fence_updates, reference_fences);
 
-  BackupJobOptions batched;
-  batched.steps = kSteps;
-  batched.batch_pages = 16;
-  batched.pipelined = true;
-  BackupJobStats batched_stats;
-  ASSERT_OK_AND_ASSIGN(BackupManifest batched_manifest,
-                       db->TakeBackupWithOptions("bk_k16", batched,
-                                                 &batched_stats));
-  EXPECT_TRUE(batched_manifest.complete);
-  EXPECT_GT(batched_stats.read_batches, 0u);
-  EXPECT_GT(batched_stats.write_batches, 0u);
-
-  // Identical page traffic and identical fence walk for every K.
-  EXPECT_EQ(batched_stats.pages_copied, legacy_stats.pages_copied);
-  EXPECT_EQ(batched_stats.fence_updates, legacy_stats.fence_updates);
-
-  ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<PageStore> store_k1,
-      PageStore::Open(&engine.env, legacy_manifest.StoreName(), 1));
-  ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<PageStore> store_k16,
-      PageStore::Open(&engine.env, batched_manifest.StoreName(), 1));
-  EXPECT_EQ(testutil::DiffStores(*store_k1, *store_k16, 1, kPages), "");
+      ASSERT_OK_AND_ASSIGN(
+          std::unique_ptr<PageStore> store,
+          PageStore::Open(&engine.env, manifest.StoreName(), 1));
+      EXPECT_EQ(testutil::DiffStores(*db->stable(), *store, 1, kPages), "");
+    }
+  }
 }
 
 /// A scripted transient fault kills the second step's first batched write,
@@ -176,11 +173,11 @@ TEST(BatchedBackupTest, ResumeRestartsFromMidSweepDurableCursor) {
   BackupJobOptions job;
   job.steps = kSteps;
   job.batch_pages = 4;  // two batched writes per 8-page step
-  job.pipelined = true;
+  job.queue_depth = 2;
 
   // Batched writes to the backup pages file: step 1 issues two, so the
-  // third is step 2's first run — the countdown counts vectored batches,
-  // not pages (FaultyFile::WriteAtv decides once per call).
+  // third is step 2's first run — the countdown counts runs, not pages
+  // (each run is one write call, decided once).
   ScriptedFaultPolicy abort_policy({{FaultOp::kWriteAt, "bk_mid.pages",
                                      /*countdown=*/3, FaultAction::kFail}});
   engine.env.SetPolicy(&abort_policy);
@@ -216,13 +213,13 @@ TEST(BatchedBackupTest, ResumeRestartsFromMidSweepDurableCursor) {
   ASSERT_OK(torture::VerifyStableOffline(&engine, kInvalidLsn));
 }
 
-/// DbOptions plumbing: backup_batch_pages / backup_pipelined reach both
+/// DbOptions plumbing: backup_batch_pages / io_queue_depth reach both
 /// TakeBackup and TakeIncrementalBackup. Scattered changed pages break the
 /// incremental sweep into many short runs; the chain must still restore.
 TEST(BatchedBackupTest, IncrementalRunSplittingOverScatteredPages) {
   DbOptions options = BatchedOptions();
   options.backup_batch_pages = 4;
-  options.backup_pipelined = true;
+  options.io_queue_depth = 4;
   TortureEngine engine(options);
   ASSERT_OK(engine.Open());
   Database* db = engine.db.get();

@@ -5,7 +5,7 @@
 #include "apprec/app_recovery.h"
 #include "btree/btree.h"
 #include "filestore/filestore.h"
-#include "io/fault_env.h"
+#include "io/faulty_env.h"
 #include "sim/harness.h"
 #include "sim/workload.h"
 #include "tests/test_util.h"

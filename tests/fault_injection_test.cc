@@ -6,13 +6,13 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "backup/backup_job.h"
 #include "backup/backup_scrubber.h"
 #include "backup/backup_store.h"
 #include "btree/btree.h"
 #include "io/durable_cursor.h"
-#include "io/fault_env.h"
 #include "io/faulty_env.h"
 #include "io/mem_env.h"
 #include "recovery/media_recovery.h"
@@ -352,7 +352,8 @@ TEST(FaultInjectionTest, RetryAbsorbsEveryTransientFaultKind) {
 
   // One fault of each kind, at distinct points of the sweep: a stable
   // read error, a backup write error, a backup sync error, and a silent
-  // bit-flip on a stable read (caught by the page CRC, then retried).
+  // bit-flip on a stable read (caught by the page CRC at reap and healed
+  // by the reader's latched re-read).
   ScriptedFaultPolicy policy;
   policy.Add({FaultOp::kReadAt, ".stable", 10, FaultAction::kFail});
   policy.Add({FaultOp::kWriteAt, "bk.pages", 50, FaultAction::kFail});
@@ -370,9 +371,11 @@ TEST(FaultInjectionTest, RetryAbsorbsEveryTransientFaultKind) {
 
   EXPECT_TRUE(manifest.complete);
   EXPECT_EQ(policy.fired(), 4u);
-  // Every injected fault was observed and absorbed by exactly one retry.
-  EXPECT_EQ(stats.io_faults, 4u);
-  EXPECT_EQ(stats.retries, 4u);
+  // Every injected fault was observed: the three hard errors were each
+  // absorbed by exactly one retry, the bit-flip by one checksum re-read.
+  EXPECT_EQ(stats.io_faults, 3u);
+  EXPECT_EQ(stats.retries, 3u);
+  EXPECT_EQ(stats.checksum_rereads, 1u);
   EXPECT_EQ(engine.env.stats().total_failures(), 3u);
   EXPECT_EQ(engine.env.stats().corruptions, 1u);
 
@@ -389,21 +392,26 @@ TEST(FaultInjectionTest, RetryAbsorbsEveryTransientFaultKind) {
 
 struct FaultCase {
   const char* name;
-  FaultPoint point;
+  std::vector<FaultPoint> points;
 };
 
 TEST(FaultInjectionTest, EveryFaultPointAbortsCleanlyAndResumes) {
   // Countdowns land in the sweep's second step (pages 32..63 of 128 in 4
   // steps), so the persisted cursor has real progress to skip on resume.
+  // A bit-flip on the optimistic read alone would be healed by the
+  // reader's latched re-read, so the bit-flip case rots both: a fired
+  // point does not count down the others, so two points at 40 fire on
+  // reads 40 and 41 — the async read and its re-read.
   const FaultCase kCases[] = {
       {"stable-read-error",
-       {FaultOp::kReadAt, ".stable", 40, FaultAction::kFail}},
+       {{FaultOp::kReadAt, ".stable", 40, FaultAction::kFail}}},
       {"backup-write-error",
-       {FaultOp::kWriteAt, "bk.pages", 40, FaultAction::kFail}},
+       {{FaultOp::kWriteAt, "bk.pages", 40, FaultAction::kFail}}},
       {"backup-sync-error",
-       {FaultOp::kSync, "bk.pages", 40, FaultAction::kFail}},
+       {{FaultOp::kSync, "bk.pages", 40, FaultAction::kFail}}},
       {"stable-read-bitflip",
-       {FaultOp::kReadAt, ".stable", 40, FaultAction::kCorrupt}},
+       {{FaultOp::kReadAt, ".stable", 40, FaultAction::kCorrupt},
+        {FaultOp::kReadAt, ".stable", 40, FaultAction::kCorrupt}}},
   };
   for (const FaultCase& c : kCases) {
     SCOPED_TRACE(c.name);
@@ -416,7 +424,7 @@ TEST(FaultInjectionTest, EveryFaultPointAbortsCleanlyAndResumes) {
     ASSERT_OK(Populate(engine.db.get(), tree.get(), &next_key, 2000, "pre"));
 
     // No retries: the single fault must abort the run cleanly.
-    ScriptedFaultPolicy policy({c.point});
+    ScriptedFaultPolicy policy(c.points);
     engine.env.SetPolicy(&policy);
     BackupJobOptions job;
     job.steps = 4;
@@ -425,7 +433,7 @@ TEST(FaultInjectionTest, EveryFaultPointAbortsCleanlyAndResumes) {
         engine.db->TakeBackupWithOptions("bk", job, &run_stats);
     engine.env.SetPolicy(nullptr);
     ASSERT_FALSE(run.ok()) << "injected fault did not abort the sweep";
-    EXPECT_EQ(policy.fired(), 1u);
+    EXPECT_EQ(policy.fired(), c.points.size());
     EXPECT_EQ(run_stats.io_faults, 1u);
     EXPECT_EQ(run_stats.retries, 0u);
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "io/env.h"
-#include "io/fault_env.h"
 #include "io/faulty_env.h"
 #include "io/latency_env.h"
 #include "io/mem_env.h"

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "io/sweep_pool.h"
@@ -75,39 +73,6 @@ TEST(SweepPoolTest, RunsTasksPropagatesFaultsAndNeverShrinks) {
   EXPECT_EQ(pool.threads(), 3u);
 }
 
-TEST(SweepPoolTest, TrySubmitDeclinesUnlessAWorkerIsIdle) {
-  SweepThreadPool pool(1);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::promise<void> started;
-  std::future<Status> blocker = pool.Submit([&started, gate] {
-    started.set_value();
-    gate.wait();
-    return Status::OK();
-  });
-  started.get_future().wait();
-
-  // The only worker is busy: TrySubmit must decline rather than queue
-  // (queuing behind a busy pool is how nested prefetch could deadlock).
-  std::future<Status> declined;
-  EXPECT_FALSE(pool.TrySubmit([] { return Status::OK(); }, &declined));
-
-  release.set_value();
-  EXPECT_OK(blocker.get());
-
-  // Once the worker parks again TrySubmit accepts. The worker flips back
-  // to idle shortly after the blocker future resolves, so poll briefly.
-  std::future<Status> accepted;
-  bool submitted = false;
-  for (int i = 0; i < 5000 && !submitted; ++i) {
-    submitted = pool.TrySubmit([] { return Status::OK(); }, &accepted);
-    if (!submitted) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(submitted);
-  EXPECT_OK(accepted.get());
-  EXPECT_EQ(pool.tasks_run(), 2u);
-}
-
 /// The headline invariant: with no concurrent updates, sweeps at every
 /// worker count produce byte-identical backup stores and identical page
 /// traffic — sharding partitions across workers only reorders which
@@ -155,10 +120,11 @@ TEST(ParallelBackupTest, ParallelSweepMatchesSerialOutputByteForByte) {
   }
 }
 
-/// Worker sharding composed with the batched/pipelined pipeline: the
-/// prefetch stage rides the same pool via TrySubmit, so even a fully
-/// pipelined parallel sweep spawns zero transient threads — the
-/// regression guard for the persistent-worker design.
+/// Worker sharding composed with batched runs and a 4-deep async window:
+/// the sweepers ride the database's pool and the in-flight IOs ride the
+/// env's async backend, so a parallel deep-queue sweep spawns zero
+/// transient threads — the regression guard for the persistent-worker
+/// design.
 TEST(ParallelBackupTest, PooledPipelinedSweepSpawnsZeroTransientThreads) {
   TortureEngine engine(ParallelOptions());
   ASSERT_OK(engine.Open());
@@ -171,7 +137,7 @@ TEST(ParallelBackupTest, PooledPipelinedSweepSpawnsZeroTransientThreads) {
   job.steps = kSteps;
   job.sweep_threads = 4;
   job.batch_pages = 8;
-  job.pipelined = true;
+  job.queue_depth = 4;
   BackupJobStats stats;
   ASSERT_OK_AND_ASSIGN(BackupManifest manifest,
                        db->TakeBackupWithOptions("pbk_pipe", job, &stats));
@@ -179,7 +145,7 @@ TEST(ParallelBackupTest, PooledPipelinedSweepSpawnsZeroTransientThreads) {
   EXPECT_EQ(stats.threads_spawned, 0u);
   EXPECT_GT(stats.read_batches, 0u);
   EXPECT_GT(stats.write_batches, 0u);
-  // The sweep really ran on the pool, sized for workers + prefetch.
+  // The sweep really ran on the pool, sized for the workers.
   EXPECT_GT(db->sweep_pool()->tasks_run(), tasks_before);
   EXPECT_GE(db->sweep_pool()->threads(), 4u);
 

@@ -241,23 +241,23 @@ TEST(RestoreTransferTest, BatchedAndParallelRestoresAreByteIdentical) {
   struct Config {
     const char* tag;
     uint32_t batch_pages;
-    bool pipelined;
+    uint32_t queue_depth;
     uint32_t threads;
   };
   const Config kConfigs[] = {
-      {"serial per-page", 1, false, 1},
-      {"batched", 32, false, 1},
-      {"batched pipelined", 8, true, 1},
-      {"parallel t2", 8, true, 2},
-      {"parallel t4", 32, false, 4},
-      {"parallel t8", 8, true, 8},
+      {"serial per-page", 1, 1, 1},
+      {"batched", 32, 1, 1},
+      {"batched qd4", 8, 4, 1},
+      {"parallel t2", 8, 4, 2},
+      {"parallel t4", 32, 1, 4},
+      {"parallel t8", 8, 4, 8},
   };
   std::vector<std::string> reference;
   for (const Config& config : kConfigs) {
     ASSERT_OK(WipeStable(engine->env(), "db"));
     RestoreOptions restore;
     restore.batch_pages = config.batch_pages;
-    restore.pipelined = config.pipelined;
+    restore.queue_depth = config.queue_depth;
     restore.threads = config.threads;
     ASSERT_OK_AND_ASSIGN(
         MediaRecoveryReport report,
@@ -378,7 +378,7 @@ TEST(RestoreTransferTest, ChainCoalescingMatchesNaiveApply) {
     RegisterAllOps(&registry);
     RestoreOptions restore;
     restore.batch_pages = 8;
-    restore.pipelined = true;
+    restore.queue_depth = 4;
     restore.threads = 2;
     restore.stop_at_lsn = stop_at;
     ASSERT_OK_AND_ASSIGN(

@@ -2,7 +2,7 @@
 
 #include <memory>
 
-#include "io/fault_env.h"
+#include "io/faulty_env.h"
 #include "io/mem_env.h"
 #include "storage/page.h"
 #include "storage/page_store.h"

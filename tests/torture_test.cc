@@ -83,7 +83,6 @@ TEST(CrashSweepTest, BatchedBackupScenarioAllPoints) {
   // routes the batched runs through the async deep-queue backend; the
   // durability-event count must stay deterministic regardless.
   scenario.batch_pages = 4;
-  scenario.pipelined = true;
   scenario.queue_depth = 4;
   CrashSweeper sweeper(scenario);
   ASSERT_OK_AND_ASSIGN(CrashSweepReport report, sweeper.Sweep(SweepOptions{}));
@@ -97,7 +96,6 @@ TEST(NestedCrashTest, CrashDuringRecoveryAfterBatchedBackupCrash) {
   ScenarioOptions scenario =
       SmallScenario(ScenarioKind::kBatchedBackup, WriteGraphKind::kTree);
   scenario.batch_pages = 4;
-  scenario.pipelined = true;
   scenario.queue_depth = 4;
   SweepOptions options;
   options.max_points = 4;
@@ -140,13 +138,12 @@ TEST(CrashSweepTest, ParallelRestoreScenarioAllPoints) {
   ScenarioOptions scenario =
       SmallScenario(ScenarioKind::kParallelRestore, WriteGraphKind::kGeneral);
   // Two partitions so the restore workers actually shard; multi-page
-  // batched runs with prefetch over the async deep-queue backend. Crash
+  // batched runs over the async deep-queue backend. Crash
   // points inside the wipe/restore window must take the marker path and
   // re-run the *parallel* restore.
   scenario.partitions = 2;
   scenario.sweep_threads = 2;
   scenario.batch_pages = 8;
-  scenario.pipelined = true;
   scenario.queue_depth = 4;
   CrashSweeper sweeper(scenario);
   ASSERT_OK_AND_ASSIGN(CrashSweepReport report, sweeper.Sweep(SweepOptions{}));

@@ -6,10 +6,10 @@ Two layers of checks:
 
   1. Invariants (always): the current file's derived batched-sweep
      speedup must meet --min-speedup (default 1.0x) — batching K >= 16
-     pages must not lose to the legacy per-page sweep on *this*
+     pages must not lose to the page-at-a-time (K = 1) sweep on *this*
      machine. The floor was 1.5x under software CRC32C; hardware CRC32C
-     dispatch cut the per-page checksum cost that dominated the legacy
-     sweep, so on MemEnv the batching win is now mostly latch
+     dispatch cut the per-page checksum cost that dominated the K = 1
+     sweep, so on MemEnv the batching win is now mostly per-run
      amortisation, small (~1.1-1.2x) and noisy (both sides are
      memcpy-speed, so the ratio is also excluded from the baseline
      band, like ship_keepup_ratio). The gate still catches batching
@@ -47,8 +47,9 @@ Two layers of checks:
      must meet --min-posix-speedup (default 0.9x). The floor is
      deliberately loose: on a fast local filesystem the page cache
      absorbs most of the latency a deep queue would hide, so the win is
-     small — the gate only catches the async path being *slower* than
-     sync, i.e. a dispatch or batching bug, not a missed optimisation.
+     small — the gate only catches eight runs in flight being *slower*
+     than one, i.e. a dispatch or batching bug, not a missed
+     optimisation.
 
   2. Baseline comparison (with --baseline): derived metrics are
      throughput *ratios* measured on one machine, so they transfer across
@@ -107,7 +108,7 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="allowed fractional regression vs baseline")
     parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="required batched-vs-legacy sweep speedup "
+                        help="required batched-vs-K=1 sweep speedup "
                              "(hardware CRC32C shrank the per-page CPU "
                              "cost the batch amortises, so the MemEnv "
                              "ratio is structurally small and noisy; "
@@ -159,8 +160,8 @@ def main():
                         help="required qd8-vs-qd1 speedup over real "
                              "files (--profile posix); a loose floor — "
                              "the page cache hides most device latency "
-                             "locally, so this catches the async path "
-                             "being slower than sync, not a missed win")
+                             "locally, so this catches qd8 being slower "
+                             "than qd1, not a missed win")
     parser.add_argument("--profile", choices=("default", "posix"),
                         default="default",
                         help="which invariant set to apply: the "
@@ -187,7 +188,7 @@ def main():
             elif value < args.min_posix_speedup:
                 failures.append(
                     "%s qd8 speedup %.3fx < required %.2fx "
-                    "(async backend slower than sync over real files)" %
+                    "(qd8 slower than qd1 over real files)" %
                     (what, value, args.min_posix_speedup))
             else:
                 print("bench_check: %s qd8 speedup %.3fx (>= %.2fx)" %

@@ -707,7 +707,6 @@ int CmdPosixSmoke(const std::string& root, bool compress) {
   options.backup_policy = BackupPolicy::kGeneral;
   options.backup_sweep_threads = 2;
   options.backup_batch_pages = 8;
-  options.backup_pipelined = true;
 
   auto run = [&]() -> Status {
     LLB_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
@@ -730,7 +729,6 @@ int CmdPosixSmoke(const std::string& root, bool compress) {
     BackupJobOptions job;
     job.sweep_threads = options.backup_sweep_threads;
     job.batch_pages = options.backup_batch_pages;
-    job.pipelined = options.backup_pipelined;
     BackupJobStats stats;
     LLB_ASSIGN_OR_RETURN(BackupManifest manifest,
                          db->TakeBackupWithOptions("posix_bk", job, &stats));
@@ -741,10 +739,10 @@ int CmdPosixSmoke(const std::string& root, bool compress) {
     LLB_ASSIGN_OR_RETURN(ScrubReport verify, db->VerifyBackup("posix_bk"));
     if (!verify.clean()) return Status::Internal("backup not clean");
 
-    // Async deep-queue leg over the same real files: a second backup
-    // with 4 run IOs in flight per worker (io_uring when the kernel
-    // grants it, the portable thread pool otherwise) — the scrub proves
-    // the result byte-identical to the synchronous sweep's contract.
+    // Deep-queue leg over the same real files: a second backup with 4
+    // run IOs in flight per worker (io_uring when the kernel grants it,
+    // the portable thread pool otherwise) — the scrub proves the result
+    // as clean as the one-run-at-a-time sweep's.
     BackupJobOptions async_job = job;
     async_job.queue_depth = 4;
     BackupJobStats async_stats;
@@ -773,8 +771,8 @@ int CmdPosixSmoke(const std::string& root, bool compress) {
     }
 
     // MEDIA FAILURE end-to-end on real files: wipe S, restore it from
-    // the backup through the shared transfer pipeline (batched +
-    // pipelined + 2 restore workers), recover over it and re-verify.
+    // the backup through the shared transfer pipeline (batched, 4 runs
+    // in flight, 2 restore workers), recover over it and re-verify.
     db.reset();
     {
       LLB_ASSIGN_OR_RETURN(
@@ -791,7 +789,6 @@ int CmdPosixSmoke(const std::string& root, bool compress) {
       RegisterAllOps(&registry);
       RestoreOptions restore;
       restore.batch_pages = options.backup_batch_pages;
-      restore.pipelined = options.backup_pipelined;
       restore.queue_depth = 4;  // deep-queue restore over real files
       restore.threads = 2;
       LLB_ASSIGN_OR_RETURN(
@@ -872,7 +869,6 @@ int CmdPosixSmoke(const std::string& root, bool compress) {
         RegisterAllOps(&registry);
         RestoreOptions restore;
         restore.batch_pages = copts.backup_batch_pages;
-        restore.pipelined = copts.backup_pipelined;
         LLB_RETURN_IF_ERROR(
             RestoreFromBackupWithOptions(env.get(),
                                          Database::StableName("posixdb"),
@@ -952,7 +948,6 @@ int RunOneSweep(ScenarioKind kind, uint64_t seed, uint64_t max_points,
     // the in-flight window's durability events).
     scenario.batch_pages = std::max<uint32_t>(
         1, scenario.pages_per_partition / (scenario.backup_steps * 2));
-    scenario.pipelined = true;
     scenario.queue_depth = 4;
   }
   if (kind == ScenarioKind::kParallelBackup) {
@@ -962,14 +957,13 @@ int RunOneSweep(ScenarioKind kind, uint64_t seed, uint64_t max_points,
     scenario.sweep_threads = 2;
   }
   if (kind == ScenarioKind::kParallelRestore) {
-    // Batched + pipelined restore sharded across two workers over the
+    // Batched restore sharded across two workers over the
     // async deep queue; crash points land mid-parallel-restore and
     // salvage must re-restore.
     scenario.partitions = 2;
     scenario.sweep_threads = 2;
     scenario.batch_pages = std::max<uint32_t>(
         1, scenario.pages_per_partition / (scenario.backup_steps * 2));
-    scenario.pipelined = true;
     scenario.queue_depth = 4;
   }
 
@@ -1069,13 +1063,13 @@ int Usage() {
           "  llb_dbtool manifest <image> [backup=demo_bk]\n"
           "  llb_dbtool verify <image> [db=demo] [partitions=1] [pages=256]\n"
           "  llb_dbtool restore <image> [db=demo] [backup=demo_bk]\n"
-          "      [batch=32] [threads=1] [pipelined=0] [--to-lsn N]\n"
+          "      [batch=32] [threads=1] [--to-lsn N]\n"
           "      [--instant] [--queue-depth N]\n"
           "      off-line media recovery: wipe-tolerant restore of the\n"
-          "      chain with multi-page batched IO, optional prefetch\n"
-          "      pipelining, and partition-sharded restore workers;\n"
-          "      --queue-depth N > 1 keeps N runs in flight through the\n"
-          "      async Env backend (io_uring or thread-pool fallback);\n"
+          "      chain with multi-page batched IO and partition-sharded\n"
+          "      restore workers; --queue-depth N keeps N runs in flight\n"
+          "      through the async Env backend (io_uring or thread-pool\n"
+          "      fallback);\n"
           "      --to-lsn N restores to a point in time instead (picks\n"
           "      the newest chain ending at or before N, rolls forward\n"
           "      to exactly N, discards the log suffix; N must not cut\n"
@@ -1120,7 +1114,7 @@ int Usage() {
           "      database under <root>, load it, take a parallel batched\n"
           "      backup (2 pool workers), verify the chain, reopen from\n"
           "      the on-disk files, then wipe S and restore it from the\n"
-          "      backup (batched + pipelined, 2 restore workers);\n"
+          "      backup (batched, 4 runs in flight, 2 restore workers);\n"
           "      --compress adds a format-v2 leg: two compressed backups\n"
           "      (the second dedup-refs the first), catalog prune, then\n"
           "      wipe + restore through the frame decode path\n"
@@ -1290,6 +1284,12 @@ int Main(int argc, char** argv) {
           positional.size() > 1 ? positional[1] : "demo_bk",
           positional.size() > 2 ? atoi(positional[2].c_str()) : 0);
     }
+    if (positional.size() > 4) {
+      fprintf(stderr, "restore takes at most [db] [backup] [batch] "
+                      "[threads]; the runs in flight are set with "
+                      "--queue-depth N\n");
+      return 64;
+    }
     std::string db = !positional.empty() ? positional[0] : "demo";
     std::string backup = positional.size() > 1 ? positional[1] : "demo_bk";
     RestoreOptions options;
@@ -1297,13 +1297,7 @@ int Main(int argc, char** argv) {
       options.batch_pages = atoi(positional[2].c_str());
     }
     if (positional.size() > 3) options.threads = atoi(positional[3].c_str());
-    if (positional.size() > 4) {
-      options.pipelined = atoi(positional[4].c_str()) != 0;
-    }
-    if (queue_depth > 1) {
-      options.pipelined = true;  // the deep queue rides the pipelined path
-      options.queue_depth = queue_depth;
-    }
+    options.queue_depth = queue_depth;
     OpRegistry registry;
     RegisterAllOps(&registry);
     auto report_or =
