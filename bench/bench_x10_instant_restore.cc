@@ -21,6 +21,9 @@
 //   BM_TransactionsDuringRestore    — transactions/s sustained while the
 //                                     background sweep drains, faults
 //                                     and sweep steps interleaved
+//   BM_FaultLatencyVsSlice/slice:N  — p50/p99 of one fault as the
+//                                     media-recovery slice grows to N
+//                                     records (zero-latency base env)
 //
 // tools/benchrunner derives ttft_speedup = offline-TTFT(t1) /
 // instant-TTFT and tools/bench_check.py gates it at >= 10x
@@ -34,7 +37,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,8 +87,17 @@ struct DeviceEngine {
       : env(&base, profile) {}
 };
 
+/// Post-backup slice records NewBackedUpEngine always writes: per
+/// partition, 16 updates and 16 copies.
+constexpr uint32_t kBaseSliceRecords = kPartitions * 16 * 2;
+
+/// `slice_records` (at least kBaseSliceRecords) sizes the media-recovery
+/// slice; records beyond the base set are single-page updates spread
+/// over the pages the copies leave alone, so closures stay small while
+/// the slice grows.
 std::unique_ptr<DeviceEngine> NewBackedUpEngine(
-    const LatencyProfile& profile) {
+    const LatencyProfile& profile,
+    uint32_t slice_records = kBaseSliceRecords) {
   DbOptions options = X10Options();
   auto engine = std::make_unique<DeviceEngine>(profile);
   std::unique_ptr<Database> db =
@@ -118,6 +132,11 @@ std::unique_ptr<DeviceEngine> NewBackedUpEngine(
       Check(files[p]->WriteValues(f, {static_cast<int64_t>(f), 2}), "update");
       Check(files[p]->Copy(f, f + 16), "copy");
     }
+  }
+  for (uint32_t i = kBaseSliceRecords; i < slice_records; ++i) {
+    const uint32_t p = i % kPartitions;
+    const uint32_t f = 32 + (i / kPartitions) % (kPages - 32);
+    Check(files[p]->WriteValues(f, {static_cast<int64_t>(i), 4}), "update");
   }
   Check(db->FlushAll(), "flush");
   Check(db->ForceLog(), "force");
@@ -321,6 +340,62 @@ BENCHMARK(BM_TransactionsDuringRestore)
     // next iteration's restore replays that slice — unbounded iteration
     // growth would skew later iterations.
     ->Iterations(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// Fault latency as the media-recovery slice grows. The slice is indexed
+// by page, so a fault replays only its closure's history: its p99 should
+// stay flat while the slice grows 64x. Runs on the zero-latency base env
+// — every fault pays the same simulated device work (one carrier read,
+// one install, one bitmap save), so only the slice-dependent cost is
+// left to vary. Each iteration opens a fresh restore and faults 64
+// unrestored single-page closures one at a time.
+void BM_FaultLatencyVsSlice(benchmark::State& state) {
+  const uint32_t slice_records = static_cast<uint32_t>(state.range(0));
+  std::unique_ptr<DeviceEngine> engine =
+      NewBackedUpEngine(LatencyProfile::Hdd(), slice_records);
+  constexpr uint32_t kFaults = 64;
+  std::vector<double> fault_us;
+  uint64_t faulted = 0;
+  std::unique_ptr<Database> db;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ResetForNextRestore(engine.get(), &db);
+    db = CheckResult(Database::OpenRestoring(&engine->base, kDbName,
+                                             X10Options(), kBackupName),
+                     "open restoring");
+    RegisterAllOps(db->registry());
+    Check(db->Recover(), "recover");
+    state.ResumeTiming();
+    for (uint32_t i = 0; i < kFaults; ++i) {
+      PageId id{static_cast<PartitionId>(i % kPartitions),
+                32 + (i / kPartitions) * 25};
+      PageImage image;
+      auto start = std::chrono::steady_clock::now();
+      Check(db->ReadPage(id, &image), "fault");
+      fault_us.push_back(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+    }
+    faulted += db->restore_status().pages_faulted;
+  }
+  std::sort(fault_us.begin(), fault_us.end());
+  auto percentile = [&](double q) {
+    return fault_us[static_cast<size_t>(q * (fault_us.size() - 1))];
+  };
+  state.counters["fault_p50_us"] = percentile(0.50);
+  state.counters["fault_p99_us"] = percentile(0.99);
+  state.counters["pages_per_fault"] =
+      static_cast<double>(faulted) / static_cast<double>(fault_us.size());
+  state.SetItemsProcessed(static_cast<int64_t>(fault_us.size()));
+  ResetForNextRestore(engine.get(), &db);
+}
+BENCHMARK(BM_FaultLatencyVsSlice)
+    ->ArgNames({"slice"})
+    ->Arg(kBaseSliceRecords)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Iterations(5)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -26,29 +26,78 @@ void CacheManager::Touch(Frame& frame) {
 
 void CacheManager::SetPageFaultHandler(
     std::function<Status(const PageId&)> handler) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  const bool had_handler = static_cast<bool>(page_fault_handler_);
   page_fault_handler_ = std::move(handler);
+  // In-flight misses run the copy they took under mu_. With no handler
+  // before, none of them runs one; otherwise wait them out.
+  if (had_handler) {
+    load_cv_.wait(lock, [this] { return faults_in_flight_ == 0; });
+  }
+}
+
+std::function<Status(const PageId&)> CacheManager::page_fault_handler()
+    const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return page_fault_handler_;
 }
 
 Status CacheManager::GetFrame(std::unique_lock<std::mutex>& lk,
                               const PageId& id, Frame** frame) {
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
-    ++stats_.hits;
-    Touch(it->second);
-    *frame = &it->second;
-    return Status::OK();
+  for (;;) {
+    auto it = frames_.find(id);
+    if (it != frames_.end()) {
+      ++stats_.hits;
+      Touch(it->second);
+      *frame = &it->second;
+      return Status::OK();
+    }
+    // Another thread is loading the page: wait on its latch, then look
+    // again (a failed load leaves no frame, and this thread retries it).
+    // Apply never waits — that would release mu_.
+    if (in_apply_ || loading_.count(id) == 0) break;
+    load_cv_.wait(lk);
   }
   ++stats_.misses;
+  Frame f;
   // Restoring mode: restore the page on demand before reading it from S.
   // The handler persists its restored-bitmap before returning, so the
   // value read below is durably the media-recovery state.
-  if (page_fault_handler_) {
-    LLB_RETURN_IF_ERROR(page_fault_handler_(id));
+  if (in_apply_) {
+    if (page_fault_handler_) {
+      LLB_RETURN_IF_ERROR(page_fault_handler_(id));
+    }
+    LLB_RETURN_IF_ERROR(EnsureRoom(lk));
+    LLB_RETURN_IF_ERROR(stable_->ReadPage(id, &f.image));
+  } else {
+    // Room first, while the latch already holds other missers of this
+    // page off (evicting a dirty victim releases mu_). Nothing writes S
+    // for a page that is not resident (installs write only dirty, hence
+    // resident, pages; the restorer never rewrites a restored one), so
+    // the unlocked read sees the page's current state.
+    loading_.insert(id);
+    Status s = EnsureRoom(lk);
+    if (s.ok()) {
+      std::function<Status(const PageId&)> handler = page_fault_handler_;
+      if (handler) ++faults_in_flight_;
+      lk.unlock();
+      if (handler) s = handler(id);
+      if (s.ok()) s = stable_->ReadPage(id, &f.image);
+      lk.lock();
+      if (handler) --faults_in_flight_;
+    }
+    loading_.erase(id);
+    load_cv_.notify_all();
+    LLB_RETURN_IF_ERROR(s);
+    auto it = frames_.find(id);
+    if (it != frames_.end()) {
+      // A miss inside apply loaded the page meanwhile: its frame may
+      // already carry newer writes, so keep it.
+      Touch(it->second);
+      *frame = &it->second;
+      return Status::OK();
+    }
   }
-  LLB_RETURN_IF_ERROR(EnsureRoom(lk));
-  Frame f;
-  LLB_RETURN_IF_ERROR(stable_->ReadPage(id, &f.image));
   lru_.push_front(id);
   f.lru_pos = lru_.begin();
   auto [pos, inserted] = frames_.emplace(id, std::move(f));
@@ -171,15 +220,16 @@ Status CacheManager::ExecuteOp(LogRecord* rec) {
   };
 
   // Pre-fault and pin the declared pages so apply never misses with the
-  // mutex released (faulting can evict, and evicting a dirty page
-  // unlocks mu_ — which would break the op's linearizability). In
-  // restoring mode this also restores every writeset page before the
-  // record is appended: a concurrent Force could otherwise seal a blind
-  // write's record durably before the page's restore/bit became durable,
-  // and after a crash the fault path would overwrite the redone value
-  // with the backup state. Then wait until no writeset page is part of
-  // an in-flight install: its image is the frozen snapshot being written
-  // to S.
+  // mutex released (a miss unlocks mu_ for its fault and S read, and
+  // evicting a dirty page for room unlocks it too — either would break
+  // the op's linearizability); pinned pages stay resident while a later
+  // page's miss has the mutex released. In restoring mode this also
+  // restores every writeset page before the record is appended: a
+  // concurrent Force could otherwise seal a blind write's record durably
+  // before the page's restore/bit became durable, and after a crash the
+  // fault path would overwrite the redone value with the backup state.
+  // Then wait until no writeset page is part of an in-flight install: its
+  // image is the frozen snapshot being written to S.
   for (;;) {
     for (const std::vector<PageId>* set : {&rec->readset, &rec->writeset}) {
       for (const PageId& id : *set) {

@@ -93,9 +93,10 @@ struct CacheStats {
 /// partition's backup latch in share mode, so the fences cannot move
 /// mid-flush.
 ///
-/// Thread-safe; operations are serialized by an internal mutex. The
-/// backup job runs concurrently, touching only the page stores and the
-/// backup latches.
+/// Thread-safe; operations are serialized by an internal mutex, which
+/// cache misses (outside apply) and install writes release for their
+/// device IO. The backup job runs concurrently, touching only the page
+/// stores and the backup latches.
 class CacheManager {
  public:
   CacheManager(PageStore* stable, LogManager* log, const OpRegistry* registry,
@@ -116,10 +117,18 @@ class CacheManager {
   /// readset and writeset before logging it, so a blind write's record
   /// never becomes durable (a concurrent Force can seal it) before the
   /// page it overwrites is durably restored and marked — a crash would
-  /// otherwise let the fault path clobber the redone value. Takes the
-  /// cache mutex: installation/removal excludes in-flight faults (lock
-  /// order cache -> restorer).
+  /// otherwise let the fault path clobber the redone value.
+  ///
+  /// Misses run the handler and the S read with the cache mutex released
+  /// (see GetFrame), so replacing a handler waits until no miss that
+  /// runs the old one is in flight: once this returns, nothing calls the
+  /// old handler again and its target may be destroyed. Must not be
+  /// called from inside a handler.
   void SetPageFaultHandler(std::function<Status(const PageId&)> handler);
+
+  /// The installed page-fault handler (empty when none), so a caller can
+  /// wrap it.
+  std::function<Status(const PageId&)> page_fault_handler() const;
 
   /// Executes an operation: applies it to the cached pages via its
   /// registered apply function, assigns its LSN, logs it, and registers
@@ -169,6 +178,11 @@ class CacheManager {
 
   class CacheOpContext;
 
+  /// Returns the page's frame, loading it on a miss. Outside apply a
+  /// miss marks the page loading (its load latch), makes room, releases
+  /// mu_ for the fault handler and the S read, then re-locks and inserts
+  /// the frame; other threads missing the same page wait on the latch.
+  /// Inside apply the whole miss runs under mu_.
   Status GetFrame(std::unique_lock<std::mutex>& lk, const PageId& id,
                   Frame** frame);
   Status EnsureRoom(std::unique_lock<std::mutex>& lk);
@@ -213,6 +227,13 @@ class CacheManager {
   std::unordered_set<uint64_t> installing_nodes_;
   std::condition_variable install_cv_;
   bool in_apply_ = false;
+
+  // Load latches: pages whose miss is in flight with mu_ released, and
+  // how many of those misses run the fault handler. load_cv_ wakes both
+  // threads waiting for a page's load and SetPageFaultHandler.
+  std::unordered_set<PageId, PageIdHash> loading_;
+  uint32_t faults_in_flight_ = 0;
+  std::condition_variable load_cv_;
 };
 
 }  // namespace llb

@@ -81,7 +81,6 @@ Status Database::Init() {
   if (!restore_backup_name_.empty()) {
     InstantRestoreOptions restore_options;
     restore_options.batch_pages = options_.restore_batch_pages;
-    restore_options.queue_depth = options_.io_queue_depth;
     restore_options.step_pages = options_.restore_batch_pages;
     LLB_ASSIGN_OR_RETURN(
         restorer_,

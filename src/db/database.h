@@ -64,10 +64,9 @@ struct DbOptions {
   /// OpenRestoring.
   uint32_t restore_batch_pages = 32;
   /// Runs in flight per worker for every bulk transfer this database
-  /// drives — backup sweeps, instant-restore seeding and installs (see
-  /// TransferOptions::queue_depth), through Env::OpenAsync (io_uring
-  /// where the kernel grants it, the portable thread pool elsewhere).
-  /// <= 1 moves one run at a time.
+  /// drives — backup sweeps (see TransferOptions::queue_depth) — through
+  /// Env::OpenAsync (io_uring where the kernel grants it, the portable
+  /// thread pool elsewhere). <= 1 moves one run at a time.
   uint32_t io_queue_depth = 0;
   /// Number of per-thread WAL append channels (LogManagerOptions::
   /// channels) of epoch-based group commit. Every count, including 1,
@@ -314,10 +313,11 @@ class Database {
   Status RequirePrimary(const char* op) const;
   Status RequireNotRestoring(const char* op) const;
   /// Final restore handshake; requires the restorer complete. Ordered
-  /// for crash safety: detach the fault handler (cache mutex excludes
-  /// in-flight faults), checkpoint, remove the bitmap cell, clear the
-  /// flag. A crash anywhere in between reopens via OpenRestoring with a
-  /// full bitmap and finalizes again — idempotent.
+  /// for crash safety: detach the fault handler (which waits out every
+  /// fault still in flight, so none outlives the restorer), checkpoint,
+  /// remove the bitmap cell, clear the flag. A crash anywhere in between
+  /// reopens via OpenRestoring with a full bitmap and finalizes again —
+  /// idempotent.
   Status FinalizeRestore();
 
   Env* const env_;

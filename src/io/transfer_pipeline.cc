@@ -69,7 +69,6 @@ void TransferStats::MergeFrom(const TransferStats& other) {
   read_stage_us += other.read_stage_us;
   write_stage_us += other.write_stage_us;
   threads_spawned += other.threads_spawned;
-  pages_skipped += other.pages_skipped;
   checksum_rereads += other.checksum_rereads;
 }
 
@@ -162,9 +161,7 @@ Status TransferPipeline::ExecuteWindow(Mover* mover, const TransferRun* window,
 
 Status TransferPipeline::ExecuteRuns(const TransferRun* runs, size_t count,
                                      uint64_t* pages_moved) {
-  // Nothing to move, or paused before the first run (instant restore's
-  // background steps, while faults wait): skip opening a mover.
-  if (count == 0 || (options_.pause && options_.pause())) return Status::OK();
+  if (count == 0) return Status::OK();
   std::unique_ptr<Mover> mover;
   {
     std::lock_guard<std::mutex> lock(movers_mu_);
@@ -192,46 +189,13 @@ Status TransferPipeline::ExecuteRuns(const TransferRun* runs, size_t count,
 
 Status TransferPipeline::MoveRuns(Mover* mover, const TransferRun* runs,
                                   size_t count, uint64_t* pages_moved) {
-  const uint32_t depth = mover->reader->queue_depth();
-
-  // Windows assemble run by run: the pause hook is consulted before every
-  // planned run, and the skip predicate is re-evaluated just before the
-  // run moves, splitting it into maximal sub-runs of still-wanted pages.
-  std::vector<TransferRun> window;
-  window.reserve(depth);
-  for (size_t i = 0; i < count; ++i) {
-    if (options_.pause && options_.pause()) break;
-    if (!options_.skip) {
-      window.push_back(runs[i]);
-    } else {
-      uint64_t skipped = 0;
-      size_t first_sub = window.size();
-      for (uint32_t k = 0; k < runs[i].count; ++k) {
-        const uint32_t page = runs[i].first_page + k;
-        if (options_.skip(PageId{runs[i].partition, page})) {
-          ++skipped;
-          continue;
-        }
-        if (window.size() > first_sub &&
-            window.back().first_page + window.back().count == page) {
-          ++window.back().count;
-        } else {
-          window.push_back(TransferRun{runs[i].partition, page, 1});
-        }
-      }
-      if (skipped != 0) {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.pages_skipped += skipped;
-      }
-    }
-    size_t full = window.size() - window.size() % depth;
-    for (size_t w = 0; w < full; w += depth) {
-      LLB_RETURN_IF_ERROR(
-          ExecuteWindow(mover, window.data() + w, depth, pages_moved));
-    }
-    window.erase(window.begin(), window.begin() + full);
+  const size_t depth = mover->reader->queue_depth();
+  for (size_t w = 0; w < count; w += depth) {
+    LLB_RETURN_IF_ERROR(ExecuteWindow(mover, runs + w,
+                                      std::min(depth, count - w),
+                                      pages_moved));
   }
-  return ExecuteWindow(mover, window.data(), window.size(), pages_moved);
+  return Status::OK();
 }
 
 Status TransferPipeline::Run(const TransferPlan& plan,

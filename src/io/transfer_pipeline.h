@@ -69,9 +69,6 @@ struct TransferStats {
   /// Transient threads created because no SweepThreadPool was attached
   /// (std::thread per RunParallel worker).
   uint64_t threads_spawned = 0;
-  /// Pages dropped by the skip predicate at execution time (instant
-  /// restore's background sweep skips pages already faulted in).
-  uint64_t pages_skipped = 0;
   /// Runs whose optimistic unlatched read failed its checksum and were
   /// re-read under the partition latch (PageStore::AsyncRunReader). A
   /// torn read or a transient bit-flip heals here without ever reaching
@@ -111,21 +108,6 @@ struct TransferOptions {
   /// that were written (the scrubber heals S from here).
   std::function<Status(const TransferRun&, const std::vector<PageImage>&)>
       after_run;
-  /// Per-page filter re-evaluated just before each planned run executes:
-  /// return true to drop the page. A partially-skipped run splits into
-  /// maximal sub-runs of the surviving pages, so bulk IO stays coalesced
-  /// across the gaps that remain. This is how the instant-restore
-  /// background sweep excludes pages the fault path restored after the
-  /// plan was built (belt and braces — the plan itself already omits
-  /// restored pages).
-  std::function<bool(const PageId&)> skip;
-  /// Priority hook checked before each planned run: return true to stop
-  /// the transfer early. The pipeline returns OK with partial progress;
-  /// after_run has fired for every run that did move, so callers know
-  /// exactly what landed. Instant restore points this at its
-  /// fault-waiting flag so an on-demand single-page restore preempts a
-  /// long background sweep at run granularity.
-  std::function<bool()> pause;
 };
 
 /// Moves page runs between two PageStores over any Env: the run-oriented
@@ -183,10 +165,7 @@ class TransferPipeline {
   /// inner loop shared by Run and every RunParallel worker.
   Status ExecuteRuns(const TransferRun* runs, size_t count,
                      uint64_t* pages_moved);
-  /// Assembles the runs into windows of the mover's queue depth, applying
-  /// the skip/pause hooks — pause is consulted between runs during
-  /// window assembly, so a window never out-runs a pause by more than
-  /// the IOs already submitted.
+  /// Moves the runs in windows of the mover's queue depth.
   Status MoveRuns(Mover* mover, const TransferRun* runs, size_t count,
                   uint64_t* pages_moved);
   /// Moves one window: all reads in flight, then all writes, then one

@@ -8,9 +8,7 @@
 
 #include "common/coding.h"
 #include "io/durable_cursor.h"
-#include "io/mem_env.h"
 #include "io/transfer_pipeline.h"
-#include "recovery/log_applier.h"
 #include "recovery/redo.h"
 
 namespace llb {
@@ -28,6 +26,50 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
 }
 
 }  // namespace
+
+SliceIndex::SliceIndex(std::vector<LogRecord> records)
+    : records_(std::move(records)) {
+  for (uint32_t i = 0; i < records_.size(); ++i) {
+    for (const PageId& id : records_[i].writeset) {
+      std::vector<uint32_t>& writers = writers_[id];
+      if (writers.empty() || writers.back() != i) writers.push_back(i);
+    }
+  }
+}
+
+SliceIndex::Closure SliceIndex::ClosureOf(
+    const std::vector<PageId>& seeds) const {
+  // Worklist over pages: each newly reached page pulls in the records
+  // writing it, and each record its readset and writeset. Every record
+  // writing a closure page is therefore visited — the restricted replay
+  // set — and every replayed record's readset ends up inside the closure,
+  // the property the restricted replay's soundness rests on. Operations
+  // never span partitions, so the closure stays within the seeds'.
+  std::unordered_set<PageId, PageIdHash> pages(seeds.begin(), seeds.end());
+  std::unordered_set<uint32_t> records;
+  std::vector<PageId> work(pages.begin(), pages.end());
+  while (!work.empty()) {
+    PageId page = work.back();
+    work.pop_back();
+    auto it = writers_.find(page);
+    if (it == writers_.end()) continue;
+    for (uint32_t r : it->second) {
+      if (!records.insert(r).second) continue;
+      for (const std::vector<PageId>* set :
+           {&records_[r].readset, &records_[r].writeset}) {
+        for (const PageId& id : *set) {
+          if (pages.insert(id).second) work.push_back(id);
+        }
+      }
+    }
+  }
+  Closure closure;
+  closure.pages.assign(pages.begin(), pages.end());
+  std::sort(closure.pages.begin(), closure.pages.end());
+  closure.records.assign(records.begin(), records.end());
+  std::sort(closure.records.begin(), closure.records.end());
+  return closure;
+}
 
 InstantRestorer::InstantRestorer(Env* env, std::string bitmap_name,
                                  std::string backup_name,
@@ -144,23 +186,28 @@ Status InstantRestorer::Init() {
     // in-memory value.
     recovery_tail_ = log_->durable_lsn();
     std::lock_guard<std::mutex> lock(mu_);
-    LLB_RETURN_IF_ERROR(SaveBitmapLocked());
+    LLB_RETURN_IF_ERROR(
+        DurableCursor::Save(env_, bitmap_name_, Slice(EncodeBitmapLocked())));
+    ++bitmap_saves_;
   } else {
     return cell.status();
   }
+  saved_bits_ = bits_;
 
   // Snapshot the media-recovery slice. Taken before new appends (Open
   // precedes serving), so the snapshot equals the log range
   // [newest.start_lsn, recovery_tail] for the restore's whole lifetime —
   // closures and replays never race the live log.
+  std::vector<LogRecord> slice;
   LLB_RETURN_IF_ERROR(
       log_->Scan(plan_.newest().start_lsn, [&](const LogRecord& rec) {
         if (rec.lsn > recovery_tail_ || rec.IsCheckpoint()) {
           return Status::OK();
         }
-        slice_.push_back(rec);
+        slice.push_back(rec);
         return Status::OK();
       }));
+  slice_ = SliceIndex(std::move(slice));
   return Status::OK();
 }
 
@@ -173,7 +220,7 @@ void InstantRestorer::SetBitLocked(const PageId& id) {
   }
 }
 
-Status InstantRestorer::SaveBitmapLocked() {
+std::string InstantRestorer::EncodeBitmapLocked() const {
   std::string payload;
   PutFixed32(&payload, kBitmapMagic);
   PutFixed32(&payload, kBitmapVersion);
@@ -182,86 +229,94 @@ Status InstantRestorer::SaveBitmapLocked() {
   PutFixed32(&payload, partitions_);
   PutFixed32(&payload, pages_per_partition_);
   payload.append(reinterpret_cast<const char*>(bits_.data()), bits_.size());
-  LLB_RETURN_IF_ERROR(DurableCursor::Save(env_, bitmap_name_, Slice(payload)));
-  ++bitmap_saves_;
+  return payload;
+}
+
+Status InstantRestorer::WaitSavedLocked(std::unique_lock<std::mutex>& lk,
+                                        const std::vector<PageId>& pages) {
+  auto saved = [&] {
+    for (const PageId& id : pages) {
+      if (TestBit(bits_, id) && !TestBit(saved_bits_, id)) return false;
+    }
+    return true;
+  };
+  while (!saved()) {
+    if (saving_) {
+      // The save in flight may have started before these bits were set:
+      // wait for it, then look again (and lead the next one if needed).
+      cv_.wait(lk);
+      continue;
+    }
+    saving_ = true;
+    std::string payload = EncodeBitmapLocked();
+    std::vector<uint8_t> snapshot = bits_;
+    lk.unlock();
+    Status s = DurableCursor::Save(env_, bitmap_name_, Slice(payload));
+    lk.lock();
+    saving_ = false;
+    if (s.ok()) {
+      saved_bits_ = std::move(snapshot);
+      ++bitmap_saves_;
+    }
+    cv_.notify_all();
+    LLB_RETURN_IF_ERROR(s);
+  }
   return Status::OK();
 }
 
-Status InstantRestorer::RestoreClosureLocked(const std::vector<PageId>& seeds,
-                                             const std::function<bool()>& pause,
-                                             uint64_t* installed) {
-  *installed = 0;
+bool InstantRestorer::TryClaimLocked(const SliceIndex::Closure& closure,
+                                     std::vector<PageId>* to_install) {
+  // Set bits are never reinstalled: the live page may already be newer
+  // than the slice state (the transaction that faulted it in has moved
+  // on). Claimed pages are being installed by another fault or step.
+  to_install->clear();
+  for (const PageId& id : closure.pages) {
+    if (TestBit(bits_, id)) continue;
+    if (claimed_.count(id) != 0) return false;
+    to_install->push_back(id);
+  }
+  claimed_.insert(to_install->begin(), to_install->end());
+  return true;
+}
 
-  // 1. Influence closure: fixpoint over the slice. One backward pass
-  //    catches later-record dependencies; iterating to fixpoint also
-  //    catches pages whose membership is established only by an earlier
-  //    record (so every replayed record's readset ends up inside the
-  //    closure — the property the restricted replay's soundness rests
-  //    on). Operations never span partitions, so the closure stays
-  //    within the seeds' partitions.
-  std::unordered_set<PageId, PageIdHash> closure(seeds.begin(), seeds.end());
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (auto it = slice_.rbegin(); it != slice_.rend(); ++it) {
-      const LogRecord& rec = *it;
-      bool touches = false;
-      for (const PageId& t : rec.writeset) {
-        if (closure.count(t) != 0) {
-          touches = true;
-          break;
-        }
-      }
-      if (!touches) continue;
-      for (const std::vector<PageId>* set : {&rec.readset, &rec.writeset}) {
-        for (const PageId& id : *set) {
-          if (closure.insert(id).second) grew = true;
-        }
+Status InstantRestorer::ReplayClosure(const SliceIndex::Closure& closure,
+                                      LogApplier::PageMap* pages) const {
+  // 1. Seed: the closure's newest-carrier images, one inline read per
+  //    run. Always fresh — mixing previously replayed (post-slice)
+  //    values with raw carrier values would not be a legal redo base for
+  //    logical operations (the paper's Figure 1 problem in miniature).
+  std::vector<std::vector<PageId>> claims = plan_.Claims(closure.pages);
+  for (size_t i = 0; i < claims.size(); ++i) {
+    TransferPlan seed_plan;
+    seed_plan.AddPages(claims[i], options_.batch_pages);
+    for (const TransferRun& run : seed_plan.runs()) {
+      std::vector<PageImage> images;
+      LLB_RETURN_IF_ERROR(carriers_[i]->ReadRun(run.partition, run.first_page,
+                                                run.count, &images));
+      LLB_RETURN_IF_ERROR(decoder_->DecodeRun(run, &images));
+      for (uint32_t k = 0; k < run.count; ++k) {
+        (*pages)[PageId{run.partition, run.first_page + k}] =
+            std::move(images[k]);
       }
     }
   }
-  std::vector<PageId> pages(closure.begin(), closure.end());
-  std::sort(pages.begin(), pages.end());
 
-  // 2. Scratch overlay: a private in-memory store seeded with the
-  //    closure's newest-carrier images. Always fresh — mixing previously
-  //    replayed (post-slice) values with raw carrier values would not be
-  //    a legal redo base for logical operations (the paper's Figure 1
-  //    problem in miniature).
-  MemEnv scratch_env;
-  LLB_ASSIGN_OR_RETURN(std::unique_ptr<PageStore> scratch,
-                       PageStore::Open(&scratch_env, "irscratch", partitions_));
-  std::vector<std::vector<PageId>> claims = plan_.Claims(pages);
-  for (size_t i = 0; i < claims.size(); ++i) {
-    if (claims[i].empty()) continue;
-    TransferPlan seed_plan;
-    seed_plan.AddPages(claims[i], options_.batch_pages);
-    TransferOptions seed_opts;
-    seed_opts.queue_depth = options_.queue_depth;
-    seed_opts.transform = [this](const TransferRun& run,
-                                 std::vector<PageImage>* images) {
-      return decoder_->DecodeRun(run, images);
-    };
-    TransferPipeline pipeline(carriers_[i].get(), scratch.get(), seed_opts);
-    LLB_RETURN_IF_ERROR(pipeline.Run(seed_plan, nullptr));
-  }
-
-  // 3. Replay the slice restricted to records writing closure pages.
-  //    Mirrors RunRedoRange over a restored base: identity writes seed
-  //    (install-without-flush — an installed operation's effects may
-  //    exist only on the log), everything else replays in LSN order
-  //    under the per-target LSN test. Readsets are inside the closure by
-  //    the fixpoint, so every replay sees exactly the page states the
-  //    full offline replay would.
-  LogApplier applier(registry_, scratch.get());
+  // 2. Replay the closure's records. Mirrors RunRedoRange over a restored
+  //    base: identity writes seed (install-without-flush — an installed
+  //    operation's effects may exist only on the log), everything else
+  //    replays in LSN order under the per-target LSN test. Readsets are
+  //    inside the closure, so every replay sees exactly the page states
+  //    the full offline replay would.
+  const std::vector<LogRecord>& slice = slice_.records();
+  LogApplier applier(registry_, pages);
   struct IdentitySeed {
     Lsn lsn = kInvalidLsn;
     const std::string* value = nullptr;
   };
   std::unordered_map<PageId, IdentitySeed, PageIdHash> identity_seeds;
-  for (const LogRecord& rec : slice_) {
-    if (rec.IsIdentityWrite() && rec.writeset.size() == 1 &&
-        closure.count(rec.writeset[0]) != 0) {
+  for (uint32_t r : closure.records) {
+    const LogRecord& rec = slice[r];
+    if (rec.IsIdentityWrite() && rec.writeset.size() == 1) {
       IdentitySeed& seed = identity_seeds[rec.writeset[0]];
       if (seed.value == nullptr || rec.lsn >= seed.lsn) {
         seed = IdentitySeed{rec.lsn, &rec.payload};
@@ -271,50 +326,60 @@ Status InstantRestorer::RestoreClosureLocked(const std::vector<PageId>& seeds,
   for (const auto& [id, seed] : identity_seeds) {
     LLB_RETURN_IF_ERROR(applier.SeedPage(id, *seed.value, seed.lsn, nullptr));
   }
-  for (const LogRecord& rec : slice_) {
-    if (rec.IsIdentityWrite()) continue;
-    bool touches = false;
-    for (const PageId& t : rec.writeset) {
-      if (closure.count(t) != 0) {
-        touches = true;
+  for (uint32_t r : closure.records) {
+    if (slice[r].IsIdentityWrite()) continue;
+    LLB_RETURN_IF_ERROR(applier.Apply(slice[r]));
+  }
+  return applier.Flush();  // seals the replayed pages
+}
+
+Status InstantRestorer::RestoreClaimed(const SliceIndex::Closure& closure,
+                                       const std::vector<PageId>& to_install,
+                                       bool yield, uint64_t* installed,
+                                       bool* yielded) {
+  TransferPlan plan;
+  plan.AddPages(to_install, options_.batch_pages);
+  const std::vector<TransferRun>& runs = plan.runs();
+  size_t landed = 0;
+  LogApplier::PageMap pages;
+  Status s = ReplayClosure(closure, &pages);
+  // 3. Install run by run: one inline write + sync each. Bits are set
+  //    per durably-written run, so exactly what landed is recorded — also
+  //    after a yield or a partial failure.
+  for (; s.ok() && landed < runs.size(); ++landed) {
+    const TransferRun& run = runs[landed];
+    if (yield) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (faults_waiting_ > 0) {
+        *yielded = true;
         break;
       }
     }
-    if (!touches) continue;
-    LLB_RETURN_IF_ERROR(applier.Apply(rec));
-  }
-  LLB_RETURN_IF_ERROR(applier.Flush());
-
-  // 4. Install into S only the closure pages still unrestored: a set bit
-  //    means the live page may already be newer than the slice state
-  //    (the transaction that faulted it in has moved on) — never
-  //    clobber. Bits are set per durably-written run (after_run), then
-  //    the bitmap is persisted once — also after a pause or partial
-  //    failure, so exactly what landed is recorded.
-  std::vector<PageId> to_install;
-  for (const PageId& id : pages) {
-    if (!TestBitLocked(id)) to_install.push_back(id);
-  }
-  if (to_install.empty()) return Status::OK();
-  TransferPlan install_plan;
-  install_plan.AddPages(to_install, options_.batch_pages);
-  TransferOptions install_opts;
-  install_opts.queue_depth = options_.queue_depth;
-  install_opts.pause = pause;
-  install_opts.after_run = [this, installed](
-                               const TransferRun& run,
-                               const std::vector<PageImage>&) {
+    std::vector<PageImage> images;
+    images.reserve(run.count);
     for (uint32_t k = 0; k < run.count; ++k) {
-      SetBitLocked(PageId{run.partition, run.first_page + k});
+      images.push_back(
+          std::move(pages.at(PageId{run.partition, run.first_page + k})));
+    }
+    s = stable_->WriteSealedRun(run.partition, run.first_page, images);
+    if (!s.ok()) break;
+    std::lock_guard<std::mutex> lock(mu_);
+    for (uint32_t k = 0; k < run.count; ++k) {
+      PageId id{run.partition, run.first_page + k};
+      SetBitLocked(id);
+      claimed_.erase(id);
     }
     *installed += run.count;
-    return Status::OK();
-  };
-  TransferPipeline install(scratch.get(), stable_, install_opts);
-  Status run_status = install.Run(install_plan, nullptr);
-  Status save_status = SaveBitmapLocked();
-  LLB_RETURN_IF_ERROR(run_status);
-  return save_status;
+    cv_.notify_all();
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t i = landed; i < runs.size(); ++i) {
+    for (uint32_t k = 0; k < runs[i].count; ++k) {
+      claimed_.erase(PageId{runs[i].partition, runs[i].first_page + k});
+    }
+  }
+  cv_.notify_all();
+  return s;
 }
 
 Status InstantRestorer::RestoreOnFault(const PageId& id) {
@@ -323,41 +388,76 @@ Status InstantRestorer::RestoreOnFault(const PageId& id) {
     // never written before the failure; it reads as zero).
     return Status::OK();
   }
-  faults_waiting_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> lock(mu_);
-  faults_waiting_.fetch_sub(1, std::memory_order_acq_rel);
-  if (TestBitLocked(id)) return Status::OK();
-  uint64_t installed = 0;
-  Status s = RestoreClosureLocked({id}, nullptr, &installed);
-  faulted_pages_ += installed;
-  if (installed > 0) closure_extra_pages_ += installed - 1;
-  return s;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (TestBit(saved_bits_, id)) return Status::OK();
+  // The bits this fault must see durable before it returns: the page's
+  // own (possibly set by another fault whose save is still pending), or
+  // every page it installs.
+  std::vector<PageId> landed{id};
+  if (!TestBit(bits_, id)) {
+    SliceIndex::Closure closure = slice_.ClosureOf({id});
+    std::vector<PageId> to_install;
+    bool waiting = false;
+    while (!TestBit(bits_, id) && !TryClaimLocked(closure, &to_install)) {
+      if (!waiting) ++faults_waiting_;
+      waiting = true;
+      cv_.wait(lock);
+    }
+    if (waiting) {
+      --faults_waiting_;
+      cv_.notify_all();
+    }
+    if (!TestBit(bits_, id)) {
+      lock.unlock();
+      uint64_t installed = 0;
+      Status s = RestoreClaimed(closure, to_install, /*yield=*/false,
+                                &installed, nullptr);
+      lock.lock();
+      faulted_pages_ += installed;
+      if (installed > 0) closure_extra_pages_ += installed - 1;
+      LLB_RETURN_IF_ERROR(s);
+      landed = std::move(to_install);
+    }
+  }
+  return WaitSavedLocked(lock, landed);
 }
 
 Result<uint64_t> InstantRestorer::Step() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   const uint64_t max_pages = std::max<uint32_t>(1, options_.step_pages);
-  std::vector<PageId> seeds;
-  for (uint64_t pos = 0; pos < total_pages_ && seeds.size() < max_pages;
-       ++pos) {
-    if ((bits_[pos >> 3] & (1u << (pos & 7))) == 0) {
-      seeds.push_back(
-          PageId{static_cast<PartitionId>(pos / pages_per_partition_),
-                 static_cast<uint32_t>(pos % pages_per_partition_)});
+  SliceIndex::Closure closure;
+  std::vector<PageId> to_install;
+  for (;;) {
+    if (restored_count_ == total_pages_) return uint64_t{0};
+    std::vector<PageId> seeds;
+    for (uint64_t pos = 0; pos < total_pages_ && seeds.size() < max_pages;
+         ++pos) {
+      PageId id{static_cast<PartitionId>(pos / pages_per_partition_),
+                static_cast<uint32_t>(pos % pages_per_partition_)};
+      if (!TestBit(bits_, id) && claimed_.count(id) == 0) seeds.push_back(id);
     }
+    if (!seeds.empty()) {
+      closure = slice_.ClosureOf(seeds);
+      if (TryClaimLocked(closure, &to_install)) break;
+    }
+    // Every unrestored page is a fault's, or the closure meets a fault's
+    // claim: sleep until a claim drops.
+    cv_.wait(lock);
   }
-  if (seeds.empty()) return uint64_t{0};
+  lock.unlock();
   auto started = std::chrono::steady_clock::now();
   uint64_t installed = 0;
-  Status s = RestoreClosureLocked(
-      seeds,
-      [this] {
-        return faults_waiting_.load(std::memory_order_acquire) > 0;
-      },
-      &installed);
+  bool yielded = false;
+  Status s = RestoreClaimed(closure, to_install, /*yield=*/true, &installed,
+                            &yielded);
+  lock.lock();
   sweep_pages_ += installed;
   if (installed > 0) sweep_us_ += ElapsedUs(started);
   LLB_RETURN_IF_ERROR(s);
+  // Yielded to a waiting fault: sleep until no fault waits rather than
+  // come straight back for an empty step.
+  if (yielded) cv_.wait(lock, [this] { return faults_waiting_ == 0; });
+  LLB_RETURN_IF_ERROR(WaitSavedLocked(lock, to_install));
   return installed;
 }
 
@@ -384,12 +484,14 @@ bool InstantRestorer::complete() const {
 }
 
 Status InstantRestorer::Finalize() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   if (restored_count_ != total_pages_) {
     return Status::FailedPrecondition("restore incomplete: " +
                                       std::to_string(restored_count_) + "/" +
                                       std::to_string(total_pages_) + " pages");
   }
+  // A save still in flight would recreate the cell after its removal.
+  cv_.wait(lock, [this] { return !saving_; });
   return DurableCursor::Remove(env_, bitmap_name_);
 }
 

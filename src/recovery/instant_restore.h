@@ -1,12 +1,12 @@
 #ifndef LLB_RECOVERY_INSTANT_RESTORE_H_
 #define LLB_RECOVERY_INSTANT_RESTORE_H_
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -16,6 +16,7 @@
 #include "io/backup_codec.h"
 #include "io/env.h"
 #include "ops/op_registry.h"
+#include "recovery/log_applier.h"
 #include "recovery/media_recovery.h"
 #include "storage/page_store.h"
 #include "wal/log_manager.h"
@@ -24,17 +25,40 @@
 namespace llb {
 
 struct InstantRestoreOptions {
-  /// Pages per bulk device IO when seeding closures from backup carriers
-  /// and when installing restored pages into S (the restore's K,
-  /// mirroring RestoreOptions::batch_pages).
+  /// Pages per device IO when seeding closures from backup carriers and
+  /// when installing restored pages into S (the restore's K, mirroring
+  /// RestoreOptions::batch_pages).
   uint32_t batch_pages = 32;
-  /// Runs in flight for the seed (carrier reads) and install (S writes)
-  /// transfers, mirroring RestoreOptions::queue_depth (<= 1 moves one
-  /// run at a time).
-  uint32_t queue_depth = 0;
   /// Soft cap on pages per background Step: the step's seed batch (its
   /// dependency closure may pull in a few more).
   uint32_t step_pages = 64;
+};
+
+/// Per-page index over an instant restore's media-recovery slice: for
+/// each page, the slice records that write it. Influence closures and
+/// their restricted replays then cost only the history of the pages they
+/// touch, not passes over the whole slice.
+class SliceIndex {
+ public:
+  /// The influence closure of a seed set: the least page set containing
+  /// the seeds that also holds the readset and writeset of every slice
+  /// record writing one of its pages, and those records.
+  struct Closure {
+    std::vector<PageId> pages;      // sorted
+    std::vector<uint32_t> records;  // indices into records(), ascending
+  };
+
+  SliceIndex() = default;
+  /// `records` must be in LSN order.
+  explicit SliceIndex(std::vector<LogRecord> records);
+
+  Closure ClosureOf(const std::vector<PageId>& seeds) const;
+
+  const std::vector<LogRecord>& records() const { return records_; }
+
+ private:
+  std::vector<LogRecord> records_;
+  std::unordered_map<PageId, std::vector<uint32_t>, PageIdHash> writers_;
 };
 
 /// Progress snapshot of an in-flight instant restore.
@@ -85,26 +109,33 @@ struct RestoreStatus {
 ///  * A fault on page X cannot simply replay X's log records in
 ///    isolation: logical operations recompute their writes from readset
 ///    pages at historical states. Instead the restorer computes X's
-///    *influence closure* (fixpoint over the slice: any record writing a
-///    closure page contributes its whole readset and writeset), seeds
-///    the closure from the newest backup carriers into a private
-///    in-memory scratch overlay, replays the slice restricted to the
-///    closure (identity-seeded, LSN-tested — exactly RunRedoRange's
-///    semantics), and installs into S only the closure pages whose bit
-///    is still clear (set pages may already be newer than the slice
-///    state; they are never clobbered). Physical and physiological
-///    operations have singleton closures, so the common fault costs one
-///    carrier read plus a slice scan; the worst case degrades to
-///    restoring a partition's whole dependency web — never to wrong
-///    answers.
+///    *influence closure* (SliceIndex: any record writing a closure page
+///    contributes its whole readset and writeset), seeds the closure
+///    from the newest backup carriers into a page map private to the
+///    fault, replays the closure's records over it (identity-seeded,
+///    LSN-tested — exactly RunRedoRange's semantics), and installs into
+///    S only the closure pages whose bit is still clear (set pages may
+///    already be newer than the slice state; they are never clobbered).
+///    Physical and physiological operations have singleton closures, so
+///    the common fault costs one carrier read plus that page's history;
+///    the worst case degrades to restoring a partition's whole
+///    dependency web — never to wrong answers.
 ///
-/// Thread-safety: RestoreOnFault runs under the cache mutex (as the
-/// cache's page-fault handler) and takes the restorer mutex; Step takes
-/// only the restorer mutex. Lock order is therefore cache -> restorer,
-/// never reversed — the restorer never calls into the cache. A fault
-/// that arrives while a background step holds the mutex raises
-/// `faults_waiting_`, which the step's TransferOptions::pause hook
-/// observes between runs, stopping the sweep early so the fault gets in.
+/// Thread-safety: RestoreOnFault, Step, Drain and the accessors may run
+/// concurrently (ResumeRedo runs before serving, Finalize after the last
+/// fault). The restorer mutex is held only to compute a closure and *claim* its
+/// unrestored pages, to set bits and drop claims as runs land, and for
+/// bookkeeping — never across device IO. Seeding, replay and install run
+/// unlocked, so faults on unrelated pages overlap; a fault or Step whose
+/// closure meets another's claim waits on the condition variable and
+/// retries. A waiting fault also makes a running Step yield between
+/// runs (it drops its unlanded claims), and Step then sleeps until no
+/// fault waits. Bitmap saves are group-committed: a caller returns only
+/// after a save that started after its bits were set, and callers that
+/// finish during a save share the next one. RestoreOnFault runs as the
+/// cache's page-fault handler, usually with the cache mutex released
+/// (under it only for a miss inside apply); the restorer never calls
+/// into the cache, so the lock order cache -> restorer holds.
 class InstantRestorer {
  public:
   static Result<std::unique_ptr<InstantRestorer>> Open(
@@ -129,10 +160,10 @@ class InstantRestorer {
   Status RestoreOnFault(const PageId& id);
 
   /// The background phase: restores (up to) the next
-  /// options.step_pages not-yet-restored pages plus their closure,
-  /// yielding early if a fault is waiting. Returns the number of pages
-  /// durably restored this step; 0 with complete() false means the step
-  /// yielded before moving anything.
+  /// options.step_pages unrestored, unclaimed pages plus their closure,
+  /// yielding early if a fault is waiting (and then sleeping until none
+  /// is). Returns the number of pages durably restored this step; 0 with
+  /// complete() false means the step yielded before moving anything.
   Result<uint64_t> Step();
 
   /// Runs Step until every page is restored.
@@ -147,7 +178,8 @@ class InstantRestorer {
   /// True once every page's bit is set.
   bool complete() const;
 
-  /// Removes the bitmap cell. Call only when complete; idempotent.
+  /// Removes the bitmap cell once no save is in flight. Call only when
+  /// complete and no fault is in flight; idempotent.
   Status Finalize();
 
   Lsn recovery_tail() const { return recovery_tail_; }
@@ -164,24 +196,42 @@ class InstantRestorer {
                   RestoreChainPlan plan);
 
   Status Init();
-  Status SaveBitmapLocked();
+  std::string EncodeBitmapLocked() const;
 
   uint64_t BitIndex(const PageId& id) const {
     return uint64_t{id.partition} * pages_per_partition_ + id.page;
   }
-  bool TestBitLocked(const PageId& id) const {
+  bool TestBit(const std::vector<uint8_t>& bits, const PageId& id) const {
     uint64_t pos = BitIndex(id);
-    return (bits_[pos >> 3] & (1u << (pos & 7))) != 0;
+    return (bits[pos >> 3] & (1u << (pos & 7))) != 0;
   }
   void SetBitLocked(const PageId& id);
 
-  /// Closure computation + scratch-overlay replay + install of the
-  /// not-yet-restored closure pages. `pause` (may be null) is threaded
-  /// into the install pipeline. *installed receives the pages durably
-  /// installed (also on pause / partial failure).
-  Status RestoreClosureLocked(const std::vector<PageId>& seeds,
-                              const std::function<bool()>& pause,
-                              uint64_t* installed);
+  /// Puts the closure's unrestored pages in *to_install and claims them,
+  /// or returns false (claiming nothing) when another fault or step
+  /// holds one of them.
+  bool TryClaimLocked(const SliceIndex::Closure& closure,
+                      std::vector<PageId>* to_install);
+
+  /// Seeds a private page map with the closure's newest carrier images
+  /// and replays the closure's records over it.
+  Status ReplayClosure(const SliceIndex::Closure& closure,
+                       LogApplier::PageMap* pages) const;
+
+  /// Runs without mu_: replays the closure, then installs the claimed
+  /// `to_install` into S run by run, setting each run's bits and dropping
+  /// its claims as it lands. With `yield`, stops before a run while a
+  /// fault waits (*yielded). Claims of runs that did not land are
+  /// dropped on return; *installed counts the pages that did.
+  Status RestoreClaimed(const SliceIndex::Closure& closure,
+                        const std::vector<PageId>& to_install, bool yield,
+                        uint64_t* installed, bool* yielded);
+
+  /// Group commit: returns once every page of `pages` whose bit is set
+  /// has it in a completed bitmap save, leading a save when none is in
+  /// flight.
+  Status WaitSavedLocked(std::unique_lock<std::mutex>& lk,
+                         const std::vector<PageId>& pages);
 
   Env* const env_;
   const std::string bitmap_name_;
@@ -193,9 +243,9 @@ class InstantRestorer {
 
   RestoreChainPlan plan_;
   std::vector<std::unique_ptr<PageStore>> carriers_;  // one per chain member
-  /// Decodes format-v2 frame pages on the carrier -> scratch seed path
-  /// (v1 pages pass through untouched). Created in Init once the chain
-  /// geometry is known.
+  /// Decodes format-v2 frame pages on the carrier seed path (v1 pages
+  /// pass through untouched). Created in Init once the chain geometry is
+  /// known.
   std::unique_ptr<codec::FrameDecoder> decoder_;
   uint32_t partitions_ = 0;
   uint32_t pages_per_partition_ = 0;
@@ -203,15 +253,22 @@ class InstantRestorer {
   Lsn recovery_tail_ = kInvalidLsn;
   /// In-memory snapshot of the media-recovery slice
   /// [newest.start_lsn, recovery_tail], taken at Open before any new
-  /// appends. Closures and replays scan this, never the live log.
-  std::vector<LogRecord> slice_;
-
-  /// Faults blocked on mu_ while a background step runs; the step's
-  /// pause hook polls this to yield.
-  std::atomic<uint32_t> faults_waiting_{0};
+  /// appends, and indexed by page. Closures and replays read this, never
+  /// the live log; it is immutable after Init.
+  SliceIndex slice_;
 
   mutable std::mutex mu_;
+  /// Signalled when claims drop, a save finishes, or a fault stops
+  /// waiting.
+  std::condition_variable cv_;
   std::vector<uint8_t> bits_;
+  /// bits_ as of the last completed save: what a crash would keep.
+  std::vector<uint8_t> saved_bits_;
+  bool saving_ = false;
+  /// Unrestored pages an in-flight fault or step is restoring.
+  std::unordered_set<PageId, PageIdHash> claimed_;
+  /// Faults blocked on another's claim; a running Step yields to them.
+  uint32_t faults_waiting_ = 0;
   uint64_t restored_count_ = 0;
   uint64_t faulted_pages_ = 0;
   uint64_t closure_extra_pages_ = 0;

@@ -42,11 +42,15 @@ class ApplyContext : public OpContext {
 }  // namespace
 
 Status LogApplier::GetPage(const PageId& id, PageImage** out) {
-  auto it = pages_.find(id);
-  if (it == pages_.end()) {
+  auto it = pages_->find(id);
+  if (it == pages_->end()) {
+    if (target_ == nullptr) {
+      return Status::Internal("replay touched a page outside the overlay: " +
+                              id.ToString());
+    }
     PageImage image;
     LLB_RETURN_IF_ERROR(target_->ReadPage(id, &image));
-    it = pages_.emplace(id, std::move(image)).first;
+    it = pages_->emplace(id, std::move(image)).first;
   }
   *out = &it->second;
   return Status::OK();
@@ -105,11 +109,15 @@ Status LogApplier::Apply(const LogRecord& rec) {
 
 Status LogApplier::Flush() {
   for (const PageId& id : dirty_) {
-    LLB_RETURN_IF_ERROR(target_->WritePage(id, pages_.at(id)));
+    if (target_ == nullptr) {
+      pages_->at(id).Seal();
+      continue;
+    }
+    LLB_RETURN_IF_ERROR(target_->WritePage(id, pages_->at(id)));
     ++stats_.pages_written;
   }
   dirty_.clear();
-  pages_.clear();
+  if (target_ != nullptr) pages_->clear();
   return Status::OK();
 }
 

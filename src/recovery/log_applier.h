@@ -35,10 +35,19 @@ struct LogApplierStats {
 ///
 /// Pages are cached read-through; Flush() writes the dirty ones back and
 /// drops the cache, bounding memory on long-running (standby) use.
+///
+/// Overlay mode (no target store) replays in place over a caller-owned
+/// page map holding every page the records touch — instant restore's
+/// private closure overlay. Reading a page outside the map is an error,
+/// and Flush() seals the dirty pages in place instead of writing them.
 class LogApplier {
  public:
+  using PageMap = std::unordered_map<PageId, PageImage, PageIdHash>;
+
   LogApplier(const OpRegistry& registry, PageStore* target)
-      : registry_(registry), target_(target) {}
+      : registry_(registry), target_(target), pages_(&cache_) {}
+  LogApplier(const OpRegistry& registry, PageMap* overlay)
+      : registry_(registry), target_(nullptr), pages_(overlay) {}
 
   LogApplier(const LogApplier&) = delete;
   LogApplier& operator=(const LogApplier&) = delete;
@@ -52,7 +61,8 @@ class LogApplier {
   /// non-decreasing LSN order.
   Status Apply(const LogRecord& rec);
 
-  /// Writes dirty pages back to the target store and drops the cache.
+  /// Writes dirty pages back to the target store and drops the cache
+  /// (overlay mode: seals them in place).
   Status Flush();
 
   /// Highest LSN passed to Apply (whether or not the LSN test fired).
@@ -64,8 +74,9 @@ class LogApplier {
   Status GetPage(const PageId& id, PageImage** out);
 
   const OpRegistry& registry_;
-  PageStore* const target_;
-  std::unordered_map<PageId, PageImage, PageIdHash> pages_;
+  PageStore* const target_;  // null in overlay mode
+  PageMap cache_;
+  PageMap* const pages_;  // &cache_, or the overlay
   std::unordered_set<PageId, PageIdHash> dirty_;
   Lsn applied_lsn_ = kInvalidLsn;
   LogApplierStats stats_;

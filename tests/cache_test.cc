@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 #include "cache/cache_manager.h"
 #include "filestore/file_ops.h"
@@ -311,6 +316,137 @@ TEST_F(CacheTest, MultiPageLogicalOpFlushesAtomicSet) {
   ASSERT_OK(cache_->FlushPage(P(2)));
   EXPECT_FALSE(cache_->IsDirty(P(1)));
   EXPECT_FALSE(cache_->IsDirty(P(3)));
+}
+
+/// Cache misses run the page-fault handler and the S read with the cache
+/// mutex released, behind a per-page load latch.
+class CacheManagerTest : public CacheTest {
+ protected:
+  /// A fault handler that parks every call for `target` until Release.
+  /// The first `failures` parked calls fail.
+  void InstallParkingHandler(PageId target, int failures = 0) {
+    cache_->SetPageFaultHandler([this, target, failures](const PageId& id) {
+      calls_.fetch_add(1);
+      if (id != target) return Status::OK();
+      std::unique_lock<std::mutex> lock(mu_);
+      ++parked_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+      if (target_calls_++ < failures) return Status::IoError("injected");
+      return Status::OK();
+    });
+  }
+
+  void WaitParked(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this, n] { return parked_ >= n; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  std::atomic<int> calls_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int parked_ = 0;
+  int target_calls_ = 0;
+  bool released_ = false;
+};
+
+TEST_F(CacheManagerTest, HitsAndUnrelatedMissesProceedWhileAFaultIsBlocked) {
+  Init(BackupPolicy::kGeneral);
+  ASSERT_OK(WritePageOp(1, "resident"));
+  InstallParkingHandler(P(7));
+  Status blocked_status;
+  std::thread blocked([&] {
+    PageImage image;
+    blocked_status = cache_->ReadPage(P(7), &image);
+  });
+  WaitParked(1);
+
+  // Another thread: a hit, an unrelated miss, and an operation whose page
+  // misses all complete while page 7's fault is still parked.
+  std::thread other([&] {
+    PageImage image;
+    EXPECT_OK(cache_->ReadPage(P(1), &image));
+    EXPECT_EQ(image.payload().ToString().substr(0, 8), "resident");
+    EXPECT_OK(cache_->ReadPage(P(9), &image));
+    EXPECT_OK(WritePageOp(10, "written"));
+  });
+  other.join();
+  EXPECT_EQ(cache_->CachedPageCount(), 3u);  // 1, 9, 10 — not yet 7
+
+  Release();
+  blocked.join();
+  EXPECT_OK(blocked_status);
+  EXPECT_EQ(cache_->CachedPageCount(), 4u);
+  cache_->SetPageFaultHandler(nullptr);
+}
+
+TEST_F(CacheManagerTest, ConcurrentMissesOnOnePageLoadItOnce) {
+  Init(BackupPolicy::kGeneral);
+  InstallParkingHandler(P(7));
+  const uint64_t misses_before = cache_->stats().misses;
+  std::vector<std::thread> readers;
+  std::vector<Status> results(2);
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      PageImage image;
+      results[t] = cache_->ReadPage(P(7), &image);
+    });
+  }
+  WaitParked(1);
+  // Give the second reader time to reach the load latch; it must wait
+  // there rather than run the handler itself.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Release();
+  for (std::thread& t : readers) t.join();
+  EXPECT_OK(results[0]);
+  EXPECT_OK(results[1]);
+  EXPECT_EQ(calls_.load(), 1);  // one handler call
+  // One miss, hence one S read; the waiter counts as a hit.
+  EXPECT_EQ(cache_->stats().misses - misses_before, 1u);
+  EXPECT_EQ(cache_->CachedPageCount(), 1u);
+  cache_->SetPageFaultHandler(nullptr);
+}
+
+TEST_F(CacheManagerTest, FailedFaultLeavesNoFrameAndWakesWaiters) {
+  Init(BackupPolicy::kGeneral);
+  InstallParkingHandler(P(7), /*failures=*/1);
+  Status first_status;
+  std::thread first([&] {
+    PageImage image;
+    first_status = cache_->ReadPage(P(7), &image);
+  });
+  WaitParked(1);
+  Status second_status;
+  std::thread second([&] {
+    PageImage image;
+    second_status = cache_->ReadPage(P(7), &image);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Release();
+  first.join();
+  second.join();
+  // The failed load left no frame behind: its waiter woke, found the page
+  // neither resident nor loading, and faulted it again — successfully.
+  EXPECT_TRUE(first_status.IsIoError()) << first_status.ToString();
+  EXPECT_OK(second_status);
+  EXPECT_EQ(target_calls_, 2);
+  EXPECT_EQ(cache_->CachedPageCount(), 1u);
+
+  // Single-threaded: a failing fault leaves the cache untouched.
+  cache_->SetPageFaultHandler(
+      [](const PageId&) { return Status::IoError("always"); });
+  PageImage image;
+  EXPECT_FALSE(cache_->ReadPage(P(8), &image).ok());
+  EXPECT_EQ(cache_->CachedPageCount(), 1u);
+  cache_->SetPageFaultHandler(nullptr);
+  EXPECT_OK(cache_->ReadPage(P(8), &image));
+  EXPECT_EQ(cache_->CachedPageCount(), 2u);
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
+#include "cache/cache_manager.h"
 #include "filestore/filestore.h"
 #include "io/mem_env.h"
 #include "recovery/instant_restore.h"
@@ -375,7 +381,7 @@ TEST(InstantRestoreTest, ConcurrentFaultsRaceTheBackgroundSweep) {
 
   // Reader threads hammer random pages (each read faults its page in on
   // first touch) while the main thread drives sweep steps — the
-  // fault-vs-sweep race the pause hook arbitrates.
+  // fault-vs-sweep race the restorer's page claims arbitrate.
   std::atomic<bool> failed{false};
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
@@ -417,6 +423,155 @@ TEST(InstantRestoreTest, ConcurrentFaultsRaceTheBackgroundSweep) {
       std::unique_ptr<PageStore> stable,
       PageStore::Open(engine->env(), Database::StableName("db"), kPartitions));
   EXPECT_EQ(testutil::DiffStores(*stable, *oracle, kPartitions, kPages), "");
+}
+
+/// Checks the restored store against a full-log oracle.
+void ExpectStableMatchesOracle(Env* env, const std::string& oracle_name) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(env, Database::LogName("db")));
+  OpRegistry registry;
+  RegisterAllOps(&registry);
+  std::unique_ptr<PageStore> oracle;
+  ASSERT_OK(testutil::BuildOracle(env, *log, registry, oracle_name,
+                                  kPartitions, &oracle));
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<PageStore> stable,
+      PageStore::Open(env, Database::StableName("db"), kPartitions));
+  EXPECT_EQ(testutil::DiffStores(*stable, *oracle, kPartitions, kPages), "");
+}
+
+TEST(InstantRestoreTest, FinalizeWaitsForAFaultParkedInTheHandler) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TestEngine> engine,
+                       TestEngine::Create(RestoringDb()));
+  ASSERT_OK(BuildBackupScenario(engine.get()));
+  ASSERT_OK(WipeStable(engine->env(), "db"));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                       OpenRestoringDb(engine->env(), "db", "ir_incr"));
+
+  // Park one reader inside the fault handler, before it reaches the
+  // restorer, while the sweep completes the restore underneath it.
+  const PageId target{1, kPages - 1};
+  std::function<Status(const PageId&)> inner =
+      db->cache()->page_fault_handler();
+  ASSERT_TRUE(static_cast<bool>(inner));
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool released = false;
+  db->cache()->SetPageFaultHandler([&, inner](const PageId& id) {
+    if (id == target) {
+      std::unique_lock<std::mutex> lock(mu);
+      parked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released; });
+    }
+    return inner(id);
+  });
+
+  std::atomic<bool> fault_done{false};
+  Status read_status;
+  PageImage faulted;
+  std::thread reader([&] {
+    read_status = db->ReadPage(target, &faulted);
+    fault_done.store(true);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked; });
+  }
+  // Release the reader only once every page is restored, i.e. once the
+  // final RestoreStep is finalizing (or about to): finalize must wait for
+  // the parked fault instead of destroying the restorer under it.
+  std::thread releaser([&] {
+    while (!db->restore_status().complete) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  });
+  while (db->restoring()) {
+    ASSERT_OK(db->RestoreStep().status());
+  }
+  EXPECT_TRUE(fault_done.load());
+  releaser.join();
+  reader.join();
+  ASSERT_OK(read_status);
+  PageImage again;
+  ASSERT_OK(db->ReadPage(target, &again));
+  EXPECT_EQ(faulted.raw_string(), again.raw_string());
+
+  ASSERT_OK(db->FlushAll());
+  db.reset();
+  ExpectStableMatchesOracle(engine->env(), "ir_park_oracle");
+}
+
+TEST(InstantRestoreTest, SliceIndexClosureMatchesFixpoint) {
+  // Random slices of physical writes, Copy chains and two-page logical
+  // operations: the index's worklist closure must equal the fixpoint
+  // over the whole slice, pages and replayed records alike.
+  std::mt19937_64 rng(42);
+  constexpr uint32_t kSlicePages = 48;
+  auto page = [&] {
+    return PageId{0, static_cast<uint32_t>(rng() % kSlicePages)};
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<LogRecord> slice;
+    const int records = 1 + static_cast<int>(rng() % 300);
+    for (int i = 0; i < records; ++i) {
+      LogRecord rec;
+      rec.lsn = static_cast<Lsn>(i + 1);
+      switch (rng() % 3) {
+        case 0:  // physical write
+          rec.writeset = {page()};
+          break;
+        case 1:  // copy
+          rec.readset = {page()};
+          rec.writeset = {page()};
+          break;
+        default:  // two-page logical operation
+          rec.readset = {page(), page()};
+          rec.writeset = {page(), page()};
+          break;
+      }
+      slice.push_back(rec);
+    }
+    SliceIndex index(slice);
+    for (int q = 0; q < 5; ++q) {
+      std::vector<PageId> seeds;
+      const int n = 1 + static_cast<int>(rng() % 3);
+      for (int k = 0; k < n; ++k) seeds.push_back(page());
+
+      std::unordered_set<PageId, PageIdHash> closure(seeds.begin(),
+                                                     seeds.end());
+      for (bool grew = true; grew;) {
+        grew = false;
+        for (const LogRecord& rec : slice) {
+          bool touches = false;
+          for (const PageId& t : rec.writeset) touches |= closure.count(t) != 0;
+          if (!touches) continue;
+          for (const std::vector<PageId>* set : {&rec.readset, &rec.writeset}) {
+            for (const PageId& id : *set) grew |= closure.insert(id).second;
+          }
+        }
+      }
+      std::vector<PageId> want_pages(closure.begin(), closure.end());
+      std::sort(want_pages.begin(), want_pages.end());
+      std::vector<uint32_t> want_records;
+      for (uint32_t r = 0; r < slice.size(); ++r) {
+        for (const PageId& t : slice[r].writeset) {
+          if (closure.count(t) != 0) {
+            want_records.push_back(r);
+            break;
+          }
+        }
+      }
+      SliceIndex::Closure got = index.ClosureOf(seeds);
+      EXPECT_EQ(got.pages, want_pages) << "trial " << trial;
+      EXPECT_EQ(got.records, want_records) << "trial " << trial;
+    }
+  }
 }
 
 }  // namespace
