@@ -129,7 +129,7 @@ Status CacheManager::EnsureRoom(std::unique_lock<std::mutex>& lk) {
     if (victim == kInvalidPageId) return Status::OK();  // everything pinned
     if (victim_dirty) {
       if (in_apply_) return Status::OK();  // never release mu_ mid-apply
-      LLB_RETURN_IF_ERROR(FlushPageLocked(lk, victim));
+      LLB_RETURN_IF_ERROR(FlushPageLocked(lk, victim, /*write_back=*/true));
       // The install touched the victim to the MRU end, so a rescan would
       // walk the whole LRU to find it: evict it directly if it is still
       // clean and unpinned, and otherwise re-derive everything.
@@ -375,7 +375,8 @@ void CacheManager::DecideBackupLogging(const InstallUnit& unit,
 }
 
 Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
-                                 const std::vector<InstallUnit>& plan) {
+                                 const std::vector<InstallUnit>& plan,
+                                 bool flat, bool write_back) {
   PartitionId partition = 0;
   bool have_partition = false;
   for (const InstallUnit& unit : plan) {
@@ -408,16 +409,17 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
 
   struct PendingInstall {
     uint64_t node_id = 0;
-    std::vector<PageStore::Entry> batch;
+    std::vector<PageId> pages;
   };
   std::vector<PendingInstall> pending;
   pending.reserve(plan.size());
+  std::vector<PageStore::Entry> entries;  // the whole plan, in plan order
   Epoch wait_epoch = kInvalidEpoch;
 
   auto clear_marks = [&] {
     for (const PendingInstall& pi : pending) {
-      for (const PageStore::Entry& entry : pi.batch) {
-        auto it = frames_.find(entry.id);
+      for (const PageId& x : pi.pages) {
+        auto it = frames_.find(x);
         if (it != frames_.end()) it->second.installing = false;
       }
       installing_nodes_.erase(pi.node_id);
@@ -455,21 +457,23 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
       wait_epoch = std::max(wait_epoch, epoch);
     }
 
-    PendingInstall pi;
-    pi.node_id = unit.node_id;
-    pi.batch.reserve(unit.vars.size());
     for (const PageId& x : unit.vars) {
-      auto it = frames_.find(x);
-      if (it == frames_.end()) {
+      if (frames_.find(x) == frames_.end()) {
         clear_marks();
         return Status::Internal("installing page not resident: " +
                                 x.ToString());
       }
-      ++stats_.hits;
-      Touch(it->second);
-      pi.batch.push_back(PageStore::Entry{x, it->second.image});
     }
-    for (const PageId& x : unit.vars) frames_.find(x)->second.installing = true;
+    PendingInstall pi;
+    pi.node_id = unit.node_id;
+    pi.pages = unit.vars;
+    for (const PageId& x : unit.vars) {
+      Frame& frame = frames_.find(x)->second;
+      ++stats_.hits;
+      Touch(frame);
+      frame.installing = true;
+      entries.push_back(PageStore::Entry{x, frame.image});
+    }
     installing_nodes_.insert(unit.node_id);
     // Freeze the node's identity in the graph for the unlocked phase 2:
     // a cycle collapse merging it would make phase 3's MarkInstalled
@@ -478,21 +482,24 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     pending.push_back(std::move(pi));
   }
   ++stats_.overlapped_installs;
+  const size_t pages = entries.size();
+  const bool journaled = !flat && pages > 1;
 
-  // Phase 2 (cache mutex released, backup latch still shared): wait for
-  // the epoch watermark to cover the installed operations and their Iw
-  // records — "the epoch containing the Iw record has been published" is
-  // the commit point — then write the frozen images to S. Concurrent
-  // installers piggyback on one group commit's single sync.
+  // Phase 2 (cache mutex released, backup latch still shared): wait once
+  // for the epoch watermark to cover the installed operations and their
+  // Iw records — "the epoch containing the Iw record has been published"
+  // is the commit point — then write the frozen images to S as one
+  // store batch. A flat plan is an antichain of one-page nodes, so its
+  // pages may land in any order and go out with one sync per partition;
+  // any other plan goes through the shadow journal as a whole, which
+  // keeps both write-graph order and vars(n) atomicity across a crash.
+  // Concurrent installers piggyback on one group commit's single sync.
   lk.unlock();
   if (wait_epoch == kInvalidEpoch) wait_epoch = log_->CurrentEpoch();
   Status s = log_->WaitEpochDurable(wait_epoch);
   if (s.ok()) {
-    for (const PendingInstall& pi : pending) {
-      if (pi.batch.empty()) continue;
-      s = stable_->WriteBatchAtomic(pi.batch);
-      if (!s.ok()) break;
-    }
+    s = journaled ? stable_->WriteBatchAtomic(entries)
+                  : stable_->WritePages(entries);
   }
   // The fence obligation ends once the images are on S; phase 3 is pure
   // in-memory bookkeeping. Drop the latch BEFORE re-taking the cache
@@ -509,26 +516,77 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     return s;
   }
   for (const PendingInstall& pi : pending) {
-    for (const PageStore::Entry& entry : pi.batch) {
-      auto it = frames_.find(entry.id);
+    for (const PageId& x : pi.pages) {
+      auto it = frames_.find(x);
       if (it != frames_.end()) {
         it->second.dirty = false;
         it->second.installing = false;
       }
-      if (tracker_ != nullptr) tracker_->OnPageFlushed(entry.id);
+      if (tracker_ != nullptr) tracker_->OnPageFlushed(x);
     }
     graph_->MarkInstalled(pi.node_id);
     installing_nodes_.erase(pi.node_id);
     graph_->EndInstall(pi.node_id);
     ++stats_.node_installs;
-    stats_.pages_flushed += pi.batch.size();
+  }
+  stats_.pages_flushed += pages;
+  if (write_back) {
+    ++stats_.writeback_batches;
+    stats_.writeback_pages += pages;
+    if (journaled) ++stats_.writeback_journaled;
   }
   install_cv_.notify_all();
   return Status::OK();
 }
 
+void CacheManager::AddWriteBackVictims(const PageId& victim,
+                                       std::vector<InstallUnit>* plan,
+                                       bool* flat) {
+  const size_t window = options_.capacity_pages / 4;
+  const size_t limit = std::min<size_t>(kWriteBackBatch, window);
+  std::unordered_set<uint64_t> nodes;
+  std::unordered_set<PageId, PageIdHash> planned;
+  for (const InstallUnit& unit : *plan) {
+    nodes.insert(unit.node_id);
+    planned.insert(unit.vars.begin(), unit.vars.end());
+  }
+  std::vector<InstallUnit> more;
+  size_t scanned = 0;
+  for (auto it = lru_.rbegin();
+       it != lru_.rend() && scanned < window && planned.size() < limit;
+       ++it, ++scanned) {
+    const PageId& id = *it;
+    if (id.partition != victim.partition || planned.count(id) != 0) continue;
+    const Frame& frame = frames_.find(id)->second;
+    if (!frame.dirty || frame.pins > 0 || frame.installing ||
+        loading_.count(id) != 0 || !graph_->IsTracked(id) ||
+        !graph_->PlanInstall(id, &more).ok()) {
+      continue;
+    }
+    // Take the page's whole plan or none of it: never wait on a node
+    // mid-install, and stay within the batch.
+    size_t added = 0;
+    bool busy = false;
+    for (const InstallUnit& unit : more) {
+      busy |= installing_nodes_.count(unit.node_id) != 0;
+      if (nodes.count(unit.node_id) == 0) added += unit.vars.size();
+    }
+    if (busy || planned.size() + added > limit) continue;
+    if (more.size() != 1 || more[0].vars.size() != 1) *flat = false;
+    // Deduplicate by node, keeping first occurrences: each added plan
+    // lists a node's predecessors before it, and a predecessor already
+    // planned sits earlier still, so the merged plan stays in
+    // write-graph order.
+    for (InstallUnit& unit : more) {
+      if (!nodes.insert(unit.node_id).second) continue;
+      planned.insert(unit.vars.begin(), unit.vars.end());
+      plan->push_back(std::move(unit));
+    }
+  }
+}
+
 Status CacheManager::FlushPageLocked(std::unique_lock<std::mutex>& lk,
-                                     const PageId& x) {
+                                     const PageId& x, bool write_back) {
   // A plan touching a node already mid-install waits for it to finish
   // (its pages come out clean), then re-plans — the graph may have
   // changed while waiting.
@@ -558,7 +616,14 @@ Status CacheManager::FlushPageLocked(std::unique_lock<std::mutex>& lk,
         break;
       }
     }
-    if (!busy) return InstallPlan(lk, plan);
+    if (!busy) {
+      // A lone one-page node with nothing to install before it needs no
+      // journal; batching more victims keeps that only if each of theirs
+      // is one too (such nodes form an antichain).
+      bool flat = plan.size() == 1 && plan[0].vars.size() == 1;
+      if (write_back) AddWriteBackVictims(x, &plan, &flat);
+      return InstallPlan(lk, plan, flat, write_back);
+    }
     ++stats_.install_waits;
     install_cv_.wait(lk);
   }

@@ -59,6 +59,14 @@ struct CacheStats {
   uint64_t overlapped_installs = 0;
   uint64_t install_waits = 0;
 
+  // Batched write-back: installs made by a dirty eviction (each carries
+  // the victim plus up to kWriteBackBatch - 1 cold dirty pages of its
+  // partition), the pages they wrote, and those that were not flat and
+  // went through the store's shadow journal.
+  uint64_t writeback_batches = 0;
+  uint64_t writeback_pages = 0;
+  uint64_t writeback_journaled = 0;
+
   // Per-object flush decisions while a backup is active (Figure 5's
   // Prob{log} = decisions_logged / decisions).
   uint64_t decisions = 0;
@@ -186,14 +194,29 @@ class CacheManager {
   Status GetFrame(std::unique_lock<std::mutex>& lk, const PageId& id,
                   Frame** frame);
   Status EnsureRoom(std::unique_lock<std::mutex>& lk);
-  Status FlushPageLocked(std::unique_lock<std::mutex>& lk, const PageId& x);
+  /// Installs the node owning `x` after its predecessors. With
+  /// `write_back` (a dirty eviction) the plan also takes the coldest
+  /// dirty pages of x's partition, up to kWriteBackBatch pages in all.
+  Status FlushPageLocked(std::unique_lock<std::mutex>& lk, const PageId& x,
+                         bool write_back = false);
+  /// Appends to `plan` the plans of the coldest unpinned, idle dirty
+  /// pages of `victim`'s partition among the coldest capacity / 4 frames,
+  /// skipping nodes already planned, while the plan stays within the
+  /// write-back batch. Clears *flat when an added plan is not a single
+  /// one-page unit.
+  void AddWriteBackVictims(const PageId& victim,
+                           std::vector<InstallUnit>* plan, bool* flat);
   /// Installs a whole plan in three phases: phase 1 under the cache mutex
   /// (decide + Iw appends + image snapshots + mark units installing),
   /// phase 2 with the mutex released but the partition backup latch still
-  /// held in share mode (epoch-watermark wait + stable writes), phase 3
-  /// re-acquired (mark clean/installed, wake waiters).
+  /// held in share mode (one epoch-watermark wait + one stable write of
+  /// the whole plan: PageStore::WritePages when `flat` — every unit a
+  /// one-page node with no planned predecessor — else the shadow-journal
+  /// WriteBatchAtomic), phase 3 re-acquired (mark clean/installed, wake
+  /// waiters).
   Status InstallPlan(std::unique_lock<std::mutex>& lk,
-                     const std::vector<InstallUnit>& plan);
+                     const std::vector<InstallUnit>& plan, bool flat,
+                     bool write_back);
   void Touch(Frame& frame);
 
   /// Decides which vars of the unit need Iw/oF logging given backup

@@ -43,11 +43,11 @@ class MemFile : public File {
   Status WriteAt(uint64_t offset, Slice data) override {
     std::lock_guard<std::mutex> lock(env_->mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
+    SaveUndo(offset, data.size());
     if (offset + data.size() > data_.size()) {
       data_.resize(offset + data.size(), '\0');
     }
     std::copy(data.data(), data.data() + data.size(), data_.begin() + offset);
-    MarkDirty(offset, data.size());
     return Status::OK();
   }
 
@@ -58,6 +58,7 @@ class MemFile : public File {
     size_t total = 0;
     for (const Slice& chunk : chunks) total += chunk.size();
     if (total == 0) return Status::OK();
+    SaveUndo(offset, total);
     if (offset + total > data_.size()) {
       data_.resize(offset + total, '\0');
     }
@@ -67,14 +68,13 @@ class MemFile : public File {
                 data_.begin() + at);
       at += chunk.size();
     }
-    MarkDirty(offset, total);
     return Status::OK();
   }
 
   Status Append(Slice data) override {
     std::lock_guard<std::mutex> lock(env_->mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
-    MarkDirty(data_.size(), data.size());
+    SaveUndo(data_.size(), data.size());
     data_.append(data.data(), data.size());
     return Status::OK();
   }
@@ -83,22 +83,13 @@ class MemFile : public File {
     std::lock_guard<std::mutex> lock(env_->mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     uint64_t delta =
-        data_.size() >= durable_.size() ? data_.size() - durable_.size() : 0;
+        data_.size() >= durable_size_ ? data_.size() - durable_size_ : 0;
     if (!env_->BeginDurableEvent(delta)) {
       return Status::IoError("simulated device failure at sync");
     }
-    // Incremental sync: copy only the ranges written since the last sync
-    // (a full `durable_ = data_` would make every 4 KB page write cost
-    // O(file size)).
-    durable_.resize(data_.size(), '\0');
-    for (const auto& [offset, length] : dirty_ranges_) {
-      size_t end = std::min(offset + length, data_.size());
-      if (offset < end) {
-        std::copy(data_.begin() + offset, data_.begin() + end,
-                  durable_.begin() + offset);
-      }
-    }
-    dirty_ranges_.clear();
+    // The volatile contents become the durable ones: drop the undo images.
+    durable_size_ = data_.size();
+    undo_.clear();
     return Status::OK();
   }
 
@@ -111,43 +102,56 @@ class MemFile : public File {
   Status Truncate(uint64_t size) override {
     std::lock_guard<std::mutex> lock(env_->mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
-    uint64_t old_size = data_.size();
+    if (size == 0) {
+      // Truncating to empty (a retired journal): move the durable bytes
+      // into the undo image instead of copying them.
+      data_.resize(std::min<uint64_t>(data_.size(), durable_size_));
+      if (!data_.empty()) undo_.push_back(Undo{0, std::move(data_)});
+      data_.clear();
+      return Status::OK();
+    }
+    if (size < data_.size()) SaveUndo(size, data_.size() - size);
     data_.resize(size, '\0');
-    if (size > old_size) MarkDirty(old_size, size - old_size);
     return Status::OK();
   }
 
  private:
   friend class MemEnv;
 
-  // mu_ held by callers.
-  void MarkDirty(uint64_t offset, uint64_t length) {
-    if (length == 0) return;
-    // Coalesce with the previous range when adjacent/overlapping (the
-    // common sequential-append pattern).
-    if (!dirty_ranges_.empty()) {
-      auto& [last_offset, last_length] = dirty_ranges_.back();
-      if (offset <= last_offset + last_length &&
-          offset + length >= last_offset) {
-        uint64_t begin = std::min(last_offset, offset);
-        uint64_t end = std::max(last_offset + last_length, offset + length);
-        last_offset = begin;
-        last_length = end - begin;
-        return;
-      }
-    }
-    dirty_ranges_.emplace_back(offset, length);
+  // mu_ held by callers. Before bytes [offset, offset + length) change,
+  // saves those of them that lie below the durable size and are still in
+  // data_ (durable bytes past data_.size() were cut by a Truncate, which
+  // saved them then). The oldest image of a byte holds its durable value.
+  void SaveUndo(uint64_t offset, uint64_t length) {
+    const uint64_t end = std::min<uint64_t>(
+        offset + length, std::min<uint64_t>(durable_size_, data_.size()));
+    if (offset >= end) return;
+    undo_.push_back(Undo{offset, data_.substr(offset, end - offset)});
   }
 
   void OnCrashRestart() {
-    data_ = durable_;
-    dirty_ranges_.clear();
+    // Undo images restored newest first leave every durable byte as the
+    // last sync saw it; anything past the durable size was never synced.
+    data_.resize(std::max<uint64_t>(data_.size(), durable_size_), '\0');
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+      std::copy(it->bytes.begin(), it->bytes.end(),
+                data_.begin() + it->offset);
+    }
+    data_.resize(durable_size_);
+    undo_.clear();
   }
 
+  // The file holds one copy of its contents: the durable state is
+  // data_'s first durable_size_ bytes with the undo images laid back over
+  // them, newest last. Appends past the durable size need no image.
+  struct Undo {
+    uint64_t offset;
+    std::string bytes;  // durable contents before an unsynced change
+  };
   MemEnv* const env_;
-  std::string data_;     // volatile contents
-  std::string durable_;  // last synced snapshot
-  std::vector<std::pair<uint64_t, uint64_t>> dirty_ranges_;  // since sync
+  std::string data_;           // volatile contents
+  uint64_t durable_size_ = 0;  // file size at the last sync
+  std::vector<Undo> undo_;     // since the last sync, oldest first
 };
 
 Result<std::shared_ptr<File>> MemEnv::OpenFile(const std::string& name,

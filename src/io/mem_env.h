@@ -17,8 +17,10 @@ class MemFile;
 /// In-memory environment with an explicit durable/volatile split and
 /// deterministic crash simulation:
 ///
-///  * each file keeps volatile contents plus the last synced (durable)
-///    snapshot;
+///  * each file keeps one copy of its volatile contents plus undo images
+///    of the durable bytes changed since the last sync (appends past the
+///    synced size need none), so a sync only drops the images and a
+///    file costs its size in memory, not twice it;
 ///  * `CrashAndRestart()` reverts every file to its durable snapshot,
 ///    simulating loss of all unflushed state;
 ///  * an optional FaultInjector can veto durability events, after which

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "ops/operation.h"
 #include "storage/page.h"
@@ -108,16 +109,22 @@ Status LogApplier::Apply(const LogRecord& rec) {
 }
 
 Status LogApplier::Flush() {
-  for (const PageId& id : dirty_) {
-    if (target_ == nullptr) {
-      pages_->at(id).Seal();
-      continue;
-    }
-    LLB_RETURN_IF_ERROR(target_->WritePage(id, pages_->at(id)));
-    ++stats_.pages_written;
+  if (target_ == nullptr) {
+    for (const PageId& id : dirty_) pages_->at(id).Seal();
+    dirty_.clear();
+    return Status::OK();
   }
+  // One atomic batch: replay leaves no write-graph order behind, so a
+  // crash between single-page writes could land a logical operation's
+  // source before its target (say a Copy's overwritten source without
+  // the copy), and redoing the target then would read the wrong value.
+  std::vector<PageStore::Entry> batch;
+  batch.reserve(dirty_.size());
+  for (const PageId& id : dirty_) batch.push_back({id, pages_->at(id)});
+  LLB_RETURN_IF_ERROR(target_->WriteBatchAtomic(batch));
+  stats_.pages_written += batch.size();
   dirty_.clear();
-  if (target_ != nullptr) pages_->clear();
+  pages_->clear();
   return Status::OK();
 }
 

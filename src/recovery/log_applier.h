@@ -33,8 +33,9 @@ struct LogApplierStats {
 /// seed them (crash recovery pass 1) filter them out before calling
 /// Apply and install the seeds via SeedPage.
 ///
-/// Pages are cached read-through; Flush() writes the dirty ones back and
-/// drops the cache, bounding memory on long-running (standby) use.
+/// Pages are cached read-through; Flush() writes the dirty ones back as
+/// one crash-atomic batch and drops the cache, bounding memory on
+/// long-running (standby) use.
 ///
 /// Overlay mode (no target store) replays in place over a caller-owned
 /// page map holding every page the records touch — instant restore's

@@ -37,6 +37,7 @@ Status PageStore::OpenFiles() {
   }
   LLB_ASSIGN_OR_RETURN(journal_,
                        env_->OpenFile(prefix_ + ".journal", /*create=*/true));
+  install_writer_ = NewAsyncWriter(kWriteBackBatch);
   return Status::OK();
 }
 
@@ -82,11 +83,7 @@ Status PageStore::RecoverJournal() {
   }
 
   // Committed: (re)apply all page writes, then clear the journal.
-  // (Open-time, single-threaded; the partition locks are uncontended.)
-  for (const Entry& e : entries) {
-    std::lock_guard<std::mutex> lock(PartitionMutex(e.id.partition));
-    LLB_RETURN_IF_ERROR(WritePageLocked(e.id, e.image));
-  }
+  LLB_RETURN_IF_ERROR(WriteSealedEntries(std::move(entries)));
   return discard();
 }
 
@@ -447,30 +444,97 @@ Status PageStore::WriteBatchAtomic(const std::vector<Entry>& entries) {
     sealed.back().image.Seal();
   }
 
-  // 1. Persist the shadow journal.
-  std::string blob;
-  PutFixed32(&blob, kJournalMagic);
-  PutFixed32(&blob, static_cast<uint32_t>(sealed.size()));
+  // 1. Persist the shadow journal, as one vectored write straight from
+  //    the sealed images (no staging copy of the batch).
+  std::string header;
+  PutFixed32(&header, kJournalMagic);
+  PutFixed32(&header, static_cast<uint32_t>(sealed.size()));
+  std::string ids;
   for (const Entry& e : sealed) {
-    PutFixed32(&blob, e.id.partition);
-    PutFixed32(&blob, e.id.page);
-    blob.append(e.image.raw().data(), kPageSize);
+    PutFixed32(&ids, e.id.partition);
+    PutFixed32(&ids, e.id.page);
   }
-  PutFixed32(&blob, crc32c::Value(blob.data(), blob.size()));
+  std::vector<Slice> chunks;
+  chunks.reserve(2 * sealed.size() + 2);
+  chunks.emplace_back(header);
+  for (size_t i = 0; i < sealed.size(); ++i) {
+    chunks.emplace_back(ids.data() + 8 * i, 8);
+    chunks.push_back(sealed[i].image.raw());
+  }
+  uint32_t crc = 0;
+  for (const Slice& chunk : chunks) {
+    crc = crc32c::Extend(crc, chunk.data(), chunk.size());
+  }
+  std::string trailer;
+  PutFixed32(&trailer, crc);
+  chunks.emplace_back(trailer);
   LLB_RETURN_IF_ERROR(journal_->Truncate(0));
-  LLB_RETURN_IF_ERROR(journal_->WriteAt(0, Slice(blob)));
+  LLB_RETURN_IF_ERROR(journal_->WriteAtv(0, chunks));
   LLB_RETURN_IF_ERROR(journal_->Sync());
 
-  // 2. Apply the page writes (each durable; a crash here is repaired by
-  //    journal replay at the next open).
-  for (const Entry& e : sealed) {
-    std::lock_guard<std::mutex> lock(PartitionMutex(e.id.partition));
-    LLB_RETURN_IF_ERROR(WritePageLocked(e.id, e.image));
-  }
+  // 2. Apply the page writes, one sync per touched partition (a crash
+  //    before the last sync is repaired by journal replay at the next
+  //    open).
+  LLB_RETURN_IF_ERROR(WriteSealedEntries(std::move(sealed)));
 
   // 3. Retire the journal.
   LLB_RETURN_IF_ERROR(journal_->Truncate(0));
   return journal_->Sync();
+}
+
+Status PageStore::WritePages(const std::vector<Entry>& entries) {
+  std::vector<Entry> sealed;
+  sealed.reserve(entries.size());
+  for (const Entry& e : entries) {
+    if (e.id.partition >= num_partitions_) {
+      return Status::InvalidArgument("partition out of range");
+    }
+    sealed.push_back(e);
+    sealed.back().image.Seal();
+  }
+  return WriteSealedEntries(std::move(sealed));
+}
+
+Status PageStore::WriteSealedEntries(std::vector<Entry> sealed) {
+  if (sealed.empty()) return Status::OK();
+  std::stable_sort(
+      sealed.begin(), sealed.end(),
+      [](const Entry& a, const Entry& b) { return a.id < b.id; });
+
+  // Coalesce contiguous slots into runs, keeping the last entry of a
+  // duplicated slot as sequential writes would.
+  struct Run {
+    PartitionId partition = 0;
+    uint32_t first_page = 0;
+    std::vector<PageImage> images;
+  };
+  std::vector<Run> runs;
+  for (size_t i = 0; i < sealed.size(); ++i) {
+    if (i + 1 < sealed.size() && sealed[i + 1].id == sealed[i].id) continue;
+    Entry& e = sealed[i];
+    if (runs.empty() || runs.back().partition != e.id.partition ||
+        runs.back().first_page + runs.back().images.size() != e.id.page) {
+      runs.push_back(Run{e.id.partition, e.id.page, {}});
+    }
+    runs.back().images.push_back(std::move(e.image));
+  }
+  // One run needs no queue: write it inline.
+  if (runs.size() == 1) {
+    return WriteSealedRun(runs[0].partition, runs[0].first_page,
+                          runs[0].images);
+  }
+  std::vector<SealedRunWrite> writes;
+  writes.reserve(runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    writes.push_back(SealedRunWrite{runs[i].partition, runs[i].first_page,
+                                    &runs[i].images, i});
+  }
+  std::vector<AsyncRunResult> results;
+  LLB_RETURN_IF_ERROR(install_writer_->WriteWindow(writes, &results));
+  for (const AsyncRunResult& result : results) {
+    LLB_RETURN_IF_ERROR(result.status);
+  }
+  return Status::OK();
 }
 
 Result<uint32_t> PageStore::PageCount(PartitionId partition) const {

@@ -17,6 +17,10 @@
 
 namespace llb {
 
+/// Most pages one dirty eviction writes back at once (CacheManager), and
+/// the depth of the store's install writer that puts them in flight.
+inline constexpr uint32_t kWriteBackBatch = 8;
+
 /// A durable, partitioned page store. Used both for the stable database S
 /// and for backup databases B (a backup is just a stable database — paper
 /// section 1, "a backup is a stable database").
@@ -28,6 +32,8 @@ namespace llb {
 ///    crashes, via a shadow journal: either all pages of the batch are in
 ///    the store after recovery, or none are. This is what lets the cache
 ///    manager atomically flush a multi-object vars(n) set (paper 2.4);
+///  * `WritePages` writes pages that need no order among them with one
+///    sync per touched partition and no journal; each page is atomic;
 ///  * pages never written read back as all-zero images with LSN 0.
 ///
 /// Thread-safe: reads/writes are serialized by a per-partition mutex, so
@@ -81,8 +87,18 @@ class PageStore {
                         const std::vector<PageImage>& images);
 
   /// Atomically (w.r.t. crash) writes all entries. Order of persistence is
-  /// all-or-nothing even across partitions.
+  /// all-or-nothing even across partitions: the shadow journal is synced
+  /// first, then every page is written and each touched partition synced
+  /// once, then the journal is retired.
   Status WriteBatchAtomic(const std::vector<Entry>& entries);
+
+  /// Durably writes pages that need no order among them — the cache's
+  /// flat write-back batches, an antichain of one-page install units.
+  /// Contiguous pages coalesce into runs; a single run is written inline
+  /// like WriteSealedRun, several go through the store's install writer
+  /// all in flight at once; each touched partition gets one sync. No
+  /// journal: a crash may leave any subset written, each page whole.
+  Status WritePages(const std::vector<Entry>& entries);
 
   /// One finished asynchronous run. Reads carry the checksum-verified
   /// images; write results leave `images` empty.
@@ -175,7 +191,13 @@ class PageStore {
   /// order, so concurrent writers cannot deadlock — which preserves the
   /// no-torn-reads guarantee ReadPage relies on.
   ///
-  /// Not thread-safe: each sweep worker owns its own writer.
+  /// WriteWindow may run on several threads at once: a partition's
+  /// channel is opened, driven and synced only under that partition's
+  /// latch, which the window holds throughout, so windows share a writer
+  /// safely and windows of one partition take turns. The store's own
+  /// install writer relies on this (installers of different partitions
+  /// run in parallel). backend() reads the channels unlatched: call it on
+  /// a quiescent writer.
   class AsyncRunWriter {
    public:
     ~AsyncRunWriter();
@@ -236,6 +258,9 @@ class PageStore {
 
   Status OpenFiles();
   Status RecoverJournal();
+  /// Writes sealed entries (a later duplicate of a slot wins) as
+  /// coalesced runs, with one sync per touched partition.
+  Status WriteSealedEntries(std::vector<Entry> sealed);
   /// Callers hold the partition's mutex.
   Status WritePageLocked(const PageId& id, const PageImage& sealed);
   Status ReadPageLocked(const PageId& id, PageImage* out) const;
@@ -256,6 +281,9 @@ class PageStore {
   mutable std::mutex journal_mu_;
   std::vector<std::shared_ptr<File>> partition_files_;
   std::shared_ptr<File> journal_;
+  /// Shared by every multi-run WriteSealedEntries (see AsyncRunWriter's
+  /// concurrency contract); its channels open once per partition.
+  std::unique_ptr<AsyncRunWriter> install_writer_;
 };
 
 }  // namespace llb

@@ -72,18 +72,24 @@ class BtreeScenarioWorkload : public ScenarioWorkload {
 };
 
 /// General logical operations: one-page file Copy (logging only operand
-/// ids) plus in-place Transforms (BackupPolicy::kGeneral).
+/// ids) plus in-place Transforms (BackupPolicy::kGeneral). With
+/// `write_back` every page starts populated, nothing is flushed
+/// explicitly (dirty evictions do it), and a copy's source is often
+/// transformed right after, so evictions meet copy -> overwrite pairs.
 class GeneralScenarioWorkload : public ScenarioWorkload {
  public:
-  GeneralScenarioWorkload(Database* db, uint32_t num_pages, uint64_t seed)
+  GeneralScenarioWorkload(Database* db, uint32_t num_pages, uint64_t seed,
+                          bool write_back = false)
       : db_(db),
         files_(db, /*partition=*/0, /*base_page=*/0, /*pages_per_file=*/1,
                num_pages),
         rng_(seed),
-        num_pages_(num_pages) {}
+        num_pages_(num_pages),
+        write_back_(write_back) {}
 
   Status Setup() override {
-    for (uint32_t f = 0; f < 4 && f < num_pages_; ++f) {
+    const uint32_t files = write_back_ ? num_pages_ : 4;
+    for (uint32_t f = 0; f < files && f < num_pages_; ++f) {
       LLB_RETURN_IF_ERROR(
           files_.WriteValues(f, {static_cast<int64_t>(f) + 7, 3, 11}));
     }
@@ -96,12 +102,18 @@ class GeneralScenarioWorkload : public ScenarioWorkload {
       uint32_t dst = static_cast<uint32_t>(rng_.Uniform(num_pages_));
       if (dst == src) dst = (dst + 1) % num_pages_;
       LLB_RETURN_IF_ERROR(files_.Copy(src, dst));
+      if (write_back_) {
+        if (i % 2 == 1) {
+          LLB_RETURN_IF_ERROR(files_.Transform(src, rng_.Next()));
+        }
+        continue;
+      }
       LLB_RETURN_IF_ERROR(db_->FlushPage(files_.PagesOf(dst)[0]));
       if (i % 3 == 2) {
         LLB_RETURN_IF_ERROR(files_.Transform(dst, rng_.Next()));
       }
     }
-    return db_->FlushAll();
+    return write_back_ ? Status::OK() : db_->FlushAll();
   }
 
  private:
@@ -109,6 +121,7 @@ class GeneralScenarioWorkload : public ScenarioWorkload {
   FileStore files_;
   Random rng_;
   const uint32_t num_pages_;
+  const bool write_back_;
 };
 
 }  // namespace
@@ -135,6 +148,8 @@ const char* ScenarioKindName(ScenarioKind kind) {
       return "instant-restore";
     case ScenarioKind::kCatalogPrune:
       return "catalog";
+    case ScenarioKind::kWriteBack:
+      return "write-back";
   }
   return "unknown";
 }
@@ -184,6 +199,11 @@ std::unique_ptr<ScenarioWorkload> MakeWorkload(Database* db,
                                                const ScenarioOptions& s) {
   if (s.graph == WriteGraphKind::kTree) {
     return std::make_unique<BtreeScenarioWorkload>(db, s.seed);
+  }
+  if (s.kind == ScenarioKind::kWriteBack) {
+    // Every page of the partition, so the working set outgrows the cache.
+    return std::make_unique<GeneralScenarioWorkload>(
+        db, s.pages_per_partition, s.seed, /*write_back=*/true);
   }
   return std::make_unique<GeneralScenarioWorkload>(
       db, std::min<uint32_t>(s.pages_per_partition, 24), s.seed);
@@ -405,6 +425,32 @@ Status CrashSweeper::RunScenario(TortureEngine* e) const {
       }
       LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_post));
       return db->ForceLog();
+    }
+
+    case ScenarioKind::kWriteBack: {
+      // One pass with no backup, one inside a full backup's steps, then
+      // a last pass once the backup completed.
+      LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_post));
+      BackupJobOptions job;
+      job.steps = scenario_.backup_steps;
+      job.mid_step = [&](PartitionId, uint32_t) {
+        return workload->Update(scenario_.updates_mid);
+      };
+      LLB_ASSIGN_OR_RETURN(BackupManifest full,
+                           db->TakeBackupWithOptions(kFullName, job));
+      if (!full.complete) return Status::Internal("full backup incomplete");
+      LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_post));
+      const CacheStats stats = db->cache()->stats();
+      if (stats.writeback_journaled == 0 ||
+          stats.writeback_journaled == stats.writeback_batches) {
+        return Status::Internal(
+            "write-back scenario did not run both flat and journaled "
+            "batches: " + std::to_string(stats.writeback_batches) +
+            " batches, " + std::to_string(stats.writeback_journaled) +
+            " journaled");
+      }
+      // The oracle compares S itself: install what the evictions left.
+      return db->FlushAll();
     }
 
     case ScenarioKind::kResume: {

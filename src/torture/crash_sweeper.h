@@ -98,6 +98,14 @@ enum class ScenarioKind {
   /// generations must have no files left, and the newest complete
   /// generation must restore to the oracle state.
   kCatalogPrune,
+  /// Batched write-back: general logical ops (one-page Copy, each often
+  /// followed by a Transform of its source, so the copy's node must
+  /// install first) over more pages than the cache holds and with no
+  /// explicit flushes, so dirty evictions install both flat batches (no
+  /// journal) and journaled ones. One workload pass runs with no backup,
+  /// one inside a full backup's mid-step hook (Iw/oF decisions on every
+  /// batch). The clean run fails unless both batch kinds ran.
+  kWriteBack,
 };
 
 const char* ScenarioKindName(ScenarioKind kind);

@@ -5,9 +5,14 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <map>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "cache/cache_manager.h"
+#include "io/faulty_env.h"
 #include "filestore/file_ops.h"
 #include "io/mem_env.h"
 #include "ops/operation.h"
@@ -29,16 +34,20 @@ PageImage ValuePage(const std::string& content) {
 
 class CacheTest : public ::testing::Test {
  protected:
+  /// `stable_env` (default: the MemEnv) hosts only the stable store, so
+  /// a test can count or gate its IO apart from the log's.
   void Init(BackupPolicy policy, bool tree_graph = false,
-            size_t capacity = 64) {
+            size_t capacity = 64, uint32_t partitions = 1,
+            Env* stable_env = nullptr) {
     RegisterFileOps(&registry_);
     auto log = LogManager::Open(&env_, "log");
     ASSERT_TRUE(log.ok());
     log_ = std::move(log).value();
-    auto store = PageStore::Open(&env_, "stable", 1);
+    auto store = PageStore::Open(stable_env != nullptr ? stable_env : &env_,
+                                 "stable", partitions);
     ASSERT_TRUE(store.ok());
     stable_ = std::move(store).value();
-    coordinator_ = std::make_unique<BackupCoordinator>(1);
+    coordinator_ = std::make_unique<BackupCoordinator>(partitions);
     CacheOptions options;
     options.capacity_pages = capacity;
     options.policy = policy;
@@ -67,13 +76,29 @@ class CacheTest : public ::testing::Test {
   }
 
   Status WritePageOp(uint32_t page, const std::string& content) {
-    LogRecord rec = MakePhysicalWrite(P(page), ValuePage(content));
+    return WritePageOp(P(page), content);
+  }
+
+  Status WritePageOp(const PageId& id, const std::string& content) {
+    LogRecord rec = MakePhysicalWrite(id, ValuePage(content));
     return cache_->ExecuteOp(&rec);
   }
 
   Status CopyOp(uint32_t src, uint32_t dst) {
-    LogRecord rec = MakeFileCopy({P(src)}, {P(dst)});
+    return CopyOp(P(src), P(dst));
+  }
+
+  Status CopyOp(const PageId& src, const PageId& dst) {
+    LogRecord rec = MakeFileCopy({src}, {dst});
     return cache_->ExecuteOp(&rec);
+  }
+
+  /// The first `n` payload bytes of a page as S holds it.
+  std::string StablePrefix(const PageId& id, size_t n) {
+    PageImage page;
+    Status s = stable_->ReadPage(id, &page);
+    if (!s.ok()) return "<" + s.ToString() + ">";
+    return page.payload().ToString().substr(0, n);
   }
 
   MemEnv env_;
@@ -447,6 +472,196 @@ TEST_F(CacheManagerTest, FailedFaultLeavesNoFrameAndWakesWaiters) {
   cache_->SetPageFaultHandler(nullptr);
   EXPECT_OK(cache_->ReadPage(P(8), &image));
   EXPECT_EQ(cache_->CachedPageCount(), 2u);
+}
+
+/// Counts file operations per (op, file) and injects nothing.
+class CountingPolicy : public FaultPolicy {
+ public:
+  FaultAction OnOp(FaultOp op, const std::string& file) override {
+    ++counts_[{op, file}];
+    return FaultAction::kNone;
+  }
+  uint64_t count(FaultOp op, const std::string& file) const {
+    auto it = counts_.find({op, file});
+    return it == counts_.end() ? 0 : it->second;
+  }
+
+ private:
+  std::map<std::pair<FaultOp, std::string>, uint64_t> counts_;
+};
+
+/// Batched write-back: a dirty eviction installs its partition's coldest
+/// dirty pages with the victim, as one plan.
+class WriteBackTest : public CacheManagerTest {
+ protected:
+  FaultyEnv faulty_{&env_};
+  CountingPolicy counting_;
+};
+
+TEST_F(WriteBackTest, FlatBatchSkipsTheJournalAndSyncsThePartitionOnce) {
+  // 16 frames: batches of up to 16 / 4 = 4 pages from the 4 coldest.
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16,
+       /*partitions=*/1, &faulty_);
+  for (uint32_t i = 0; i < 16; ++i) {
+    ASSERT_OK(WritePageOp(2 * i, "even" + std::to_string(2 * i)));
+  }
+  const CacheStats before = cache_->stats();
+  faulty_.SetPolicy(&counting_);
+  ASSERT_OK(WritePageOp(99, "new"));  // misses: evicts the coldest, page 0
+  faulty_.SetPolicy(nullptr);
+  const CacheStats after = cache_->stats();
+
+  // Pages 0, 2, 4 and 6 left as one flat batch: four one-page runs in
+  // flight, one sync of the partition, nothing in the journal.
+  EXPECT_EQ(after.writeback_batches - before.writeback_batches, 1u);
+  EXPECT_EQ(after.writeback_pages - before.writeback_pages, 4u);
+  EXPECT_EQ(after.writeback_journaled, 0u);
+  EXPECT_EQ(counting_.count(FaultOp::kSync, "stable.p0"), 1u);
+  EXPECT_EQ(counting_.count(FaultOp::kSync, "stable.journal"), 0u);
+  EXPECT_EQ(counting_.count(FaultOp::kWriteAt, "stable.journal"), 0u);
+  for (uint32_t page : {0u, 2u, 4u, 6u}) {
+    EXPECT_FALSE(cache_->IsDirty(P(page))) << page;
+    std::string want = "even" + std::to_string(page);
+    EXPECT_EQ(StablePrefix(P(page), want.size()), want);
+  }
+  EXPECT_TRUE(cache_->IsDirty(P(8)));
+}
+
+TEST_F(WriteBackTest, BatchWithAPredecessorPairGoesThroughTheJournal) {
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16,
+       /*partitions=*/1, &faulty_);
+  ASSERT_OK(WritePageOp(1, "src"));
+  ASSERT_OK(CopyOp(1, 2));                 // the copy's node (page 2) ...
+  ASSERT_OK(WritePageOp(1, "overwrite"));  // ... must precede page 1's
+  for (uint32_t i = 10; i < 24; ++i) {
+    ASSERT_OK(WritePageOp(i, "filler"));
+  }
+  faulty_.SetPolicy(&counting_);
+  ASSERT_OK(WritePageOp(99, "new"));  // evicts page 2; page 1 joins it
+  faulty_.SetPolicy(nullptr);
+
+  const CacheStats stats = cache_->stats();
+  EXPECT_EQ(stats.writeback_batches, 1u);
+  EXPECT_EQ(stats.writeback_journaled, 1u);
+  EXPECT_GT(counting_.count(FaultOp::kSync, "stable.journal"), 0u);
+  EXPECT_FALSE(cache_->IsDirty(P(1)));
+  EXPECT_EQ(StablePrefix(P(2), 3), "src");
+  EXPECT_EQ(StablePrefix(P(1), 9), "overwrite");
+}
+
+TEST_F(WriteBackTest, VictimsComeFromTheEvictingPartitionAndAreNeverPinned) {
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/32,
+       /*partitions=*/2);
+  // LRU from the cold end: x, then partitions 0 and 1 interleaved.
+  const PageId x{0, 0};
+  ASSERT_OK(WritePageOp(x, "pinned"));
+  for (uint32_t i = 1; i <= 15; ++i) {
+    ASSERT_OK(WritePageOp(PageId{0, i}, "p0"));
+    ASSERT_OK(WritePageOp(PageId{1, i}, "p1"));
+  }
+  ASSERT_OK(WritePageOp(PageId{1, 16}, "p1"));  // the cache is full
+
+  // An operation pins x, then misses on a page whose load parks in the
+  // fault handler: its room-making eviction runs with x pinned, and x
+  // stays pinned (and the missed page loading) while it is parked.
+  const PageId missed{0, 40};
+  InstallParkingHandler(missed);
+  Status copy_status;
+  std::thread copier([&] { copy_status = CopyOp(x, missed); });
+  WaitParked(1);
+
+  // The coldest 32 / 4 = 8 frames were x, (0,1), (1,1), (0,2), (1,2),
+  // (0,3), (1,3) and (0,4): the batch is the victim (0,1) plus (0,2..4).
+  const CacheStats stats = cache_->stats();
+  EXPECT_EQ(stats.writeback_batches, 1u);
+  EXPECT_EQ(stats.writeback_pages, 4u);
+  EXPECT_TRUE(cache_->IsDirty(x));
+  for (uint32_t i = 2; i <= 4; ++i) {
+    EXPECT_FALSE(cache_->IsDirty(PageId{0, i})) << i;
+    EXPECT_TRUE(cache_->IsDirty(PageId{1, i})) << i;
+  }
+  EXPECT_TRUE(cache_->IsDirty(PageId{1, 1}));
+  EXPECT_TRUE(cache_->IsDirty(PageId{0, 5}));
+
+  Release();
+  copier.join();
+  EXPECT_OK(copy_status);
+  cache_->SetPageFaultHandler(nullptr);
+}
+
+TEST_F(WriteBackTest, IdentityWritesMatchLoggedDecisionsUnderABackup) {
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16);
+  // Fences: done < 10, doubt [10, 20), pend >= 20.
+  SetFences(/*done=*/10, /*pending=*/20);
+  std::map<uint32_t, std::string> model;
+  for (uint32_t round = 0; round < 4; ++round) {
+    for (uint32_t i = 0; i < 30; ++i) {
+      std::string value = "r" + std::to_string(round) + "p" + std::to_string(i);
+      ASSERT_OK(WritePageOp(i, value));
+      model[i] = value;
+      if (i % 5 == 4) {
+        // A copy, then an overwrite of its source: the copy's node must
+        // install first, so a batch holding both is not flat.
+        const uint32_t dst = (i + 7) % 30;
+        ASSERT_OK(CopyOp(i, dst));
+        model[dst] = model[i];
+        ASSERT_OK(WritePageOp(i, value + "+"));
+        model[i] = value + "+";
+      }
+    }
+  }
+  const CacheStats stats = cache_->stats();
+  EXPECT_GT(stats.writeback_batches, 0u);
+  EXPECT_GT(stats.writeback_pages, stats.writeback_batches);
+  EXPECT_GT(stats.writeback_journaled, 0u);
+  EXPECT_GT(stats.decisions_logged, 0u);
+  EXPECT_EQ(stats.identity_writes, stats.decisions_logged);
+  EXPECT_EQ(log_->stats().identity_records, stats.identity_writes);
+
+  ASSERT_OK(cache_->FlushAll());
+  for (const auto& [page, value] : model) {
+    EXPECT_EQ(StablePrefix(P(page), value.size()), value) << page;
+  }
+}
+
+TEST_F(WriteBackTest, ThreeThreadsEvictingThreePartitions) {
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/24,
+       /*partitions=*/3);
+  constexpr uint32_t kPages = 20;
+  std::vector<std::map<uint32_t, std::string>> models(3);
+  std::vector<Status> results(3);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      std::map<uint32_t, std::string>& model = models[t];
+      for (uint32_t i = 0; i < 300 && results[t].ok(); ++i) {
+        const uint32_t page = (i * 7 + t) % kPages;
+        if (i % 4 == 3 && model.count(page) != 0) {
+          const uint32_t dst = (page + 3) % kPages;
+          results[t] = CopyOp(PageId{t, page}, PageId{t, dst});
+          model[dst] = model[page];
+        } else {
+          std::string value = "t" + std::to_string(t) + "i" + std::to_string(i);
+          results[t] = WritePageOp(PageId{t, page}, value);
+          model[page] = value;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Status& status : results) EXPECT_OK(status);
+  EXPECT_LE(cache_->CachedPageCount(), 24u);
+  const CacheStats stats = cache_->stats();
+  EXPECT_GT(stats.writeback_batches, 0u);
+  EXPECT_GT(stats.writeback_pages, stats.writeback_batches);
+
+  ASSERT_OK(cache_->FlushAll());
+  for (uint32_t t = 0; t < 3; ++t) {
+    for (const auto& [page, value] : models[t]) {
+      EXPECT_EQ(StablePrefix(PageId{t, page}, value.size()), value)
+          << t << ":" << page;
+    }
+  }
 }
 
 }  // namespace

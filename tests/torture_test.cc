@@ -53,6 +53,19 @@ TEST(CrashSweepTest, BackupScenarioAllPoints) {
   EXPECT_GT(report.backups_verified, 0u);
 }
 
+TEST(CrashSweepTest, WriteBackScenarioAllPoints) {
+  // 16-page cache over a 32-page partition: dirty evictions install flat
+  // and journaled batches (the clean run checks both ran), with and
+  // without an active backup.
+  CrashSweepReport report =
+      SweepAllPoints(ScenarioKind::kWriteBack, WriteGraphKind::kGeneral);
+  EXPECT_GT(report.total_events, 0u);
+  EXPECT_EQ(report.points_tested, report.total_events);
+  EXPECT_EQ(report.recoveries_verified, report.points_tested);
+  EXPECT_GT(report.backups_verified, 0u);
+  printf("write-back sweep: %s\n", report.ToString().c_str());
+}
+
 TEST(CrashSweepTest, ResumeScenarioAllPoints) {
   CrashSweepReport report =
       SweepAllPoints(ScenarioKind::kResume, WriteGraphKind::kTree);

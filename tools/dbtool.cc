@@ -1027,9 +1027,10 @@ int CmdTorture(const std::string& scenario, uint64_t seed,
       {"restore-parallel", ScenarioKind::kParallelRestore, 1},
       {"log-shipping", ScenarioKind::kLogShipping, 1},
       {"instant-restore", ScenarioKind::kInstantRestore, 1},
+      {"catalog", ScenarioKind::kCatalogPrune, 1},
+      {"write-back", ScenarioKind::kWriteBack, 1},
       // Epoch group-commit variants: same scripts over 4 log channels,
       // so crashes enumerate the sealed-but-unpublished window too.
-      {"catalog", ScenarioKind::kCatalogPrune, 1},
       {"backup-grouped", ScenarioKind::kBackup, 4},
       {"log-shipping-grouped", ScenarioKind::kLogShipping, 4},
   };
@@ -1128,11 +1129,12 @@ int Usage() {
           "      [nested-points=0]\n"
           "      crash-point sweep of a pipeline scenario (backup, resume,\n"
           "      scrub, restore, batched, parallel, restore-parallel,\n"
-          "      log-shipping, instant-restore, catalog, concurrent,\n"
-          "      backup-grouped, log-shipping-grouped, or all); catalog\n"
-          "      sweeps compressed-backup retention: chain + dedup\n"
-          "      protection must survive a crash at every catalog save\n"
-          "      and file-deletion event; the\n"
+          "      log-shipping, instant-restore, catalog, write-back,\n"
+          "      concurrent, backup-grouped, log-shipping-grouped, or\n"
+          "      all); catalog sweeps compressed-backup retention: chain\n"
+          "      + dedup protection must survive a crash at every catalog\n"
+          "      save and file-deletion event; write-back sweeps the\n"
+          "      cache's flat and journaled eviction batches; the\n"
           "      -grouped variants run with log_channels=4 so crash\n"
           "      points land between channel seal and epoch publish:\n"
           "      run once to count durability events, then crash at each\n"
