@@ -653,13 +653,17 @@ Status CacheManager::FlushAll() {
 }
 
 Status CacheManager::Checkpoint() {
-  std::lock_guard<std::mutex> lock(mu_);
-  LogRecord rec;
-  rec.op_code = kOpCheckpoint;
-  PutFixed64(&rec.payload, graph_->RedoStartLsn(log_->next_lsn()));
-  // Checkpoints have no page writes; give them an empty writeset by
-  // bypassing ExecuteOp.
-  log_->Append(&rec);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    LogRecord rec;
+    rec.op_code = kOpCheckpoint;
+    PutFixed64(&rec.payload, graph_->RedoStartLsn(log_->next_lsn()));
+    // Checkpoints have no page writes; give them an empty writeset by
+    // bypassing ExecuteOp.
+    log_->Append(&rec);
+  }
+  // The redo start is fixed with the record's LSN; the force needs no
+  // cache state, so clients keep running through its sync.
   return log_->Force();
 }
 

@@ -15,6 +15,7 @@
 
 namespace llb {
 
+using torture::ArchiveLog;
 using torture::ClearRestoreMarker;
 using torture::kRestoreMarker;
 using torture::OfflinePitr;
@@ -44,6 +45,11 @@ class ScenarioWorkload {
   virtual ~ScenarioWorkload() = default;
   virtual Status Setup() = 0;
   virtual Status Update(uint32_t steps) = 0;
+  /// Logs at least `bytes` of log records, then installs them.
+  virtual Status BulkLog(uint64_t bytes) {
+    (void)bytes;
+    return Status::InvalidArgument("bulk logging needs the general graph");
+  }
 };
 
 /// Logically-split B-tree inserts (tree operations, BackupPolicy::kTree).
@@ -116,6 +122,17 @@ class GeneralScenarioWorkload : public ScenarioWorkload {
     return write_back_ ? Status::OK() : db_->FlushAll();
   }
 
+  Status BulkLog(uint64_t bytes) override {
+    // Each write logs a whole page image, so one page's worth of bytes
+    // per write: the page stays cached and dirty, and the records reach
+    // the log in one group commit when the flush installs it.
+    for (uint64_t logged = 0; logged < bytes; logged += kPageSize) {
+      LLB_RETURN_IF_ERROR(files_.WriteValues(
+          0, {static_cast<int64_t>(logged / kPageSize), 5}));
+    }
+    return db_->FlushAll();
+  }
+
  private:
   Database* const db_;
   FileStore files_;
@@ -150,6 +167,8 @@ const char* ScenarioKindName(ScenarioKind kind) {
       return "catalog";
     case ScenarioKind::kWriteBack:
       return "write-back";
+    case ScenarioKind::kLogTruncate:
+      return "log-truncate";
   }
   return "unknown";
 }
@@ -766,6 +785,75 @@ Status CrashSweeper::RunScenario(TortureEngine* e) const {
       }
       LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_post));
       return db->ForceLog();
+    }
+
+    case ScenarioKind::kLogTruncate: {
+      BackupJobOptions job;
+      job.steps = scenario_.backup_steps;
+      job.mid_step = [&](PartitionId, uint32_t) {
+        return workload->Update(scenario_.updates_mid);
+      };
+      LLB_ASSIGN_OR_RETURN(BackupManifest full,
+                           db->TakeBackupWithOptions(kFullName, job));
+      if (!full.complete) return Status::Internal("full backup incomplete");
+      LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_post));
+
+      // First cut: the full backup's start, inside the file the
+      // truncation's own roll seals.
+      LLB_RETURN_IF_ERROR(ArchiveLog(e));
+      LLB_RETURN_IF_ERROR(db->TruncateLog(full.start_lsn));
+
+      // Enough log for the active file to roll on size.
+      LLB_RETURN_IF_ERROR(workload->BulkLog(kLogRollBytes));
+      bool size_rolled = false;
+      for (const LogFileInfo& file : db->log()->Files()) {
+        size_rolled |= file.sealed && file.bytes >= kLogRollBytes;
+      }
+      if (!size_rolled) {
+        return Status::Internal("bulk logging did not roll the log on size");
+      }
+      LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_mid));
+      LLB_ASSIGN_OR_RETURN(BackupManifest incr,
+                           db->TakeIncrementalBackup(kIncrName, kFullName));
+      if (!incr.complete) {
+        return Status::Internal("incremental backup incomplete");
+      }
+      // The PITR target: a quiescent boundary past the incremental's end
+      // (all atomic groups closed by the workload's trailing FlushAll).
+      LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_post));
+      LLB_RETURN_IF_ERROR(db->ForceLog());
+      const Lsn pitr_target = db->log()->durable_lsn();
+      LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_mid));
+
+      // Second cut: the incremental's start, inside the active file. Every
+      // sealed file before the one the roll seals goes.
+      LLB_RETURN_IF_ERROR(ArchiveLog(e));
+      const size_t files_before = db->log()->Files().size();
+      LLB_RETURN_IF_ERROR(db->TruncateLog(incr.start_lsn));
+      // Its roll adds one file, so two unlinks leave one fewer.
+      if (files_before + 1 - db->log()->Files().size() < 2) {
+        return Status::Internal(
+            "second truncation unlinked fewer than two log files");
+      }
+      LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_post));
+      LLB_RETURN_IF_ERROR(db->ForceLog());
+
+      // Media failure, then a point-in-time restore to the target: the
+      // cut lands in the newest sealed file and the active file goes.
+      e->Shutdown();
+      LLB_RETURN_IF_ERROR(SetRestoreMarker(&e->env));
+      LLB_RETURN_IF_ERROR(WipeStable(e));
+      LLB_RETURN_IF_ERROR(OfflinePitr(e, pitr_target));
+      LLB_RETURN_IF_ERROR(VerifyStableOffline(e, pitr_target));
+      LLB_RETURN_IF_ERROR(ClearRestoreMarker(&e->env));
+      LLB_RETURN_IF_ERROR(e->Open());
+      if (e->db->log()->durable_lsn() != pitr_target) {
+        return Status::Internal("log reopened past the PITR target");
+      }
+      std::unique_ptr<ScenarioWorkload> survivor =
+          MakeWorkload(e->db.get(), scenario_);
+      LLB_RETURN_IF_ERROR(survivor->Update(scenario_.updates_post));
+      return e->db->ForceLog();
     }
 
     case ScenarioKind::kLogShipping: {

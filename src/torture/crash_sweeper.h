@@ -106,6 +106,18 @@ enum class ScenarioKind {
   /// one inside a full backup's mid-step hook (Iw/oF decisions on every
   /// batch). The clean run fails unless both batch kinds ran.
   kWriteBack,
+  /// Segmented-log truncation: a full backup, then TruncateLog cutting
+  /// at its start (inside the file the truncation's roll seals), bulk
+  /// logging past kLogRollBytes so the active file rolls on size, an
+  /// incremental, a second TruncateLog cutting at the incremental's start
+  /// (inside the active file; the older sealed files are unlinked), and
+  /// a point-in-time restore to a target logged before that truncation.
+  /// Crash points land on every durability event around the rolls, the
+  /// unlinks, their re-anchoring checkpoints and the PITR cut; the oracle
+  /// replays the truncated prefix from an archive kept off the crash
+  /// schedule (torture::ArchiveLog). The clean run fails unless at least
+  /// one size roll and one multi-file unlink happened.
+  kLogTruncate,
 };
 
 const char* ScenarioKindName(ScenarioKind kind);

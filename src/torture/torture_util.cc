@@ -1,5 +1,7 @@
 #include "torture/torture_util.h"
 
+#include <algorithm>
+
 #include "recovery/media_recovery.h"
 #include "sim/harness.h"
 #include "sim/oracle.h"
@@ -41,16 +43,66 @@ Status ClearRestoreMarker(Env* env) {
   return env->DeleteFile(kRestoreMarker);
 }
 
+namespace {
+
+/// Re-executes a log's whole history from an empty store into `oracle`,
+/// up to end_lsn (kInvalidLsn = all): for the primary, first the archived
+/// records below the live log's first file, then the live log.
+Status ReplayHistory(TortureEngine* e, const LogManager& log, bool primary,
+                     const OpRegistry& registry, PageStore* oracle,
+                     Lsn end_lsn) {
+  Lsn live_first = 1;
+  if (primary && e->archive != nullptr) {
+    live_first = log.Files().front().first_lsn;
+    Lsn archived_end = live_first - 1;
+    if (end_lsn != kInvalidLsn) archived_end = std::min(archived_end, end_lsn);
+    if (archived_end != kInvalidLsn) {
+      LLB_RETURN_IF_ERROR(RunRedoRange(*e->archive, registry, oracle,
+                                       /*start_lsn=*/1, archived_end,
+                                       /*only_partition=*/nullptr,
+                                       /*use_identity_seeds=*/false)
+                              .status());
+    }
+  }
+  return RunRedoRange(log, registry, oracle, live_first, end_lsn,
+                      /*only_partition=*/nullptr,
+                      /*use_identity_seeds=*/false)
+      .status();
+}
+
+}  // namespace
+
 Status VerifyOpenDb(TortureEngine* e) {
   return VerifyDbAgainstOwnLog(e, e->db.get());
 }
 
+Status ArchiveLog(TortureEngine* e) {
+  LogManager* log = e->db->log();
+  LLB_RETURN_IF_ERROR(log->Force());
+  if (e->archive == nullptr) {
+    LLB_ASSIGN_OR_RETURN(e->archive,
+                         LogManager::Open(&e->archive_env, "archive"));
+  }
+  SealedSegment segment;
+  LLB_RETURN_IF_ERROR(
+      log->Scan(e->archive->next_lsn(), [&](const LogRecord& rec) {
+        if (segment.first_lsn == kInvalidLsn) segment.first_lsn = rec.lsn;
+        segment.last_lsn = rec.lsn;
+        rec.EncodeTo(&segment.bytes);
+        return Status::OK();
+      }));
+  if (segment.bytes.empty()) return Status::OK();
+  LLB_RETURN_IF_ERROR(e->archive->AppendSealed(segment, nullptr));
+  return e->archive->Force();
+}
+
 Status VerifyDbAgainstOwnLog(TortureEngine* e, Database* db) {
   std::string prefix = "oracle_t" + std::to_string(e->oracle_seq++);
-  std::unique_ptr<PageStore> oracle;
-  LLB_RETURN_IF_ERROR(testutil::BuildOracle(&e->env, *db->log(),
-                                            *db->registry(), prefix,
-                                            e->options.partitions, &oracle));
+  LLB_ASSIGN_OR_RETURN(std::unique_ptr<PageStore> oracle,
+                       PageStore::Open(&e->env, prefix, e->options.partitions));
+  LLB_RETURN_IF_ERROR(ReplayHistory(e, *db->log(), db == e->db.get(),
+                                    *db->registry(), oracle.get(),
+                                    kInvalidLsn));
   std::string diff =
       testutil::DiffStores(*db->stable(), *oracle, e->options.partitions,
                            e->options.pages_per_partition);
@@ -67,14 +119,10 @@ Status VerifyStableOffline(TortureEngine* e, Lsn end_lsn) {
   LLB_ASSIGN_OR_RETURN(std::unique_ptr<LogManager> log,
                        LogManager::Open(&e->env, Database::LogName(e->name)));
   std::string prefix = "oracle_t" + std::to_string(e->oracle_seq++);
-  std::unique_ptr<PageStore> oracle;
-  LLB_ASSIGN_OR_RETURN(oracle,
+  LLB_ASSIGN_OR_RETURN(std::unique_ptr<PageStore> oracle,
                        PageStore::Open(&e->env, prefix, e->options.partitions));
-  LLB_ASSIGN_OR_RETURN(
-      RedoReport redo,
-      RunRedoRange(*log, registry, oracle.get(), /*start_lsn=*/1, end_lsn,
-                   /*only_partition=*/nullptr, /*use_identity_seeds=*/false));
-  (void)redo;
+  LLB_RETURN_IF_ERROR(ReplayHistory(e, *log, /*primary=*/true, registry,
+                                    oracle.get(), end_lsn));
   LLB_ASSIGN_OR_RETURN(std::unique_ptr<PageStore> stable,
                        PageStore::Open(&e->env, Database::StableName(e->name),
                                        e->options.partitions));

@@ -31,6 +31,12 @@ struct TortureEngine {
   /// over an existing prefix sees the old pages, so every oracle built
   /// within one env lifetime needs a fresh prefix.
   uint64_t oracle_seq = 0;
+  /// The primary's log records that a truncation may cut away, copied by
+  /// torture::ArchiveLog into a private env off the crash schedule: the
+  /// oracle replays them ahead of the live log, so it still re-executes
+  /// the whole history from an empty store.
+  MemEnv archive_env;
+  std::unique_ptr<LogManager> archive;
 
   explicit TortureEngine(const DbOptions& opts) : options(opts) {}
 
@@ -71,6 +77,11 @@ Status ClearRestoreMarker(Env* env);
 /// Oracle check of the stable database while the engine is open: full-log
 /// re-execution from an empty store must equal S page for page.
 Status VerifyOpenDb(TortureEngine* engine);
+
+/// Forces the primary's log and appends every durable record the archive
+/// lacks to it. Call before TruncateLog: the records it unlinks stay
+/// visible to the oracle.
+Status ArchiveLog(TortureEngine* engine);
 
 /// Same oracle check against any open database in the engine's env —
 /// e.g. the standby twin, whose own log (fed by replication) must equal

@@ -1,37 +1,109 @@
 #include "wal/log_manager.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <iterator>
 
 namespace llb {
+
+namespace {
+
+constexpr size_t kLsnDigits = 20;
+
+std::string SealedName(const std::string& name, Lsn first_lsn) {
+  std::string digits = std::to_string(first_lsn);
+  return name + "." + std::string(kLsnDigits - digits.size(), '0') + digits;
+}
+
+/// First and last LSN of a log file's valid records (kInvalidLsn when it
+/// holds none) and the bytes they span.
+struct RecordRange {
+  Lsn first = kInvalidLsn;
+  Lsn last = kInvalidLsn;
+  uint64_t valid_bytes = 0;
+};
+
+Result<RecordRange> ReadRecordRange(std::shared_ptr<File> file) {
+  RecordRange range;
+  LogReader reader(std::move(file));
+  LLB_RETURN_IF_ERROR(reader.Init());
+  LogRecord rec;
+  while (reader.Next(&rec)) {
+    if (range.first == kInvalidLsn) range.first = rec.lsn;
+    range.last = rec.lsn;
+  }
+  LLB_RETURN_IF_ERROR(reader.status());
+  range.valid_bytes = reader.valid_bytes();
+  return range;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<LogManager>> LogManager::Open(Env* env,
                                                      const std::string& name,
                                                      LogManagerOptions options) {
   if (options.channels == 0) options.channels = 1;
-  LLB_ASSIGN_OR_RETURN(std::shared_ptr<File> file,
-                       env->OpenFile(name, /*create=*/true));
-
-  // Find the next LSN by scanning the durable records.
-  Lsn next = 1;
-  {
-    LogReader reader(file);
-    LLB_RETURN_IF_ERROR(reader.Init());
-    LogRecord rec;
-    while (reader.Next(&rec)) {
-      if (rec.lsn >= next) next = rec.lsn + 1;
+  // Sealed files are "<name>.<20 digits>"; the digits are the first LSN.
+  const std::string prefix = name + ".";
+  std::vector<LogFile> files;
+  for (const std::string& file_name : env->ListFiles()) {
+    if (file_name.size() != prefix.size() + kLsnDigits ||
+        file_name.compare(0, prefix.size(), prefix) != 0 ||
+        file_name.find_first_not_of("0123456789", prefix.size()) !=
+            std::string::npos) {
+      continue;
     }
+    LogFile sealed;
+    sealed.name = file_name;
+    sealed.first_lsn =
+        std::strtoull(file_name.c_str() + prefix.size(), nullptr, 10);
+    sealed.sealed = true;
+    LLB_ASSIGN_OR_RETURN(sealed.file, env->OpenFile(file_name, false));
+    LLB_ASSIGN_OR_RETURN(sealed.bytes, sealed.file->Size());
+    files.push_back(std::move(sealed));
   }
+  std::sort(files.begin(), files.end(), [](const LogFile& a, const LogFile& b) {
+    return a.first_lsn < b.first_lsn;
+  });
+
+  LogFile active;
+  active.name = name;
+  LLB_ASSIGN_OR_RETURN(active.file, env->OpenFile(name, /*create=*/true));
+  LLB_ASSIGN_OR_RETURN(RecordRange range, ReadRecordRange(active.file));
+  if (range.first != kInvalidLsn) {
+    active.first_lsn = range.first;
+  } else if (!files.empty()) {
+    // Empty after a roll: the newest sealed file says where LSNs go on
+    // (an empty one is an anchor, whose name does).
+    LLB_ASSIGN_OR_RETURN(RecordRange newest,
+                         ReadRecordRange(files.back().file));
+    active.first_lsn = newest.last != kInvalidLsn ? newest.last + 1
+                                                  : files.back().first_lsn;
+  } else {
+    active.first_lsn = 1;
+  }
+  const Lsn next = range.last != kInvalidLsn ? range.last + 1
+                                             : active.first_lsn;
+  // A torn tail never reached a successful sync; cut it so appends
+  // continue right after the last valid record.
+  LLB_ASSIGN_OR_RETURN(active.bytes, active.file->Size());
+  if (range.valid_bytes < active.bytes) {
+    LLB_RETURN_IF_ERROR(active.file->Truncate(range.valid_bytes));
+    active.bytes = range.valid_bytes;
+  }
+  files.push_back(std::move(active));
   return std::unique_ptr<LogManager>(
-      new LogManager(env, name, std::move(file), next, options));
+      new LogManager(env, name, std::move(files), next, options));
 }
 
-LogManager::LogManager(Env* env, std::string name, std::shared_ptr<File> file,
+LogManager::LogManager(Env* env, std::string name, std::vector<LogFile> files,
                        Lsn next_lsn, LogManagerOptions options)
     : env_(env),
       name_(std::move(name)),
       options_(options),
-      file_(std::move(file)),
-      writer_(file_),
+      files_(std::move(files)),
+      writer_(files_.back().file, files_.back().bytes),
       durable_lsn_(next_lsn - 1),
       next_lsn_(next_lsn) {
   channels_.reserve(options_.channels);
@@ -87,7 +159,7 @@ Status LogManager::Force() {
   return GroupCommitLocked();
 }
 
-Status LogManager::GroupCommitLocked() {
+Status LogManager::GroupCommitLocked(bool roll) {
   // Close the open epoch. Everything issued before this point belongs to
   // an epoch <= sealed and is (or is being) buffered in some channel.
   Epoch sealed;
@@ -152,6 +224,9 @@ Status LogManager::GroupCommitLocked() {
   LLB_RETURN_IF_ERROR(SealLocked(sealed));
   ++stats_.forces;
   ++stats_.group_commits;
+  if (roll ? writer_.file_bytes() > 0 : writer_.file_bytes() >= kLogRollBytes) {
+    LLB_RETURN_IF_ERROR(RollLocked());
+  }
   lock.unlock();
 
   {
@@ -213,6 +288,7 @@ void LogManager::AdvancerLoop() {
 }
 
 Status LogManager::SealLocked(Epoch sealed_epoch) {
+  if (files_.back().sealed) LLB_RETURN_IF_ERROR(OpenActiveLocked());
   std::string sealed;
   LLB_RETURN_IF_ERROR(writer_.Force(&sealed));
   if (last_appended_ != kInvalidLsn) durable_lsn_ = last_appended_;
@@ -226,6 +302,36 @@ Status LogManager::SealLocked(Epoch sealed_epoch) {
     seal_first_lsn_ = kInvalidLsn;
     if (seal_observer_) seal_observer_(segment);
   }
+  return Status::OK();
+}
+
+Status LogManager::RollLocked() {
+  const Lsn first = files_.back().first_lsn;
+  const std::string sealed_name = SealedName(name_, first);
+  LLB_RETURN_IF_ERROR(env_->RenameFile(name_, sealed_name));
+  if (files_.size() >= 2 && files_[files_.size() - 2].first_lsn == first) {
+    // The rename replaced the anchor a full truncation left under this
+    // very name.
+    files_.erase(files_.end() - 2);
+  }
+  LogFile& rolled = files_.back();
+  rolled.name = sealed_name;
+  rolled.sealed = true;
+  rolled.bytes = writer_.file_bytes();
+  // Reopened under its new name so readers' handles carry it; the old
+  // handle reads the same file if that fails.
+  Result<std::shared_ptr<File>> reopened = env_->OpenFile(sealed_name, false);
+  if (reopened.ok()) rolled.file = std::move(reopened).value();
+  return OpenActiveLocked();
+}
+
+Status LogManager::OpenActiveLocked() {
+  LogFile active;
+  active.name = name_;
+  active.first_lsn = durable_lsn_ + 1;
+  LLB_ASSIGN_OR_RETURN(active.file, env_->OpenFile(name_, /*create=*/true));
+  writer_.SetFile(active.file);
+  files_.push_back(std::move(active));
   return Status::OK();
 }
 
@@ -334,17 +440,36 @@ Lsn LogManager::durable_lsn() const {
 
 Status LogManager::Scan(
     Lsn start_lsn, const std::function<Status(const LogRecord&)>& fn) const {
-  // Readers take their own snapshot of the durable contents; no lock held
-  // during the scan so recovery can read while nothing else is running and
-  // benches can scan concurrently with appends (they see a prefix).
-  LogReader reader(file_);
+  // Snapshot the files under mu_, then read without it: the snapshot's
+  // handles stay readable across a concurrent roll or unlink, and benches
+  // can scan concurrently with appends (they see a prefix).
+  std::vector<std::shared_ptr<File>> files;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < files_.size(); ++i) {
+      // A file whose successor starts at or below start_lsn lies wholly
+      // below it.
+      if (i + 1 < files_.size() && files_[i + 1].first_lsn <= start_lsn) {
+        continue;
+      }
+      files.push_back(files_[i].file);
+    }
+  }
+  LogReader reader(std::move(files));
   LLB_RETURN_IF_ERROR(reader.Init());
   LogRecord rec;
   while (reader.Next(&rec)) {
     if (rec.lsn < start_lsn) continue;
     LLB_RETURN_IF_ERROR(fn(rec));
   }
-  return Status::OK();
+  return reader.status();
+}
+
+std::vector<LogFileInfo> LogManager::Files() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<LogFileInfo> files(files_.begin(), files_.end());
+  if (!files_.back().sealed) files.back().bytes = writer_.file_bytes();
+  return files;
 }
 
 LogStats LogManager::stats() const {
@@ -373,36 +498,45 @@ void LogManager::ResetStats() {
 }
 
 Status LogManager::TruncatePrefix(Lsn keep_from) {
+  // Holding the doomed handles until after the unlinks frees the files'
+  // memory (MemEnv) here, outside every env and log lock.
+  std::vector<LogFile> doomed;
   {
-    // Drain the channels through a full group commit first so the file
-    // rewrite below sees every buffered record.
+    // The roll leaves the active file empty: everything logged from here
+    // on lands in it, and everything before is in sealed files.
     std::lock_guard<std::mutex> commit(commit_mu_);
-    LLB_RETURN_IF_ERROR(GroupCommitLocked());
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  // Flush buffered records first so the rewrite sees everything. Routed
-  // through SealLocked so records sealed by this internal force still
-  // reach the seal observer (a shipper must not lose them).
-  LLB_RETURN_IF_ERROR(SealLocked(kInvalidEpoch));
-
-  LLB_ASSIGN_OR_RETURN(uint64_t size, file_->Size());
-  std::string contents;
-  LLB_RETURN_IF_ERROR(file_->ReadAt(0, size, &contents));
-
-  std::string kept;
-  Slice cursor(contents);
-  LogRecord rec;
-  while (!cursor.empty()) {
-    const char* record_start = cursor.data();
-    size_t before = cursor.size();
-    if (!LogRecord::DecodeFrom(&cursor, &rec).ok()) break;
-    if (rec.lsn >= keep_from) {
-      kept.append(record_start, before - cursor.size());
+    LLB_RETURN_IF_ERROR(GroupCommitLocked(/*roll=*/true));
+    std::lock_guard<std::mutex> lock(mu_);
+    size_t drop = 0;
+    while (drop + 1 < files_.size() && files_[drop + 1].first_lsn <= keep_from) {
+      ++drop;
     }
+    if (drop > 0 && drop == files_.size() - 1) {
+      // Every sealed file would go while the active file is empty, and a
+      // reopen would lose the next LSN. An anchor already there stays;
+      // otherwise one is created before anything is unlinked.
+      if (files_[drop - 1].bytes == 0) {
+        --drop;
+      } else {
+        LogFile anchor;
+        anchor.first_lsn = files_.back().first_lsn;
+        anchor.name = SealedName(name_, anchor.first_lsn);
+        anchor.sealed = true;
+        LLB_ASSIGN_OR_RETURN(anchor.file,
+                             env_->OpenFile(anchor.name, /*create=*/true));
+        files_.insert(files_.end() - 1, std::move(anchor));
+      }
+    }
+    doomed.assign(std::make_move_iterator(files_.begin()),
+                  std::make_move_iterator(files_.begin() + drop));
+    files_.erase(files_.begin(), files_.begin() + drop);
   }
-  LLB_RETURN_IF_ERROR(file_->Truncate(0));
-  LLB_RETURN_IF_ERROR(file_->WriteAt(0, Slice(kept)));
-  return file_->Sync();
+  // Oldest first, stopping at the first failure: what is left is always
+  // a contiguous run of files.
+  for (const LogFile& file : doomed) {
+    LLB_RETURN_IF_ERROR(env_->DeleteFile(file.name));
+  }
+  return Status::OK();
 }
 
 }  // namespace llb

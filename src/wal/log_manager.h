@@ -33,20 +33,39 @@ struct LogStats {
   uint64_t group_commits = 0;  // epoch seals that wrote + synced channels
 };
 
-/// One sealed log segment: the contiguous run of framed records a single
-/// successful Force() made durable. The log is one file, so a "segment"
-/// is a byte range, not a separate file; seq numbers seals densely within
-/// one LogManager session (they restart at 1 after reopen — cross-session
-/// continuity is the ship cursor's job, keyed by LSN).
+/// One ship frame: the contiguous run of framed records a single
+/// successful Force() made durable. It is a byte range at the end of the
+/// active log file, not a log file of its own (see LogFileInfo); seq
+/// numbers seals densely within one LogManager session (they restart at 1
+/// after reopen — cross-session continuity is the ship cursor's job,
+/// keyed by LSN).
 struct SealedSegment {
   uint64_t seq = 0;
-  /// The group-commit epoch this seal published (kInvalidEpoch for seals
-  /// that are not commit points, e.g. TruncatePrefix's internal force).
-  /// Informational for observers; the shipping path keys on LSN only.
+  /// The group-commit epoch this seal published (kInvalidEpoch when
+  /// unstamped). Informational for observers; the shipping path keys on
+  /// LSN only.
   Epoch epoch = kInvalidEpoch;
   Lsn first_lsn = kInvalidLsn;
   Lsn last_lsn = kInvalidLsn;
   std::string bytes;  // framed records, appendable to another log verbatim
+};
+
+/// The active log file is sealed (renamed to its first LSN) and a fresh
+/// one started once a group commit leaves it at least this large.
+inline constexpr uint64_t kLogRollBytes = uint64_t{16} << 20;
+
+/// One file of the log. The active file is `<log>`; a roll renames it to
+/// `<log>.<first_lsn, 20 digits>`, after which it never changes again
+/// except by a point-in-time cut. An empty sealed file is an anchor: a
+/// truncation that dropped every record leaves one so a reopen still
+/// knows the next LSN (its first_lsn).
+struct LogFileInfo {
+  std::string name;
+  /// LSN of the file's first record; for an empty file, the LSN its
+  /// first record will get.
+  Lsn first_lsn = kInvalidLsn;
+  uint64_t bytes = 0;
+  bool sealed = false;
 };
 
 /// Tuning knobs for the WAL append path.
@@ -70,11 +89,19 @@ struct LogManagerOptions {
 /// conventional", paper section 1); media recovery simply scans from the
 /// start point recorded when its backup began.
 ///
+/// The log is a run of files (LogFileInfo): sealed files named by their
+/// first LSN, then the active file the group commit appends to. A group
+/// commit that leaves the active file at kLogRollBytes or more rolls it:
+/// rename to its sealed name, then create a fresh active file. Readers
+/// snapshot the file list and skip whole files below their start, and
+/// truncation unlinks whole files, so neither costs more than the files
+/// it touches.
+///
 /// The append path is sharded: each appender thread is bound round-robin
 /// to a LogChannel and only contends on its channel's mutex plus a tiny
 /// (lsn, epoch) issuance lock. A group commit closes the open epoch E,
 /// drains every channel's records for epochs <= E, merges them by LSN
-/// into the single log file (byte format unchanged), syncs once, and
+/// into the active log file (byte format unchanged), syncs once, and
 /// publishes durable_epoch = E — the commit point. The fence protocol's
 /// "identity write durable before flush to S" becomes "the epoch
 /// containing the Iw record has been published".
@@ -86,8 +113,10 @@ class LogManager {
   /// return — the shipper's pattern).
   using SealObserver = std::function<void(const SealedSegment&)>;
 
-  /// Opens (creating if needed) the log, scanning any existing durable
-  /// records to find the next LSN to assign.
+  /// Opens (creating if needed) the log. Finds its files by name and
+  /// reads only the active file to learn the next LSN to assign — plus
+  /// the newest sealed file when the active one is empty (a fresh roll,
+  /// or a crash between a roll's rename and its create).
   static Result<std::unique_ptr<LogManager>> Open(
       Env* env, const std::string& name, LogManagerOptions options = {});
 
@@ -167,8 +196,10 @@ class LogManager {
   /// Highest LSN known durable (<= last appended).
   Lsn durable_lsn() const;
 
-  /// Scans durable records with lsn >= start_lsn in order. The callback
-  /// may return non-OK to abort the scan.
+  /// Scans durable records with lsn >= start_lsn in order, over a
+  /// snapshot of the file list that skips files wholly below start_lsn.
+  /// A concurrent roll or truncation cannot pull a snapshotted file away.
+  /// The callback may return non-OK to abort the scan.
   Status Scan(Lsn start_lsn,
               const std::function<Status(const LogRecord&)>& fn) const;
 
@@ -177,30 +208,55 @@ class LogManager {
   /// Resets the identity-record counters (benchmarks sample deltas).
   void ResetStats();
 
-  /// Physically discards all records with lsn < keep_from, rewriting the
-  /// log file. Callers must ensure no recovery path still needs the
-  /// prefix: keep_from must not exceed the crash-redo scan start NOR the
-  /// start_lsn of any backup that may still be restored (identity-write
-  /// records "permit the truncation of the log in the same way that
-  /// flushing does", paper 3.2).
+  /// The log's files, oldest first; the active file is last.
+  std::vector<LogFileInfo> Files() const;
+
+  /// Discards the log below keep_from in whole files. Group-commits and
+  /// rolls first, so the active file starts empty and holds everything
+  /// logged from here on; then unlinks, oldest first and outside both log
+  /// mutexes, every sealed file whose successor starts at or below
+  /// keep_from. No log byte is read or written, and a crash part-way
+  /// leaves a contiguous suffix of files. When every sealed file goes, an
+  /// anchor named after the next LSN is created first. Records below
+  /// keep_from that share a file with records at or above it stay.
+  /// Callers must ensure
+  /// no recovery path still needs the prefix: keep_from must not exceed
+  /// the crash-redo scan start NOR the start_lsn of any backup that may
+  /// still be restored (identity-write records "permit the truncation of
+  /// the log in the same way that flushing does", paper 3.2).
   Status TruncatePrefix(Lsn keep_from);
 
  private:
-  LogManager(Env* env, std::string name, std::shared_ptr<File> file,
+  /// A LogFileInfo plus the handle readers snapshot.
+  struct LogFile : LogFileInfo {
+    std::shared_ptr<File> file;
+  };
+
+  LogManager(Env* env, std::string name, std::vector<LogFile> files,
              Lsn next_lsn, LogManagerOptions options);
 
   /// Forces the writer and, if records were sealed, fires the observer.
-  /// mu_ held by caller. Does not touch stats_.forces (TruncatePrefix's
-  /// internal force is not a logical WAL force).
+  /// First creates the active file if a roll's create failed. mu_ held by
+  /// caller.
   Status SealLocked(Epoch sealed_epoch);
 
   /// Closes the open epoch, drains every channel, merges by LSN into the
-  /// writer, seals, and publishes the watermark. commit_mu_ held by the
-  /// caller; takes issue_mu_, each channel mutex, and mu_ in turn (never
-  /// nested with each other). On IO failure the drained bytes stay in
-  /// the writer buffer and the watermark does not advance — the next
-  /// commit retries them (classic LogWriter retry semantics).
-  Status GroupCommitLocked();
+  /// writer, seals, rolls the active file when it reached kLogRollBytes
+  /// (or, with `roll`, whenever it is not empty), and publishes the
+  /// watermark. commit_mu_ held by the caller; takes issue_mu_, each
+  /// channel mutex, and mu_ in turn (never nested with each other). On IO
+  /// failure the drained bytes stay in the writer buffer and the
+  /// watermark does not advance — the next commit retries them (classic
+  /// LogWriter retry semantics).
+  Status GroupCommitLocked(bool roll = false);
+
+  /// Seals the active file: renames it to its sealed name and starts a
+  /// fresh one. commit_mu_ and mu_ held, nothing buffered unsynced.
+  Status RollLocked();
+
+  /// Creates the fresh active file and points the writer at it. mu_
+  /// held. Retried by the next seal if a roll's create failed.
+  Status OpenActiveLocked();
 
   LogChannel& ChannelForThisThread();
   void AdvancerLoop();
@@ -208,13 +264,15 @@ class LogManager {
   Env* const env_;
   const std::string name_;
   const LogManagerOptions options_;
-  std::shared_ptr<File> file_;
 
   // Lock order: commit_mu_ -> { channel mu / issue_mu_ (never nested
   // with each other by the commit path; an appender holds its channel
   // mutex across issue_mu_) } -> mu_ -> issue_mu_. watermark_mu_ is a
   // leaf taken with nothing else held.
   mutable std::mutex mu_;
+  // Oldest first; back() is the active file the writer appends to (it is
+  // sealed only while a failed roll awaits its create).
+  std::vector<LogFile> files_;
   LogWriter writer_;
   Lsn durable_lsn_;
   Lsn last_appended_ = kInvalidLsn;

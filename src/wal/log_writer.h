@@ -16,7 +16,9 @@ namespace llb {
 /// volatile appends from durable forces.
 class LogWriter {
  public:
-  explicit LogWriter(std::shared_ptr<File> file) : file_(std::move(file)) {}
+  /// `file_bytes` is the size `file` already has.
+  explicit LogWriter(std::shared_ptr<File> file, uint64_t file_bytes = 0)
+      : file_(std::move(file)), file_bytes_(file_bytes) {}
 
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
@@ -38,13 +40,20 @@ class LogWriter {
   /// streams to a standby.
   Status Force(std::string* sealed = nullptr);
 
-  /// Bytes appended + buffered since construction (logging-volume metric).
-  uint64_t bytes_logged() const { return bytes_logged_; }
+  /// Points the writer at a fresh, empty file (a log roll). Bytes still
+  /// buffered go to the new file at the next Force().
+  void SetFile(std::shared_ptr<File> file) {
+    file_ = std::move(file);
+    file_bytes_ = 0;
+  }
+
+  /// Bytes appended to the current file, including those it already had.
+  uint64_t file_bytes() const { return file_bytes_; }
 
  private:
   std::shared_ptr<File> file_;
   std::string buffer_;
-  uint64_t bytes_logged_ = 0;
+  uint64_t file_bytes_;
 };
 
 }  // namespace llb

@@ -99,6 +99,34 @@ TEST(PitrBoundaryTest, ExactQuiescentTargetRestoresThatPrefix) {
   ASSERT_OK(torture::VerifyOpenDb(&rig.engine));
 }
 
+TEST(PitrBoundaryTest, TargetInOlderSealedFileCutsEveryFileAfterIt) {
+  PitrRig rig;
+  ASSERT_OK(rig.Build());
+  // TruncateLog(1) keeps everything but rolls: the target ends up in the
+  // oldest sealed file, with a second sealed file and the active file
+  // after it.
+  ASSERT_OK(rig.engine.db->TruncateLog(1));
+  ASSERT_OK(rig.Insert(10));
+  ASSERT_OK(rig.engine.db->TruncateLog(1));
+  ASSERT_OK(rig.Insert(10));
+  const std::vector<LogFileInfo> before = rig.engine.db->log()->Files();
+  ASSERT_EQ(before.size(), 3u);
+  ASSERT_LT(before[0].first_lsn, rig.target);
+  ASSERT_GT(before[1].first_lsn, rig.target);
+
+  ASSERT_OK(rig.Wipe());
+  ASSERT_OK(rig.Restore(rig.target).status());
+  ASSERT_OK(torture::VerifyStableOffline(&rig.engine, rig.target));
+  EXPECT_FALSE(rig.engine.env.FileExists(before[1].name));
+  ASSERT_OK(rig.engine.Open());
+  EXPECT_EQ(rig.engine.db->log()->durable_lsn(), rig.target);
+  const std::vector<LogFileInfo> after = rig.engine.db->log()->Files();
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[0].name, before[0].name);
+  EXPECT_EQ(after[1].first_lsn, rig.target + 1);
+  ASSERT_OK(torture::VerifyOpenDb(&rig.engine));
+}
+
 TEST(PitrBoundaryTest, MidGroupTargetIsRefused) {
   PitrRig rig;
   ASSERT_OK(rig.Build());

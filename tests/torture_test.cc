@@ -239,6 +239,34 @@ TEST(NestedCrashTest, CrashDuringLogShippingSalvage) {
   EXPECT_GT(report.nested_points_tested, 0u);
 }
 
+// Every run logs kLogRollBytes of page images, so the suite samples the
+// crash points; `dbtool torture log-truncate 1 0 4` (CI smoke) sweeps
+// every one.
+TEST(CrashSweepTest, LogTruncateScenarioSampledPoints) {
+  ScenarioOptions scenario =
+      SmallScenario(ScenarioKind::kLogTruncate, WriteGraphKind::kGeneral);
+  SweepOptions options;
+  options.max_points = 24;
+  CrashSweeper sweeper(scenario);
+  ASSERT_OK_AND_ASSIGN(CrashSweepReport report, sweeper.Sweep(options));
+  EXPECT_GT(report.total_events, 0u);
+  EXPECT_GE(report.points_tested, 20u);
+  EXPECT_GT(report.backups_verified, 0u);
+  // Crash points inside the PITR window take the marker path.
+  EXPECT_GT(report.salvage_restores, 0u);
+}
+
+TEST(NestedCrashTest, CrashDuringLogTruncateSalvage) {
+  SweepOptions options;
+  options.max_points = 2;
+  options.nested_primary_points = 2;
+  options.nested_max_points = 6;
+  CrashSweeper sweeper(
+      SmallScenario(ScenarioKind::kLogTruncate, WriteGraphKind::kGeneral));
+  ASSERT_OK_AND_ASSIGN(CrashSweepReport report, sweeper.Sweep(options));
+  EXPECT_GT(report.nested_points_tested, 0u);
+}
+
 TEST(CrashSweepTest, SweepIsDeterministic) {
   SweepOptions options;
   options.max_points = 10;

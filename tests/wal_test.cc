@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "io/faulty_env.h"
 #include "io/mem_env.h"
 #include "tests/test_util.h"
 #include "wal/log_manager.h"
@@ -231,6 +238,278 @@ TEST(LogManagerTest, ScanAbortsOnCallbackError) {
   });
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(calls, 1);
+}
+
+// ---------- segmented log ----------
+
+/// Counts file operations by file name without faulting any.
+class CountingPolicy : public FaultPolicy {
+ public:
+  FaultAction OnOp(FaultOp op, const std::string& file) override {
+    if (op == FaultOp::kReadAt) ++reads[file];
+    if (op == FaultOp::kWriteAt || op == FaultOp::kAppend) ++writes[file];
+    return FaultAction::kNone;
+  }
+  int total_reads() const {
+    int n = 0;
+    for (const auto& [name, count] : reads) n += count;
+    return n;
+  }
+  std::map<std::string, int> reads;
+  std::map<std::string, int> writes;
+};
+
+/// Appends `n` records of 256 KiB each and forces: kRecordsPerRoll of
+/// them fill one file.
+void AppendBig(LogManager* log, int n) {
+  for (int i = 0; i < n; ++i) {
+    LogRecord rec = SampleRecord(0);
+    rec.payload = std::string(256 << 10, static_cast<char>('a' + i % 26));
+    log->Append(&rec);
+    ASSERT_OK(log->Force());
+  }
+}
+
+constexpr int kRecordsPerRoll = static_cast<int>(kLogRollBytes >> 18);
+
+std::vector<Lsn> ScanLsns(const LogManager& log, Lsn start) {
+  std::vector<Lsn> seen;
+  EXPECT_OK(log.Scan(start, [&](const LogRecord& rec) {
+    seen.push_back(rec.lsn);
+    return Status::OK();
+  }));
+  return seen;
+}
+
+void ExpectDense(const std::vector<Lsn>& lsns, Lsn first, Lsn last) {
+  ASSERT_EQ(lsns.size(), last - first + 1);
+  for (size_t i = 0; i < lsns.size(); ++i) EXPECT_EQ(lsns[i], first + i);
+}
+
+TEST(SegmentedLogTest, SizeRollsSealFilesNamedByFirstLsn) {
+  MemEnv env;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  AppendBig(log.get(), 2 * kRecordsPerRoll + 3);
+  std::vector<LogFileInfo> files = log->Files();
+  ASSERT_EQ(files.size(), 3u);
+  EXPECT_EQ(files[0].name, "log.00000000000000000001");
+  EXPECT_EQ(files[1].first_lsn, static_cast<Lsn>(kRecordsPerRoll + 1));
+  EXPECT_TRUE(files[0].sealed && files[1].sealed && !files[2].sealed);
+  EXPECT_EQ(files[2].name, "log");
+  EXPECT_GE(files[0].bytes, kLogRollBytes);
+  ExpectDense(ScanLsns(*log, 1), 1, 2 * kRecordsPerRoll + 3);
+}
+
+TEST(SegmentedLogTest, TruncatePrefixReadsAndWritesNoLogBytes) {
+  MemEnv base;
+  FaultyEnv env(&base);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  AppendBig(log.get(), 3 * kRecordsPerRoll + 2);
+  const Lsn tail = log->durable_lsn();
+  // The cut lies in the third file: the two before it go.
+  const Lsn keep_from = 2 * kRecordsPerRoll + 5;
+  CountingPolicy counts;
+  env.SetPolicy(&counts);
+  ASSERT_OK(log->TruncatePrefix(keep_from));
+  env.SetPolicy(nullptr);
+  EXPECT_EQ(counts.total_reads(), 0);
+  EXPECT_TRUE(counts.writes.empty());
+  EXPECT_FALSE(base.FileExists("log.00000000000000000001"));
+  std::vector<LogFileInfo> files = log->Files();
+  // The third file (holding the cut), the roll's file, the fresh active.
+  ASSERT_EQ(files.size(), 3u);
+  EXPECT_EQ(files[0].first_lsn, static_cast<Lsn>(2 * kRecordsPerRoll + 1));
+  EXPECT_EQ(files[2].bytes, 0u);
+  ExpectDense(ScanLsns(*log, keep_from), keep_from, tail);
+}
+
+TEST(SegmentedLogTest, ScanReadsNoFileWhollyBelowStart) {
+  MemEnv base;
+  FaultyEnv env(&base);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  AppendBig(log.get(), 3 * kRecordsPerRoll + 2);
+  const std::vector<LogFileInfo> files = log->Files();
+  ASSERT_EQ(files.size(), 4u);
+  const Lsn start = files[2].first_lsn + 1;
+  CountingPolicy counts;
+  env.SetPolicy(&counts);
+  ExpectDense(ScanLsns(*log, start), start, log->durable_lsn());
+  env.SetPolicy(nullptr);
+  EXPECT_EQ(counts.reads.count(files[0].name), 0u);
+  EXPECT_EQ(counts.reads.count(files[1].name), 0u);
+  EXPECT_GT(counts.reads[files[2].name], 0);
+  EXPECT_GT(counts.reads[files[3].name], 0);
+}
+
+TEST(SegmentedLogTest, ReopenAfterManyRollsReadsOnlyTheActiveFile) {
+  MemEnv base;
+  FaultyEnv env(&base);
+  Lsn tail;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(&env, "log"));
+    AppendBig(log.get(), 3 * kRecordsPerRoll + 3);
+    tail = log->durable_lsn();
+  }
+  CountingPolicy counts;
+  env.SetPolicy(&counts);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  env.SetPolicy(nullptr);
+  EXPECT_EQ(log->next_lsn(), tail + 1);
+  EXPECT_EQ(log->Files().size(), 4u);
+  EXPECT_EQ(counts.reads.size(), 1u);
+  EXPECT_GT(counts.reads["log"], 0);
+
+  // Empty active file (a truncation just rolled it): the newest sealed
+  // file is the only other one read.
+  ASSERT_OK(log->TruncatePrefix(1));
+  const std::vector<LogFileInfo> files = log->Files();
+  log.reset();
+  CountingPolicy empty_counts;
+  env.SetPolicy(&empty_counts);
+  ASSERT_OK_AND_ASSIGN(log, LogManager::Open(&env, "log"));
+  env.SetPolicy(nullptr);
+  EXPECT_EQ(log->next_lsn(), tail + 1);
+  EXPECT_EQ(empty_counts.reads.size(), 2u);
+  EXPECT_GT(empty_counts.reads[files[files.size() - 2].name], 0);
+}
+
+/// Fails the create of the active file once armed, so a roll stops
+/// between its rename and its create.
+class FailActiveCreateEnv : public FaultyEnv {
+ public:
+  using FaultyEnv::FaultyEnv;
+  Result<std::shared_ptr<File>> OpenFile(const std::string& name,
+                                         bool create) override {
+    if (armed && create && name == "log") {
+      return Status::IoError("injected create failure");
+    }
+    return FaultyEnv::OpenFile(name, create);
+  }
+  bool armed = false;
+};
+
+TEST(SegmentedLogTest, CrashBetweenRollRenameAndCreateReopensDense) {
+  MemEnv base;
+  FailActiveCreateEnv env(&base);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  for (int i = 0; i < 5; ++i) {
+    LogRecord rec = SampleRecord(0);
+    log->Append(&rec);
+  }
+  env.armed = true;
+  EXPECT_FALSE(log->TruncatePrefix(1).ok());
+  log.reset();
+  base.CrashAndRestart();
+  EXPECT_FALSE(base.FileExists("log"));
+  EXPECT_TRUE(base.FileExists("log.00000000000000000001"));
+
+  env.armed = false;
+  ASSERT_OK_AND_ASSIGN(log, LogManager::Open(&env, "log"));
+  EXPECT_EQ(log->next_lsn(), 6u);
+  for (int i = 0; i < 3; ++i) {
+    LogRecord rec = SampleRecord(0);
+    log->Append(&rec);
+  }
+  ASSERT_OK(log->Force());
+  ExpectDense(ScanLsns(*log, 1), 1, 8);
+}
+
+TEST(SegmentedLogTest, FullTruncationLeavesAnAnchorForTheNextLsn) {
+  MemEnv env;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(&env, "log"));
+    for (int i = 0; i < 4; ++i) {
+      LogRecord rec = SampleRecord(0);
+      log->Append(&rec);
+    }
+    ASSERT_OK(log->TruncatePrefix(1));
+    // Nothing is kept: the sealed file goes, an empty anchor named after
+    // LSN 5 stays.
+    ASSERT_OK(log->TruncatePrefix(5));
+    std::vector<LogFileInfo> files = log->Files();
+    ASSERT_EQ(files.size(), 2u);
+    EXPECT_EQ(files[0].name, "log.00000000000000000005");
+    EXPECT_EQ(files[0].bytes, 0u);
+  }
+  env.CrashAndRestart();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  EXPECT_EQ(log->next_lsn(), 5u);
+  LogRecord rec = SampleRecord(0);
+  log->Append(&rec);
+  // The next roll's rename replaces the anchor.
+  ASSERT_OK(log->TruncatePrefix(1));
+  std::vector<LogFileInfo> files = log->Files();
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_GT(files[0].bytes, 0u);
+  ExpectDense(ScanLsns(*log, 1), 5, 5);
+}
+
+/// Holds every DeleteFile until released, so a test can act while a
+/// truncation's unlink is in progress.
+class BlockingDeleteEnv : public FaultyEnv {
+ public:
+  using FaultyEnv::FaultyEnv;
+  Status DeleteFile(const std::string& name) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+    lock.unlock();
+    return FaultyEnv::DeleteFile(name);
+  }
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(SegmentedLogTest, ForceCompletesWhileTruncationUnlinkIsBlocked) {
+  MemEnv base;
+  BlockingDeleteEnv env(&base);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      LogRecord rec = SampleRecord(0);
+      log->Append(&rec);
+    }
+    if (round == 0) ASSERT_OK(log->TruncatePrefix(1));  // seals 1..3
+  }
+  // Seals 4..6 and unlinks the file holding 1..3 — blocked in DeleteFile.
+  std::thread truncator([&] { EXPECT_OK(log->TruncatePrefix(4)); });
+  env.WaitEntered();
+  std::future<Status> forced = std::async(std::launch::async, [&] {
+    LogRecord rec = SampleRecord(0);
+    log->Append(&rec);
+    return log->Force();
+  });
+  const bool done =
+      forced.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  env.Release();
+  truncator.join();
+  ASSERT_TRUE(done) << "Force blocked behind the truncation's unlink";
+  EXPECT_OK(forced.get());
+  EXPECT_EQ(log->durable_lsn(), 7u);
+  ExpectDense(ScanLsns(*log, 4), 4, 7);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 //
 //   llb_dbtool demo                         build a demo db image
 //   llb_dbtool log <image>                  dump the recovery log
-//   llb_dbtool log-stats <image>            per-op-code record statistics
+//   llb_dbtool log-stats <image>            per-op-code record statistics and
+//                                           the log files (first LSN, bytes,
+//                                           sealed/active)
 //   llb_dbtool pages <image> <partition>    page LSN/type map of S
 //   llb_dbtool manifest <image> <backup>    print a backup manifest
 //   llb_dbtool verify <image> <db>          stable state vs full-log oracle
@@ -206,6 +208,15 @@ int CmdLogStats(MemEnv* env, const std::string& log_name) {
   printf("%-14s %10llu %12llu\n", "TOTAL",
          static_cast<unsigned long long>(total),
          static_cast<unsigned long long>(total_bytes));
+  // The files a retention cut pins: TruncateLog unlinks whole sealed
+  // files only.
+  printf("\n%-34s %12s %12s %s\n", "file", "first_lsn", "bytes", "state");
+  for (const LogFileInfo& file : (*log_or)->Files()) {
+    printf("%-34s %12llu %12llu %s\n", file.name.c_str(),
+           static_cast<unsigned long long>(file.first_lsn),
+           static_cast<unsigned long long>(file.bytes),
+           file.sealed ? "sealed" : "active");
+  }
   return 0;
 }
 
@@ -1029,6 +1040,7 @@ int CmdTorture(const std::string& scenario, uint64_t seed,
       {"instant-restore", ScenarioKind::kInstantRestore, 1},
       {"catalog", ScenarioKind::kCatalogPrune, 1},
       {"write-back", ScenarioKind::kWriteBack, 1},
+      {"log-truncate", ScenarioKind::kLogTruncate, 1},
       // Epoch group-commit variants: same scripts over 4 log channels,
       // so crashes enumerate the sealed-but-unpublished window too.
       {"backup-grouped", ScenarioKind::kBackup, 4},
@@ -1130,11 +1142,13 @@ int Usage() {
           "      crash-point sweep of a pipeline scenario (backup, resume,\n"
           "      scrub, restore, batched, parallel, restore-parallel,\n"
           "      log-shipping, instant-restore, catalog, write-back,\n"
-          "      concurrent, backup-grouped, log-shipping-grouped, or\n"
-          "      all); catalog sweeps compressed-backup retention: chain\n"
-          "      + dedup protection must survive a crash at every catalog\n"
-          "      save and file-deletion event; write-back sweeps the\n"
-          "      cache's flat and journaled eviction batches; the\n"
+          "      log-truncate, concurrent, backup-grouped,\n"
+          "      log-shipping-grouped, or all); catalog sweeps\n"
+          "      compressed-backup retention: chain + dedup protection\n"
+          "      must survive a crash at every catalog save and\n"
+          "      file-deletion event; write-back sweeps the cache's flat\n"
+          "      and journaled eviction batches; log-truncate sweeps log\n"
+          "      rolls, whole-file truncation and the PITR cut; the\n"
           "      -grouped variants run with log_channels=4 so crash\n"
           "      points land between channel seal and epoch publish:\n"
           "      run once to count durability events, then crash at each\n"
