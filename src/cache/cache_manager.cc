@@ -376,7 +376,7 @@ void CacheManager::DecideBackupLogging(const InstallUnit& unit,
 
 Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
                                  const std::vector<InstallUnit>& plan,
-                                 bool flat, bool write_back) {
+                                 bool write_back) {
   PartitionId partition = 0;
   bool have_partition = false;
   for (const InstallUnit& unit : plan) {
@@ -407,14 +407,38 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     latch = std::shared_lock<std::shared_mutex>(progress->latch());
   }
 
+  // A plan whose nodes each have one var needs no journal: it goes out
+  // in write-graph levels, a unit one level past its deepest planned
+  // predecessor, each level durable before the next is written. A node
+  // with several vars must land atomically, so such a plan is one level
+  // written through the shadow journal, which keeps the order too.
+  bool journaled = false;
+  for (const InstallUnit& unit : plan) journaled |= unit.vars.size() > 1;
+  std::unordered_map<uint64_t, size_t> level_of;
+  std::vector<std::vector<PageStore::Entry>> levels(1);
+  for (const InstallUnit& unit : plan) {
+    size_t level = 0;
+    for (uint64_t pred : unit.preds) {
+      auto it = level_of.find(pred);
+      if (it == level_of.end()) {
+        return Status::Internal("install plan lists node " +
+                                std::to_string(unit.node_id) +
+                                " before its predecessor");
+      }
+      if (!journaled) level = std::max(level, it->second + 1);
+    }
+    level_of[unit.node_id] = level;
+    if (level >= levels.size()) levels.resize(level + 1);
+  }
+
   struct PendingInstall {
     uint64_t node_id = 0;
     std::vector<PageId> pages;
   };
   std::vector<PendingInstall> pending;
   pending.reserve(plan.size());
-  std::vector<PageStore::Entry> entries;  // the whole plan, in plan order
   Epoch wait_epoch = kInvalidEpoch;
+  Lsn wait_lsn = 0;
 
   auto clear_marks = [&] {
     for (const PendingInstall& pi : pending) {
@@ -467,12 +491,15 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     PendingInstall pi;
     pi.node_id = unit.node_id;
     pi.pages = unit.vars;
+    wait_lsn = std::max(wait_lsn, unit.max_lsn);
+    std::vector<PageStore::Entry>& level = levels[level_of[unit.node_id]];
     for (const PageId& x : unit.vars) {
       Frame& frame = frames_.find(x)->second;
       ++stats_.hits;
       Touch(frame);
       frame.installing = true;
-      entries.push_back(PageStore::Entry{x, frame.image});
+      wait_lsn = std::max(wait_lsn, frame.image.lsn());
+      level.push_back(PageStore::Entry{x, frame.image});
     }
     installing_nodes_.insert(unit.node_id);
     // Freeze the node's identity in the graph for the unlocked phase 2:
@@ -482,24 +509,27 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     pending.push_back(std::move(pi));
   }
   ++stats_.overlapped_installs;
-  const size_t pages = entries.size();
-  const bool journaled = !flat && pages > 1;
+  size_t pages = 0;
+  size_t written_levels = 0;
+  for (const std::vector<PageStore::Entry>& level : levels) {
+    pages += level.size();
+    if (!level.empty()) ++written_levels;
+  }
 
-  // Phase 2 (cache mutex released, backup latch still shared): wait once
-  // for the epoch watermark to cover the installed operations and their
-  // Iw records — "the epoch containing the Iw record has been published"
-  // is the commit point — then write the frozen images to S as one
-  // store batch. A flat plan is an antichain of one-page nodes, so its
-  // pages may land in any order and go out with one sync per partition;
-  // any other plan goes through the shadow journal as a whole, which
-  // keeps both write-graph order and vars(n) atomicity across a crash.
+  // Phase 2 (cache mutex released, backup latch still shared): the WAL
+  // rule first. A plan that logged Iw records waits for their epoch —
+  // "the epoch containing the Iw record has been published" is the
+  // commit point — and that covers every earlier record too; any other
+  // plan waits only if one of its operations or pages is past the
+  // durable LSN, so cold victims logged long ago cost no log IO.
   // Concurrent installers piggyback on one group commit's single sync.
+  // Then the frozen images go to S level by level.
   lk.unlock();
-  if (wait_epoch == kInvalidEpoch) wait_epoch = log_->CurrentEpoch();
-  Status s = log_->WaitEpochDurable(wait_epoch);
-  if (s.ok()) {
-    s = journaled ? stable_->WriteBatchAtomic(entries)
-                  : stable_->WritePages(entries);
+  Status s = wait_epoch != kInvalidEpoch ? log_->WaitEpochDurable(wait_epoch)
+                                         : log_->WaitLsnDurable(wait_lsn);
+  if (s.ok() && journaled) s = stable_->WriteBatchAtomic(levels[0]);
+  for (size_t i = 0; s.ok() && !journaled && i < levels.size(); ++i) {
+    if (!levels[i].empty()) s = stable_->WritePages(levels[i]);
   }
   // The fence obligation ends once the images are on S; phase 3 is pure
   // in-memory bookkeeping. Drop the latch BEFORE re-taking the cache
@@ -533,15 +563,18 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
   if (write_back) {
     ++stats_.writeback_batches;
     stats_.writeback_pages += pages;
-    if (journaled) ++stats_.writeback_journaled;
+    if (journaled) {
+      ++stats_.writeback_journaled;
+    } else if (written_levels > 1) {
+      ++stats_.writeback_multilevel;
+    }
   }
   install_cv_.notify_all();
   return Status::OK();
 }
 
 void CacheManager::AddWriteBackVictims(const PageId& victim,
-                                       std::vector<InstallUnit>* plan,
-                                       bool* flat) {
+                                       std::vector<InstallUnit>* plan) {
   const size_t window = options_.capacity_pages / 4;
   const size_t limit = std::min<size_t>(kWriteBackBatch, window);
   std::unordered_set<uint64_t> nodes;
@@ -572,7 +605,6 @@ void CacheManager::AddWriteBackVictims(const PageId& victim,
       if (nodes.count(unit.node_id) == 0) added += unit.vars.size();
     }
     if (busy || planned.size() + added > limit) continue;
-    if (more.size() != 1 || more[0].vars.size() != 1) *flat = false;
     // Deduplicate by node, keeping first occurrences: each added plan
     // lists a node's predecessors before it, and a predecessor already
     // planned sits earlier still, so the merged plan stays in
@@ -617,12 +649,8 @@ Status CacheManager::FlushPageLocked(std::unique_lock<std::mutex>& lk,
       }
     }
     if (!busy) {
-      // A lone one-page node with nothing to install before it needs no
-      // journal; batching more victims keeps that only if each of theirs
-      // is one too (such nodes form an antichain).
-      bool flat = plan.size() == 1 && plan[0].vars.size() == 1;
-      if (write_back) AddWriteBackVictims(x, &plan, &flat);
-      return InstallPlan(lk, plan, flat, write_back);
+      if (write_back) AddWriteBackVictims(x, &plan);
+      return InstallPlan(lk, plan, write_back);
     }
     ++stats_.install_waits;
     install_cv_.wait(lk);

@@ -61,10 +61,12 @@ struct CacheStats {
 
   // Batched write-back: installs made by a dirty eviction (each carries
   // the victim plus up to kWriteBackBatch - 1 cold dirty pages of its
-  // partition), the pages they wrote, and those that were not flat and
-  // went through the store's shadow journal.
+  // partition), the pages they wrote, those written in more than one
+  // write-graph level, and those holding a multi-page node, which went
+  // through the store's shadow journal. The rest were flat: one level.
   uint64_t writeback_batches = 0;
   uint64_t writeback_pages = 0;
+  uint64_t writeback_multilevel = 0;
   uint64_t writeback_journaled = 0;
 
   // Per-object flush decisions while a backup is active (Figure 5's
@@ -202,21 +204,20 @@ class CacheManager {
   /// Appends to `plan` the plans of the coldest unpinned, idle dirty
   /// pages of `victim`'s partition among the coldest capacity / 4 frames,
   /// skipping nodes already planned, while the plan stays within the
-  /// write-back batch. Clears *flat when an added plan is not a single
-  /// one-page unit.
+  /// write-back batch.
   void AddWriteBackVictims(const PageId& victim,
-                           std::vector<InstallUnit>* plan, bool* flat);
+                           std::vector<InstallUnit>* plan);
   /// Installs a whole plan in three phases: phase 1 under the cache mutex
   /// (decide + Iw appends + image snapshots + mark units installing),
   /// phase 2 with the mutex released but the partition backup latch still
-  /// held in share mode (one epoch-watermark wait + one stable write of
-  /// the whole plan: PageStore::WritePages when `flat` — every unit a
-  /// one-page node with no planned predecessor — else the shadow-journal
-  /// WriteBatchAtomic), phase 3 re-acquired (mark clean/installed, wake
+  /// held in share mode (a log wait only if the plan logged Iw records or
+  /// holds a page past the durable LSN, then the stable writes: one
+  /// PageStore::WritePages per write-graph level, each durable before the
+  /// next starts, or one shadow-journal WriteBatchAtomic when some node
+  /// has several vars), phase 3 re-acquired (mark clean/installed, wake
   /// waiters).
   Status InstallPlan(std::unique_lock<std::mutex>& lk,
-                     const std::vector<InstallUnit>& plan, bool flat,
-                     bool write_back);
+                     const std::vector<InstallUnit>& plan, bool write_back);
   void Touch(Frame& frame);
 
   /// Decides which vars of the unit need Iw/oF logging given backup

@@ -7,6 +7,88 @@
 
 namespace llb {
 
+namespace {
+
+/// A file's bytes in fixed-size blocks. Growing a file never copies what
+/// it already holds: one contiguous string re-copies the whole file each
+/// time it outgrows its capacity, so an active log file fed large group
+/// commits paid a ~16 MiB copy (and as many fresh pages) on the commit
+/// that took it past 16 MiB, just before it rolled.
+class BlockBytes {
+ public:
+  static constexpr size_t kBlock = size_t{1} << 20;
+
+  size_t size() const { return size_; }
+
+  /// Grows with zeros or shrinks to n bytes.
+  void Resize(size_t n) {
+    while (size_ < n) {
+      if (blocks_.empty() || blocks_.back().size() == kBlock) {
+        blocks_.emplace_back();
+      }
+      std::string& last = blocks_.back();
+      const size_t grow = std::min(kBlock - last.size(), n - size_);
+      last.resize(last.size() + grow, '\0');
+      size_ += grow;
+    }
+    while (size_ > n) {
+      std::string& last = blocks_.back();
+      const size_t cut = std::min(last.size(), size_ - n);
+      last.resize(last.size() - cut);
+      size_ -= cut;
+      if (last.empty()) blocks_.pop_back();
+    }
+  }
+
+  /// Copies [offset, offset + n), which must lie inside the file, to dst.
+  void Read(uint64_t offset, char* dst, size_t n) const {
+    ForEachPiece(offset, n, [&](size_t b, size_t at, size_t len) {
+      std::memcpy(dst, blocks_[b].data() + at, len);
+      dst += len;
+    });
+  }
+
+  /// Overwrites [offset, offset + n), which must lie inside the file.
+  void Write(uint64_t offset, const char* src, size_t n) {
+    ForEachPiece(offset, n, [&](size_t b, size_t at, size_t len) {
+      std::memcpy(blocks_[b].data() + at, src, len);
+      src += len;
+    });
+  }
+
+  std::string Substr(uint64_t offset, size_t n) const {
+    std::string out(n, '\0');
+    Read(offset, out.data(), n);
+    return out;
+  }
+
+  /// Moves every block out, first block first, leaving the file empty.
+  std::vector<std::string> TakeBlocks() {
+    std::vector<std::string> out = std::move(blocks_);
+    blocks_.clear();
+    size_ = 0;
+    return out;
+  }
+
+ private:
+  template <typename Fn>
+  void ForEachPiece(uint64_t offset, size_t n, Fn&& fn) const {
+    while (n > 0) {
+      const size_t b = static_cast<size_t>(offset / kBlock);
+      const size_t at = static_cast<size_t>(offset % kBlock);
+      const size_t len = std::min(n, kBlock - at);
+      fn(b, at, len);
+      offset += len;
+      n -= len;
+    }
+  }
+
+  std::vector<std::string> blocks_;  // all but the last hold kBlock bytes
+  size_t size_ = 0;
+};
+
+}  // namespace
+
 /// A file in MemEnv. Thread-safe: the env mutex guards all file state
 /// (files are few and operations short; a single lock keeps the crash
 /// transition atomic with respect to in-flight IO).
@@ -19,7 +101,9 @@ class MemFile : public File {
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     if (offset >= data_.size()) return Status::OK();
     size_t avail = std::min<uint64_t>(n, data_.size() - offset);
-    out->append(data_.data() + offset, avail);
+    const size_t at = out->size();
+    out->resize(at + avail);
+    data_.Read(offset, out->data() + at, avail);
     return Status::OK();
   }
 
@@ -31,7 +115,7 @@ class MemFile : public File {
       size_t avail = offset < data_.size()
                          ? std::min<uint64_t>(chunk.size, data_.size() - offset)
                          : 0;
-      if (avail > 0) std::memcpy(chunk.data, data_.data() + offset, avail);
+      if (avail > 0) data_.Read(offset, chunk.data, avail);
       if (avail < chunk.size) {
         std::memset(chunk.data + avail, 0, chunk.size - avail);
       }
@@ -45,9 +129,9 @@ class MemFile : public File {
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     SaveUndo(offset, data.size());
     if (offset + data.size() > data_.size()) {
-      data_.resize(offset + data.size(), '\0');
+      data_.Resize(offset + data.size());
     }
-    std::copy(data.data(), data.data() + data.size(), data_.begin() + offset);
+    data_.Write(offset, data.data(), data.size());
     return Status::OK();
   }
 
@@ -59,14 +143,10 @@ class MemFile : public File {
     for (const Slice& chunk : chunks) total += chunk.size();
     if (total == 0) return Status::OK();
     SaveUndo(offset, total);
-    if (offset + total > data_.size()) {
-      data_.resize(offset + total, '\0');
-    }
-    uint64_t at = offset;
+    if (offset + total > data_.size()) data_.Resize(offset + total);
     for (const Slice& chunk : chunks) {
-      std::copy(chunk.data(), chunk.data() + chunk.size(),
-                data_.begin() + at);
-      at += chunk.size();
+      data_.Write(offset, chunk.data(), chunk.size());
+      offset += chunk.size();
     }
     return Status::OK();
   }
@@ -74,8 +154,10 @@ class MemFile : public File {
   Status Append(Slice data) override {
     std::lock_guard<std::mutex> lock(env_->mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
-    SaveUndo(data_.size(), data.size());
-    data_.append(data.data(), data.size());
+    const uint64_t offset = data_.size();
+    SaveUndo(offset, data.size());
+    data_.Resize(offset + data.size());
+    data_.Write(offset, data.data(), data.size());
     return Status::OK();
   }
 
@@ -104,14 +186,18 @@ class MemFile : public File {
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     if (size == 0) {
       // Truncating to empty (a retired journal): move the durable bytes
-      // into the undo image instead of copying them.
-      data_.resize(std::min<uint64_t>(data_.size(), durable_size_));
-      if (!data_.empty()) undo_.push_back(Undo{0, std::move(data_)});
-      data_.clear();
+      // into undo images instead of copying them.
+      data_.Resize(std::min<uint64_t>(data_.size(), durable_size_));
+      uint64_t offset = 0;
+      for (std::string& block : data_.TakeBlocks()) {
+        const uint64_t length = block.size();
+        undo_.push_back(Undo{offset, std::move(block)});
+        offset += length;
+      }
       return Status::OK();
     }
     if (size < data_.size()) SaveUndo(size, data_.size() - size);
-    data_.resize(size, '\0');
+    data_.Resize(size);
     return Status::OK();
   }
 
@@ -126,18 +212,17 @@ class MemFile : public File {
     const uint64_t end = std::min<uint64_t>(
         offset + length, std::min<uint64_t>(durable_size_, data_.size()));
     if (offset >= end) return;
-    undo_.push_back(Undo{offset, data_.substr(offset, end - offset)});
+    undo_.push_back(Undo{offset, data_.Substr(offset, end - offset)});
   }
 
   void OnCrashRestart() {
     // Undo images restored newest first leave every durable byte as the
     // last sync saw it; anything past the durable size was never synced.
-    data_.resize(std::max<uint64_t>(data_.size(), durable_size_), '\0');
+    data_.Resize(std::max<uint64_t>(data_.size(), durable_size_));
     for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-      std::copy(it->bytes.begin(), it->bytes.end(),
-                data_.begin() + it->offset);
+      data_.Write(it->offset, it->bytes.data(), it->bytes.size());
     }
-    data_.resize(durable_size_);
+    data_.Resize(durable_size_);
     undo_.clear();
   }
 
@@ -149,7 +234,7 @@ class MemFile : public File {
     std::string bytes;  // durable contents before an unsynced change
   };
   MemEnv* const env_;
-  std::string data_;           // volatile contents
+  BlockBytes data_;            // volatile contents
   uint64_t durable_size_ = 0;  // file size at the last sync
   std::vector<Undo> undo_;     // since the last sync, oldest first
 };

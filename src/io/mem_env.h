@@ -20,7 +20,8 @@ class MemFile;
 ///  * each file keeps one copy of its volatile contents plus undo images
 ///    of the durable bytes changed since the last sync (appends past the
 ///    synced size need none), so a sync only drops the images and a
-///    file costs its size in memory, not twice it;
+///    file costs its size in memory, not twice it. The contents sit in
+///    1 MiB blocks, so a growing file never re-copies what it holds;
 ///  * `CrashAndRestart()` reverts every file to its durable snapshot,
 ///    simulating loss of all unflushed state;
 ///  * an optional FaultInjector can veto durability events, after which

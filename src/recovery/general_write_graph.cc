@@ -282,6 +282,11 @@ Status GeneralWriteGraph::PlanInstall(const PageId& x,
     std::sort(unit.vars.begin(), unit.vars.end());
     unit.min_lsn = node.min_lsn;
     unit.max_lsn = node.max_lsn;
+    // A collapsed cycle leaves edges between its members: skip the
+    // resulting self-loop.
+    for (uint64_t pred : LivePreds(node)) {
+      if (pred != id) unit.preds.push_back(pred);
+    }
     plan->push_back(std::move(unit));
   }
   return Status::OK();

@@ -132,6 +132,9 @@ Status TreeWriteGraph::PlanInstall(const PageId& x,
     if (!node.identity_written) unit.vars = {page};
     unit.min_lsn = node.min_lsn;
     unit.max_lsn = node.max_lsn;
+    for (const PageId& p : live_preds(node)) {
+      unit.preds.push_back(dirty_[p].id);
+    }
     unit.has_successors = node.has_succ;
     unit.max_successor_pos = node.max_pos;
     unit.violation = node.violation;

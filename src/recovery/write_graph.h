@@ -21,6 +21,9 @@ struct InstallUnit {
   std::vector<PageId> vars;
   Lsn min_lsn = std::numeric_limits<Lsn>::max();
   Lsn max_lsn = 0;
+  /// node_ids of the uninstalled nodes that must install before this one
+  /// (its direct predecessors; PlanInstall lists each earlier in the plan).
+  std::vector<uint64_t> preds;
 
   /// Tree-operation metadata (meaningful for TreeWriteGraph, where every
   /// node has a single var X): the state of the successor set S(X) used
@@ -63,7 +66,8 @@ class WriteGraph {
 
   /// Computes the ordered install plan for the node owning `x`: all
   /// uninstalled predecessor nodes first (transitively), x's node last.
-  /// Fails if x is not tracked.
+  /// Each unit reports its direct predecessors, so an installer can write
+  /// the plan in write-graph levels. Fails if x is not tracked.
   virtual Status PlanInstall(const PageId& x,
                              std::vector<InstallUnit>* plan) = 0;
 

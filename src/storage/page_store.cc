@@ -91,11 +91,18 @@ Status PageStore::ReadPage(const PageId& id, PageImage* out) const {
   if (id.partition >= num_partitions_) {
     return Status::InvalidArgument("partition out of range");
   }
+  // Optimistic and unlatched, like the sweep reader: a miss never waits
+  // behind another thread's write and sync. A checksum miss is re-read
+  // once under the latch, which no write holds across more than its
+  // WriteAt: success there means the first read was torn by a concurrent
+  // writer, failure means the media really is corrupt.
+  Status s = ReadPageOnce(id, out);
+  if (!s.IsCorruption()) return s;
   std::lock_guard<std::mutex> lock(PartitionMutex(id.partition));
-  return ReadPageLocked(id, out);
+  return ReadPageOnce(id, out);
 }
 
-Status PageStore::ReadPageLocked(const PageId& id, PageImage* out) const {
+Status PageStore::ReadPageOnce(const PageId& id, PageImage* out) const {
   std::string raw;
   LLB_RETURN_IF_ERROR(partition_files_[id.partition]->ReadAt(
       uint64_t{id.page} * kPageSize, kPageSize, &raw));
@@ -109,14 +116,17 @@ Status PageStore::WritePage(const PageId& id, const PageImage& image) {
   }
   PageImage sealed = image;
   sealed.Seal();
-  std::lock_guard<std::mutex> lock(PartitionMutex(id.partition));
-  return WritePageLocked(id, sealed);
+  return WriteAndSync(id.partition, id.page, {sealed.raw()});
 }
 
-Status PageStore::WritePageLocked(const PageId& id, const PageImage& sealed) {
-  File* file = partition_files_[id.partition].get();
-  LLB_RETURN_IF_ERROR(
-      file->WriteAt(uint64_t{id.page} * kPageSize, sealed.raw()));
+Status PageStore::WriteAndSync(PartitionId partition, uint32_t first_page,
+                               const std::vector<Slice>& chunks) {
+  File* file = partition_files_[partition].get();
+  {
+    std::lock_guard<std::mutex> lock(PartitionMutex(partition));
+    LLB_RETURN_IF_ERROR(
+        file->WriteAtv(uint64_t{first_page} * kPageSize, chunks));
+  }
   return file->Sync();
 }
 
@@ -160,11 +170,7 @@ Status PageStore::WriteSealedRun(PartitionId partition, uint32_t first_page,
   std::vector<Slice> chunks;
   chunks.reserve(images.size());
   for (const PageImage& image : images) chunks.push_back(image.raw());
-  std::lock_guard<std::mutex> lock(PartitionMutex(partition));
-  File* file = partition_files_[partition].get();
-  LLB_RETURN_IF_ERROR(
-      file->WriteAtv(uint64_t{first_page} * kPageSize, chunks));
-  return file->Sync();
+  return WriteAndSync(partition, first_page, chunks);
 }
 
 PageStore::AsyncRunReader::AsyncRunReader(const PageStore* store,
@@ -325,10 +331,10 @@ Status PageStore::AsyncRunWriter::WriteWindow(
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
-  // Latch every partition of the window, ascending — the whole window is
-  // one critical section per partition, so readers never see a torn page
-  // and concurrent writers (always a disjoint or identically-ordered
-  // partition set) cannot deadlock.
+  // Latch every partition of the window, ascending, from the first
+  // submit to the last reap — one critical section per partition, so a
+  // latched re-read never sees a torn page and concurrent writers (always
+  // a disjoint or identically-ordered partition set) cannot deadlock.
   std::vector<std::unique_lock<std::mutex>> latches;
   latches.reserve(touched.size());
   for (PartitionId partition : touched) {
@@ -390,11 +396,12 @@ Status PageStore::AsyncRunWriter::WriteWindow(
     return window;
   }
 
-  // Queues are empty: one durability barrier per touched partition.
+  // Queues are empty, and device time ahead is only the sync: release
+  // the latches and issue one durability barrier per touched partition
+  // through its File, so no channel is ever driven unlatched.
+  latches.clear();
   for (PartitionId partition : touched) {
-    AsyncFile* channel = channels_[partition].get();
-    if (channel == nullptr) continue;
-    Status synced = channel->Sync();
+    Status synced = store_->partition_files_[partition]->Sync();
     if (window.ok() && !synced.ok()) window = synced;
   }
   for (size_t i = 0; i < runs.size(); ++i) {
@@ -425,12 +432,7 @@ Status PageStore::WriteBatchAtomic(const std::vector<Entry>& entries) {
       return Status::InvalidArgument("partition out of range");
     }
   }
-  if (entries.size() == 1) {
-    PageImage sealed = entries[0].image;
-    sealed.Seal();
-    std::lock_guard<std::mutex> lock(PartitionMutex(entries[0].id.partition));
-    return WritePageLocked(entries[0].id, sealed);
-  }
+  if (entries.size() == 1) return WritePage(entries[0].id, entries[0].image);
   // Lock order: the journal mutex first, then partition mutexes one at a
   // time per page write. Batches serialize against each other on
   // journal_mu_ (they share the shadow journal file) but let sweep IO on
@@ -550,8 +552,10 @@ Status PageStore::WipePartition(PartitionId partition) {
   if (partition >= num_partitions_) {
     return Status::InvalidArgument("partition out of range");
   }
-  std::lock_guard<std::mutex> lock(PartitionMutex(partition));
-  LLB_RETURN_IF_ERROR(partition_files_[partition]->Truncate(0));
+  {
+    std::lock_guard<std::mutex> lock(PartitionMutex(partition));
+    LLB_RETURN_IF_ERROR(partition_files_[partition]->Truncate(0));
+  }
   return partition_files_[partition]->Sync();
 }
 
@@ -560,11 +564,7 @@ Status PageStore::CorruptPage(const PageId& id) {
     return Status::InvalidArgument("partition out of range");
   }
   std::string junk(kPageSize, '\xDB');
-  std::lock_guard<std::mutex> lock(PartitionMutex(id.partition));
-  File* file = partition_files_[id.partition].get();
-  LLB_RETURN_IF_ERROR(
-      file->WriteAt(uint64_t{id.page} * kPageSize, Slice(junk)));
-  return file->Sync();
+  return WriteAndSync(id.partition, id.page, {Slice(junk)});
 }
 
 Status PageStore::CopyAllFrom(const PageStore& src,
@@ -574,8 +574,7 @@ Status PageStore::CopyAllFrom(const PageStore& src,
       PageId id{p, page};
       PageImage image;
       LLB_RETURN_IF_ERROR(src.ReadPage(id, &image));
-      std::lock_guard<std::mutex> lock(PartitionMutex(p));
-      LLB_RETURN_IF_ERROR(WritePageLocked(id, image));
+      LLB_RETURN_IF_ERROR(WriteAndSync(p, page, {image.raw()}));
     }
   }
   return Status::OK();

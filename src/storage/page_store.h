@@ -36,14 +36,17 @@ inline constexpr uint32_t kWriteBackBatch = 8;
 ///    sync per touched partition and no journal; each page is atomic;
 ///  * pages never written read back as all-zero images with LSN 0.
 ///
-/// Thread-safe: reads/writes are serialized by a per-partition mutex, so
-/// a concurrent backup sweep sees each page either entirely before or
-/// entirely after any write ("coordination ... occurs at the disk arm",
-/// paper 1.2) — while sweeps of DIFFERENT partitions proceed fully in
-/// parallel, which is what makes a multi-threaded partitioned backup
-/// faster than a serial one. WriteBatchAtomic additionally serializes on
-/// a store-wide journal mutex (lock order: journal, then partition;
-/// nothing acquires the journal mutex while holding a partition mutex).
+/// Thread-safe. Writes hold a per-partition latch across their WriteAt
+/// calls but never across a Sync, and reads take no latch at all: a read
+/// whose checksum fails is re-read once under the latch, so a reader sees
+/// each page either entirely before or entirely after any write
+/// ("coordination ... occurs at the disk arm", paper 1.2) and never waits
+/// behind another thread's sync. Sweeps of DIFFERENT partitions proceed
+/// fully in parallel, which is what makes a multi-threaded partitioned
+/// backup faster than a serial one. WriteBatchAtomic additionally
+/// serializes on a store-wide journal mutex (lock order: journal, then
+/// partition; nothing acquires the journal mutex while holding a
+/// partition mutex).
 class PageStore {
  public:
   struct Entry {
@@ -61,7 +64,8 @@ class PageStore {
   PageStore(const PageStore&) = delete;
   PageStore& operator=(const PageStore&) = delete;
 
-  /// Reads a page and verifies its checksum.
+  /// Reads a page and verifies its checksum, without the partition latch
+  /// unless the first read fails its checksum (then once more under it).
   Status ReadPage(const PageId& id, PageImage* out) const;
 
   /// Atomically and durably writes one page (seals the image first).
@@ -76,9 +80,9 @@ class PageStore {
                  std::vector<PageImage>* out) const;
 
   /// Durably writes `images` to the `images.size()` contiguous page slots
-  /// starting at first_page, as one vectored device write followed by one
-  /// sync, under a single latch acquisition. The images must already
-  /// carry valid checksums (e.g. they came from ReadRun of another
+  /// starting at first_page, as one vectored device write under a single
+  /// latch acquisition, followed by one sync outside it. The images must
+  /// already carry valid checksums (e.g. they came from ReadRun of another
   /// store): they are written raw, without the per-page re-seal
   /// WritePage performs — an identity copy of sealed bytes stays sealed.
   /// Crash atomicity is the sync: the whole run becomes durable at the
@@ -187,17 +191,19 @@ class PageStore {
   /// queue_depth writes in flight, then one durability barrier per
   /// touched partition (N writes : 1 sync, like WriteSealedRun's batch
   /// economics but across runs). The window latches every partition it
-  /// touches for its whole duration — acquired in ascending partition
-  /// order, so concurrent writers cannot deadlock — which preserves the
-  /// no-torn-reads guarantee ReadPage relies on.
+  /// touches from its first submit to its last reap — acquired in
+  /// ascending partition order, so concurrent writers cannot deadlock —
+  /// which preserves the no-torn-reads guarantee of ReadPage's latched
+  /// re-read. The barrier runs after the latches are released, through
+  /// each partition's File (its channel is empty by then).
   ///
   /// WriteWindow may run on several threads at once: a partition's
-  /// channel is opened, driven and synced only under that partition's
-  /// latch, which the window holds throughout, so windows share a writer
-  /// safely and windows of one partition take turns. The store's own
-  /// install writer relies on this (installers of different partitions
-  /// run in parallel). backend() reads the channels unlatched: call it on
-  /// a quiescent writer.
+  /// channel is opened, submitted to and reaped only under that
+  /// partition's latch, and never synced, so windows share a writer
+  /// safely and windows of one partition take turns at the channel. The
+  /// store's own install writer relies on this (installers of different
+  /// partitions run in parallel). backend() reads the channels unlatched:
+  /// call it on a quiescent writer.
   class AsyncRunWriter {
    public:
     ~AsyncRunWriter();
@@ -261,9 +267,12 @@ class PageStore {
   /// Writes sealed entries (a later duplicate of a slot wins) as
   /// coalesced runs, with one sync per touched partition.
   Status WriteSealedEntries(std::vector<Entry> sealed);
-  /// Callers hold the partition's mutex.
-  Status WritePageLocked(const PageId& id, const PageImage& sealed);
-  Status ReadPageLocked(const PageId& id, PageImage* out) const;
+  /// Writes sealed bytes at first_page under the partition's latch, then
+  /// syncs the partition with the latch released.
+  Status WriteAndSync(PartitionId partition, uint32_t first_page,
+                      const std::vector<Slice>& chunks);
+  /// One read and checksum check of a page, latched or not.
+  Status ReadPageOnce(const PageId& id, PageImage* out) const;
 
   std::mutex& PartitionMutex(PartitionId partition) const {
     return *partition_mu_[partition];

@@ -7,6 +7,7 @@
 #include "backup/backup_catalog.h"
 #include "btree/btree.h"
 #include "common/random.h"
+#include "filestore/file_ops.h"
 #include "filestore/filestore.h"
 #include "io/faulty_env.h"
 #include "ship/log_shipper.h"
@@ -81,7 +82,9 @@ class BtreeScenarioWorkload : public ScenarioWorkload {
 /// ids) plus in-place Transforms (BackupPolicy::kGeneral). With
 /// `write_back` every page starts populated, nothing is flushed
 /// explicitly (dirty evictions do it), and a copy's source is often
-/// transformed right after, so evictions meet copy -> overwrite pairs.
+/// transformed right after, so evictions meet copy -> overwrite pairs
+/// (two write-graph levels); every fourth such transform rewrites the
+/// copy's target with it, a two-page node that must land atomically.
 class GeneralScenarioWorkload : public ScenarioWorkload {
  public:
   GeneralScenarioWorkload(Database* db, uint32_t num_pages, uint64_t seed,
@@ -109,7 +112,11 @@ class GeneralScenarioWorkload : public ScenarioWorkload {
       if (dst == src) dst = (dst + 1) % num_pages_;
       LLB_RETURN_IF_ERROR(files_.Copy(src, dst));
       if (write_back_) {
-        if (i % 2 == 1) {
+        if (i % 8 == 7) {
+          LogRecord pair = MakeFileTransform(
+              {files_.PagesOf(src)[0], files_.PagesOf(dst)[0]}, rng_.Next());
+          LLB_RETURN_IF_ERROR(db_->Execute(&pair));
+        } else if (i % 2 == 1) {
           LLB_RETURN_IF_ERROR(files_.Transform(src, rng_.Next()));
         }
         continue;
@@ -460,12 +467,14 @@ Status CrashSweeper::RunScenario(TortureEngine* e) const {
       if (!full.complete) return Status::Internal("full backup incomplete");
       LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_post));
       const CacheStats stats = db->cache()->stats();
-      if (stats.writeback_journaled == 0 ||
-          stats.writeback_journaled == stats.writeback_batches) {
+      if (stats.writeback_multilevel == 0 || stats.writeback_journaled == 0 ||
+          stats.writeback_multilevel + stats.writeback_journaled ==
+              stats.writeback_batches) {
         return Status::Internal(
-            "write-back scenario did not run both flat and journaled "
-            "batches: " + std::to_string(stats.writeback_batches) +
-            " batches, " + std::to_string(stats.writeback_journaled) +
+            "write-back scenario did not run flat, multi-level and "
+            "journaled batches: " + std::to_string(stats.writeback_batches) +
+            " batches, " + std::to_string(stats.writeback_multilevel) +
+            " multi-level, " + std::to_string(stats.writeback_journaled) +
             " journaled");
       }
       // The oracle compares S itself: install what the evictions left.
@@ -977,7 +986,11 @@ Status CrashSweeper::RunScenario(TortureEngine* e) const {
       LLB_RETURN_IF_ERROR(OfflinePitr(e, pitr_target));
       LLB_RETURN_IF_ERROR(VerifyStableOffline(e, pitr_target));
       LLB_RETURN_IF_ERROR(ClearRestoreMarker(&e->env));
-      return e->Open();
+      LLB_RETURN_IF_ERROR(e->Open());
+      if (e->db->log()->durable_lsn() != pitr_target) {
+        return Status::Internal("log reopened past the PITR target");
+      }
+      return Status::OK();
     }
   }
   return Status::Internal("unknown scenario kind");

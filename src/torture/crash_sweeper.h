@@ -100,11 +100,13 @@ enum class ScenarioKind {
   kCatalogPrune,
   /// Batched write-back: general logical ops (one-page Copy, each often
   /// followed by a Transform of its source, so the copy's node must
-  /// install first) over more pages than the cache holds and with no
-  /// explicit flushes, so dirty evictions install both flat batches (no
-  /// journal) and journaled ones. One workload pass runs with no backup,
-  /// one inside a full backup's mid-step hook (Iw/oF decisions on every
-  /// batch). The clean run fails unless both batch kinds ran.
+  /// install first; every fourth such Transform also rewrites the copy's
+  /// target, a two-page node) over more pages than the cache holds and
+  /// with no explicit flushes, so dirty evictions install flat batches,
+  /// batches written in several write-graph levels, and journaled ones.
+  /// One workload pass runs with no backup, one inside a full backup's
+  /// mid-step hook (Iw/oF decisions on every batch). The clean run fails
+  /// unless all three batch kinds ran.
   kWriteBack,
   /// Segmented-log truncation: a full backup, then TruncateLog cutting
   /// at its start (inside the file the truncation's roll seals), bulk

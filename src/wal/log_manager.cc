@@ -187,7 +187,7 @@ Status LogManager::GroupCommitLocked(bool roll) {
     // close; a gap means a record was issued but never buffered — an
     // invariant violation, not an IO error.
     const Lsn first =
-        (last_appended_ != kInvalidLsn ? last_appended_ : durable_lsn_) + 1;
+        (last_appended_ != kInvalidLsn ? last_appended_ : durable_lsn()) + 1;
     merge_order_.clear();
     for (Lsn expect = first; merge_order_.size() < total; ++expect) {
       size_t r = 0;
@@ -262,6 +262,11 @@ Epoch LogManager::CurrentEpoch() const {
   return open_epoch_;
 }
 
+Status LogManager::WaitLsnDurable(Lsn lsn) {
+  if (lsn <= durable_lsn()) return Status::OK();
+  return WaitEpochDurable(CurrentEpoch());
+}
+
 void LogManager::AdvancerLoop() {
   const auto interval =
       std::chrono::microseconds(options_.group_commit_interval_us);
@@ -291,7 +296,9 @@ Status LogManager::SealLocked(Epoch sealed_epoch) {
   if (files_.back().sealed) LLB_RETURN_IF_ERROR(OpenActiveLocked());
   std::string sealed;
   LLB_RETURN_IF_ERROR(writer_.Force(&sealed));
-  if (last_appended_ != kInvalidLsn) durable_lsn_ = last_appended_;
+  if (last_appended_ != kInvalidLsn) {
+    durable_lsn_.store(last_appended_, std::memory_order_release);
+  }
   if (!sealed.empty()) {
     SealedSegment segment;
     segment.seq = ++seal_seq_;
@@ -328,7 +335,7 @@ Status LogManager::RollLocked() {
 Status LogManager::OpenActiveLocked() {
   LogFile active;
   active.name = name_;
-  active.first_lsn = durable_lsn_ + 1;
+  active.first_lsn = durable_lsn() + 1;
   LLB_ASSIGN_OR_RETURN(active.file, env_->OpenFile(name_, /*create=*/true));
   writer_.SetFile(active.file);
   files_.push_back(std::move(active));
@@ -347,7 +354,7 @@ Lsn LogManager::InstallSealObserver(SealObserver observer) {
   // observer existed, anything later will fire it.
   std::lock_guard<std::mutex> lock(mu_);
   seal_observer_ = std::move(observer);
-  return durable_lsn_;
+  return durable_lsn();
 }
 
 Status LogManager::AppendSealed(const SealedSegment& segment,
@@ -431,11 +438,6 @@ Epoch LogManager::last_ingested_epoch() const {
 Lsn LogManager::next_lsn() const {
   std::lock_guard<std::mutex> issue(issue_mu_);
   return next_lsn_;
-}
-
-Lsn LogManager::durable_lsn() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return durable_lsn_;
 }
 
 Status LogManager::Scan(

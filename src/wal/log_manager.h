@@ -146,6 +146,11 @@ class LogManager {
   /// this epoch makes everything appended so far durable (epoch barrier).
   Epoch CurrentEpoch() const;
 
+  /// Blocks until the record at `lsn` is durable. Returns at once, with
+  /// no lock taken, when durable_lsn() already covers it; otherwise waits
+  /// for CurrentEpoch() (the WAL rule for a page whose LSN is `lsn`).
+  Status WaitLsnDurable(Lsn lsn);
+
   /// Highest published (group-committed) epoch.
   Epoch durable_epoch() const {
     return durable_epoch_.load(std::memory_order_acquire);
@@ -193,8 +198,12 @@ class LogManager {
   /// LSN that will be assigned to the next record.
   Lsn next_lsn() const;
 
-  /// Highest LSN known durable (<= last appended).
-  Lsn durable_lsn() const;
+  /// Highest LSN known durable (<= last appended). Lock-free: a group
+  /// commit holds mu_ across its device write and sync, and installers
+  /// check this before deciding whether to wait at all.
+  Lsn durable_lsn() const {
+    return durable_lsn_.load(std::memory_order_acquire);
+  }
 
   /// Scans durable records with lsn >= start_lsn in order, over a
   /// snapshot of the file list that skips files wholly below start_lsn.
@@ -274,7 +283,8 @@ class LogManager {
   // sealed only while a failed roll awaits its create).
   std::vector<LogFile> files_;
   LogWriter writer_;
-  Lsn durable_lsn_;
+  // Written under mu_ once the sync covering it succeeded; read anywhere.
+  std::atomic<Lsn> durable_lsn_;
   Lsn last_appended_ = kInvalidLsn;
   // Forces, group commits, and records ingested through AppendSealed;
   // records appended through the channels are counted per channel.

@@ -34,13 +34,14 @@ PageImage ValuePage(const std::string& content) {
 
 class CacheTest : public ::testing::Test {
  protected:
-  /// `stable_env` (default: the MemEnv) hosts only the stable store, so
-  /// a test can count or gate its IO apart from the log's.
+  /// `stable_env` and `log_env` (default: the MemEnv) host only the
+  /// stable store or only the log, so a test can count or gate the IO of
+  /// one apart from the other's.
   void Init(BackupPolicy policy, bool tree_graph = false,
             size_t capacity = 64, uint32_t partitions = 1,
-            Env* stable_env = nullptr) {
+            Env* stable_env = nullptr, Env* log_env = nullptr) {
     RegisterFileOps(&registry_);
-    auto log = LogManager::Open(&env_, "log");
+    auto log = LogManager::Open(log_env != nullptr ? log_env : &env_, "log");
     ASSERT_TRUE(log.ok());
     log_ = std::move(log).value();
     auto store = PageStore::Open(stable_env != nullptr ? stable_env : &env_,
@@ -527,7 +528,7 @@ TEST_F(WriteBackTest, FlatBatchSkipsTheJournalAndSyncsThePartitionOnce) {
   EXPECT_TRUE(cache_->IsDirty(P(8)));
 }
 
-TEST_F(WriteBackTest, BatchWithAPredecessorPairGoesThroughTheJournal) {
+TEST_F(WriteBackTest, BatchWithAPredecessorPairIsWrittenInTwoLevels) {
   Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16,
        /*partitions=*/1, &faulty_);
   ASSERT_OK(WritePageOp(1, "src"));
@@ -540,13 +541,214 @@ TEST_F(WriteBackTest, BatchWithAPredecessorPairGoesThroughTheJournal) {
   ASSERT_OK(WritePageOp(99, "new"));  // evicts page 2; page 1 joins it
   faulty_.SetPolicy(nullptr);
 
+  // Level 0 is page 2 with the fillers 10 and 11, level 1 is page 1: two
+  // writes, each synced before the next starts, and no journal IO.
   const CacheStats stats = cache_->stats();
   EXPECT_EQ(stats.writeback_batches, 1u);
-  EXPECT_EQ(stats.writeback_journaled, 1u);
-  EXPECT_GT(counting_.count(FaultOp::kSync, "stable.journal"), 0u);
+  EXPECT_EQ(stats.writeback_pages, 4u);
+  EXPECT_EQ(stats.writeback_multilevel, 1u);
+  EXPECT_EQ(stats.writeback_journaled, 0u);
+  EXPECT_EQ(counting_.count(FaultOp::kSync, "stable.p0"), 2u);
+  EXPECT_EQ(counting_.count(FaultOp::kWriteAt, "stable.journal"), 0u);
+  EXPECT_EQ(counting_.count(FaultOp::kSync, "stable.journal"), 0u);
   EXPECT_FALSE(cache_->IsDirty(P(1)));
   EXPECT_EQ(StablePrefix(P(2), 3), "src");
   EXPECT_EQ(StablePrefix(P(1), 9), "overwrite");
+}
+
+TEST_F(WriteBackTest, MultiPageNodeStillGoesThroughTheJournal) {
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16,
+       /*partitions=*/1, &faulty_);
+  ASSERT_OK(WritePageOp(1, "one"));
+  ASSERT_OK(WritePageOp(2, "two"));
+  LogRecord pair = MakeFileTransform({P(1), P(2)}, /*seed=*/5);
+  ASSERT_OK(cache_->ExecuteOp(&pair));  // one node, vars {1, 2}
+  for (uint32_t i = 10; i < 24; ++i) {
+    ASSERT_OK(WritePageOp(i, "filler"));
+  }
+  faulty_.SetPolicy(&counting_);
+  ASSERT_OK(WritePageOp(99, "new"));  // evicts page 1; page 2 comes along
+  faulty_.SetPolicy(nullptr);
+
+  const CacheStats stats = cache_->stats();
+  EXPECT_EQ(stats.writeback_batches, 1u);
+  EXPECT_EQ(stats.writeback_journaled, 1u);
+  EXPECT_EQ(stats.writeback_multilevel, 0u);
+  EXPECT_GT(counting_.count(FaultOp::kWriteAt, "stable.journal"), 0u);
+  EXPECT_GT(counting_.count(FaultOp::kSync, "stable.journal"), 0u);
+  EXPECT_FALSE(cache_->IsDirty(P(1)));
+  EXPECT_FALSE(cache_->IsDirty(P(2)));
+}
+
+TEST_F(WriteBackTest, DurableVictimsCostNoLogIo) {
+  // The log alone sits behind the counting env.
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16,
+       /*partitions=*/1, /*stable_env=*/nullptr, &faulty_);
+  for (uint32_t i = 0; i < 16; ++i) {
+    ASSERT_OK(WritePageOp(i, "page" + std::to_string(i)));
+  }
+  ASSERT_OK(log_->Force());
+  faulty_.SetPolicy(&counting_);
+  ASSERT_OK(WritePageOp(99, "new"));  // evicts pages 0..3, all durable
+  faulty_.SetPolicy(nullptr);
+
+  EXPECT_EQ(cache_->stats().writeback_pages, 4u);
+  for (FaultOp op : {FaultOp::kWriteAt, FaultOp::kAppend, FaultOp::kSync}) {
+    EXPECT_EQ(counting_.count(op, "log"), 0u) << static_cast<int>(op);
+  }
+  for (uint32_t i = 0; i < 4; ++i) {
+    std::string want = "page" + std::to_string(i);
+    EXPECT_EQ(StablePrefix(P(i), want.size()), want);
+  }
+}
+
+TEST_F(WriteBackTest, OneUndurablePageForcesTheLogOnce) {
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16,
+       /*partitions=*/1, /*stable_env=*/nullptr, &faulty_);
+  for (uint32_t i = 0; i < 16; ++i) {
+    ASSERT_OK(WritePageOp(i, "page" + std::to_string(i)));
+  }
+  ASSERT_OK(log_->Force());
+  // Page 0 changes after the force, then every other page is touched so
+  // page 0 is the coldest again: the batch holds it and 1..3.
+  ASSERT_OK(WritePageOp(0, "late"));
+  for (uint32_t i = 1; i < 16; ++i) {
+    PageImage image;
+    ASSERT_OK(cache_->ReadPage(P(i), &image));
+  }
+  const Lsn late = log_->next_lsn() - 1;
+  ASSERT_LT(log_->durable_lsn(), late);
+  faulty_.SetPolicy(&counting_);
+  ASSERT_OK(WritePageOp(99, "new"));
+  faulty_.SetPolicy(nullptr);
+
+  EXPECT_EQ(cache_->stats().writeback_pages, 4u);
+  EXPECT_EQ(counting_.count(FaultOp::kSync, "log"), 1u);
+  EXPECT_GE(log_->durable_lsn(), late);
+  EXPECT_EQ(StablePrefix(P(0), 4), "late");
+}
+
+/// An env over MemEnv whose files named `gated` park in Sync until
+/// Open(), with no lock held, so other threads' IO on the same file runs.
+class SyncGateEnv : public Env {
+ public:
+  SyncGateEnv(Env* base, std::string gated)
+      : base_(base), gated_(std::move(gated)) {}
+
+  Result<std::shared_ptr<File>> OpenFile(const std::string& name,
+                                         bool create) override {
+    LLB_ASSIGN_OR_RETURN(std::shared_ptr<File> file,
+                         base_->OpenFile(name, create));
+    if (name != gated_) return file;
+    return std::shared_ptr<File>(std::make_shared<GatedFile>(this, file));
+  }
+  Status DeleteFile(const std::string& name) override {
+    return base_->DeleteFile(name);
+  }
+  bool FileExists(const std::string& name) const override {
+    return base_->FileExists(name);
+  }
+  std::vector<std::string> ListFiles() const override {
+    return base_->ListFiles();
+  }
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+
+ private:
+  class GatedFile : public File {
+   public:
+    GatedFile(SyncGateEnv* env, std::shared_ptr<File> base)
+        : env_(env), base_(std::move(base)) {}
+    Status ReadAt(uint64_t offset, size_t n, std::string* out) const override {
+      return base_->ReadAt(offset, n, out);
+    }
+    Status ReadAtv(uint64_t offset,
+                   const std::vector<IoBuffer>& chunks) const override {
+      return base_->ReadAtv(offset, chunks);
+    }
+    Status WriteAt(uint64_t offset, Slice data) override {
+      return base_->WriteAt(offset, data);
+    }
+    Status WriteAtv(uint64_t offset,
+                    const std::vector<Slice>& chunks) override {
+      return base_->WriteAtv(offset, chunks);
+    }
+    Status Append(Slice data) override { return base_->Append(data); }
+    Status Sync() override {
+      {
+        std::unique_lock<std::mutex> lock(env_->mu_);
+        if (env_->armed_) {
+          env_->parked_ = true;
+          env_->cv_.notify_all();
+          env_->cv_.wait(lock, [this] { return !env_->armed_; });
+        }
+      }
+      return base_->Sync();
+    }
+    Result<uint64_t> Size() const override { return base_->Size(); }
+    Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+
+   private:
+    SyncGateEnv* const env_;
+    const std::shared_ptr<File> base_;
+  };
+
+  Env* const base_;
+  const std::string gated_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool parked_ = false;
+};
+
+TEST_F(CacheManagerTest, MissReadRunsWhileAnInstallOnItsPartitionSyncs) {
+  SyncGateEnv gate(&env_, "stable.p0");
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/64,
+       /*partitions=*/1, &gate);
+  ASSERT_OK(WritePageOp(1, "installing"));
+  gate.Arm();
+  Status flushed;
+  std::thread installer([&] { flushed = cache_->FlushPage(P(1)); });
+  gate.WaitParked();
+
+  // The install has written page 1 and sits in the partition's sync: a
+  // miss on another page of the partition still reads S.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  Status read;
+  std::thread reader([&] {
+    PageImage image;
+    Status s = cache_->ReadPage(P(7), &image);
+    std::lock_guard<std::mutex> lock(mu);
+    read = s;
+    done = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return done; }))
+        << "miss read waited behind the install's sync";
+  }
+  gate.Open();
+  reader.join();
+  installer.join();
+  EXPECT_OK(read);
+  EXPECT_OK(flushed);
+  EXPECT_EQ(StablePrefix(P(1), 10), "installing");
 }
 
 TEST_F(WriteBackTest, VictimsComeFromTheEvictingPartitionAndAreNeverPinned) {
@@ -601,7 +803,7 @@ TEST_F(WriteBackTest, IdentityWritesMatchLoggedDecisionsUnderABackup) {
       model[i] = value;
       if (i % 5 == 4) {
         // A copy, then an overwrite of its source: the copy's node must
-        // install first, so a batch holding both is not flat.
+        // install first, so a batch holding both is written in two levels.
         const uint32_t dst = (i + 7) % 30;
         ASSERT_OK(CopyOp(i, dst));
         model[dst] = model[i];
@@ -613,7 +815,7 @@ TEST_F(WriteBackTest, IdentityWritesMatchLoggedDecisionsUnderABackup) {
   const CacheStats stats = cache_->stats();
   EXPECT_GT(stats.writeback_batches, 0u);
   EXPECT_GT(stats.writeback_pages, stats.writeback_batches);
-  EXPECT_GT(stats.writeback_journaled, 0u);
+  EXPECT_GT(stats.writeback_multilevel, 0u);
   EXPECT_GT(stats.decisions_logged, 0u);
   EXPECT_EQ(stats.identity_writes, stats.decisions_logged);
   EXPECT_EQ(log_->stats().identity_records, stats.identity_writes);

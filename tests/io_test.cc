@@ -85,6 +85,35 @@ TEST(MemEnvTest, TruncateShrinksAndExtends) {
   EXPECT_EQ(out, "abc");
 }
 
+TEST(MemEnvTest, FilesSpanningBlocksReadWriteAndRevert) {
+  // Past 1 MiB a file's bytes continue in a second block: writes, reads,
+  // truncation and crash reverts that straddle the boundary stay exact.
+  MemEnv env;
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<File> f, env.OpenFile("a", true));
+  constexpr uint64_t kEdge = uint64_t{1} << 20;
+  std::string old_bytes(kEdge + 4096, 'o');
+  ASSERT_OK(f->Append(Slice(old_bytes)));
+  ASSERT_OK(f->Sync());
+  ASSERT_OK(f->WriteAtv(kEdge - 3, {Slice("new"), Slice("bytes")}));
+  std::vector<char> buf(10);
+  ASSERT_OK(f->ReadAtv(kEdge - 4, {IoBuffer{buf.data(), buf.size()}}));
+  EXPECT_EQ(std::string(buf.data(), buf.size()), "onewbyteso");
+  env.CrashAndRestart();
+  std::string out;
+  ASSERT_OK(f->ReadAt(kEdge - 4, 10, &out));
+  EXPECT_EQ(out, std::string(10, 'o'));
+
+  // A retired file's blocks move into its undo images and come back.
+  ASSERT_OK(f->Truncate(0));
+  ASSERT_OK(f->Append(Slice("fresh")));
+  env.CrashAndRestart();
+  ASSERT_OK_AND_ASSIGN(uint64_t size, f->Size());
+  EXPECT_EQ(size, old_bytes.size());
+  out.clear();
+  ASSERT_OK(f->ReadAt(0, old_bytes.size(), &out));
+  EXPECT_EQ(out, old_bytes);
+}
+
 TEST(MemEnvTest, DurableEventCounting) {
   MemEnv env;
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<File> f, env.OpenFile("a", true));

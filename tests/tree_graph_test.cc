@@ -96,6 +96,8 @@ TEST(TreeGraphTest, PlanInstallsNewBeforeOld) {
   ASSERT_EQ(plan.size(), 2u);
   EXPECT_EQ(plan[0].vars, std::vector<PageId>{P(3)});
   EXPECT_EQ(plan[1].vars, std::vector<PageId>{P(9)});
+  EXPECT_TRUE(plan[0].preds.empty());
+  EXPECT_EQ(plan[1].preds, std::vector<uint64_t>{plan[0].node_id});
 }
 
 TEST(TreeGraphTest, PlanChainOfSplits) {

@@ -101,6 +101,9 @@ TEST(GeneralGraphTest, PlanOrdersPredecessorsFirst) {
   ASSERT_EQ(plan.size(), 2u);
   EXPECT_EQ(plan[0].vars, std::vector<PageId>{P(2)});  // A first
   EXPECT_EQ(plan[1].vars, std::vector<PageId>{P(1)});
+  // Each unit names its in-plan predecessors: B's is A.
+  EXPECT_TRUE(plan[0].preds.empty());
+  EXPECT_EQ(plan[1].preds, std::vector<uint64_t>{plan[0].node_id});
 }
 
 TEST(GeneralGraphTest, PlanForNodeWithoutPredsIsSelfOnly) {
@@ -128,6 +131,8 @@ TEST(GeneralGraphTest, CycleCollapsesIntoOneNode) {
   ASSERT_OK(graph.PlanInstall(P(1), &plan));
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].vars.size(), 2u);  // atomic multi-page flush
+  // The collapsed cycle's inner edges are not reported as a self-loop.
+  EXPECT_TRUE(plan[0].preds.empty());
 }
 
 TEST(GeneralGraphTest, ThreeNodeCycleCollapses) {

@@ -1146,9 +1146,10 @@ int Usage() {
           "      log-shipping-grouped, or all); catalog sweeps\n"
           "      compressed-backup retention: chain + dedup protection\n"
           "      must survive a crash at every catalog save and\n"
-          "      file-deletion event; write-back sweeps the cache's flat\n"
-          "      and journaled eviction batches; log-truncate sweeps log\n"
-          "      rolls, whole-file truncation and the PITR cut; the\n"
+          "      file-deletion event; write-back sweeps the cache's flat,\n"
+          "      multi-level and journaled eviction batches; log-truncate\n"
+          "      sweeps log rolls, whole-file truncation and the PITR\n"
+          "      cut; the\n"
           "      -grouped variants run with log_channels=4 so crash\n"
           "      points land between channel seal and epoch publish:\n"
           "      run once to count durability events, then crash at each\n"
