@@ -184,7 +184,7 @@ BENCHMARK(BM_BackupDuration_Online)->Unit(benchmark::kMillisecond);
 // X12: multi-threaded updaters during backup over epoch group commit.
 
 constexpr uint32_t kUpdaterPartitions = 16;  // one per updater at t=16
-constexpr uint32_t kFilesPerPartition = 64;  // > cache: every write faults
+constexpr uint32_t kFilesPerPartition = 64;  // > cache: writes miss
 constexpr uint32_t kOpsPerThread = 64;       // ops per thread per iteration
 
 /// A database over LatencyEnv(MemEnv): TestEngine hardcodes a bare
@@ -205,9 +205,10 @@ std::unique_ptr<UpdaterEngine> NewUpdaterEngine(uint32_t channels) {
   options.partitions = kUpdaterPartitions;
   options.pages_per_partition = kFilesPerPartition;
   // Smaller than one partition's file set: the round-robin updater
-  // faults on every write and keeps evicting dirty pages, so the
+  // misses on most writes and keeps evicting dirty pages, so the
   // measured path is the Iw/oF install under an active backup, not a
-  // cache hit.
+  // cache hit. `WriteValues` is a blind write (W_P), so a miss reserves
+  // its page and reads nothing from S.
   options.cache_pages = 48;
   options.graph = WriteGraphKind::kGeneral;
   options.backup_policy = BackupPolicy::kGeneral;

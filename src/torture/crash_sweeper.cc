@@ -477,6 +477,10 @@ Status CrashSweeper::RunScenario(TortureEngine* e) const {
             " multi-level, " + std::to_string(stats.writeback_journaled) +
             " journaled");
       }
+      if (stats.blind_misses == 0) {
+        return Status::Internal(
+            "write-back scenario never wrote a missed page blind");
+      }
       // The oracle compares S itself: install what the evictions left.
       return db->FlushAll();
     }
