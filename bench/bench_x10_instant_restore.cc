@@ -347,7 +347,7 @@ BENCHMARK(BM_TransactionsDuringRestore)
 // by page, so a fault replays only its closure's history: its p99 should
 // stay flat while the slice grows 64x. Runs on the zero-latency base env
 // — every fault pays the same simulated device work (one carrier read,
-// one install, one bitmap save), so only the slice-dependent cost is
+// one install), so only the slice-dependent cost is
 // left to vary. Each iteration opens a fresh restore and faults 64
 // unrestored single-page closures one at a time.
 void BM_FaultLatencyVsSlice(benchmark::State& state) {

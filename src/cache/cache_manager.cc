@@ -61,8 +61,9 @@ Status CacheManager::GetFrame(std::unique_lock<std::mutex>& lk,
   *loaded = true;
   Frame f;
   // Restoring mode: restore the page on demand before reading it from S.
-  // The handler persists its restored-bitmap before returning, so the
-  // value read below is durably the media-recovery state.
+  // The handler returns once the page's media-recovery state is durably
+  // in S and its bit set; the log saves that bit before it writes any
+  // record touching the page.
   if (in_apply_) {
     if (page_fault_handler_) {
       LLB_RETURN_IF_ERROR(page_fault_handler_(id));
@@ -277,11 +278,11 @@ Status CacheManager::ExecuteOp(LogRecord* rec) {
   //     would wait on its own latch; it inserts the frame directly.
   //  4. Restoring mode keeps the read: while a page-fault handler is
   //     installed every miss runs it, so every writeset page is restored
-  //     before the record is appended (a concurrent Force could
-  //     otherwise seal a blind write's record durably before the page's
-  //     restore/bit became durable, and after a crash the fault path
-  //     would overwrite the redone value with the backup state). The
-  //     handler is re-checked after the last point that released mu_.
+  //     and its bit set before the record is appended, and the commit
+  //     that writes the record saves the bit first (a blind write would
+  //     set no bit, and after a crash the fault path would overwrite the
+  //     redone value with the backup state). The handler is re-checked
+  //     after the last point that released mu_.
   // Then wait until no writeset page is part of an in-flight install: its
   // image is the frozen snapshot being written to S.
   for (;;) {

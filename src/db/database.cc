@@ -149,10 +149,13 @@ Status Database::Recover() {
     // media failure anchor in pre-failure cache state and say nothing
     // about the wiped store, so replay everything after the pinned
     // recovery tail instead. Sound over a half-restored store: a record
-    // got past the tail only after the fault path durably restored and
-    // marked every page it touches.
+    // is durable past the tail only if every page it touches is durably
+    // restored and marked. Faults restore a page (and set its bit in
+    // memory) before its operation appends; the commit barrier saves the
+    // bits before the commit writes any record.
     LLB_RETURN_IF_ERROR(restorer_->ResumeRedo());
     if (restorer_->complete()) return FinalizeRestore();
+    log_->SetCommitBarrier([this] { return restorer_->SaveBitmap(); });
     cache_->SetPageFaultHandler(
         [this](const PageId& id) { return restorer_->RestoreOnFault(id); });
     return Status::OK();
@@ -218,6 +221,7 @@ Status Database::FinishRestore() {
 Status Database::FinalizeRestore() {
   cache_->SetPageFaultHandler(nullptr);
   LLB_RETURN_IF_ERROR(cache_->Checkpoint());
+  log_->SetCommitBarrier(nullptr);
   LLB_RETURN_IF_ERROR(restorer_->Finalize());
   restoring_.store(false, std::memory_order_release);
   restorer_.reset();

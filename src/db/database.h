@@ -314,10 +314,11 @@ class Database {
   Status RequireNotRestoring(const char* op) const;
   /// Final restore handshake; requires the restorer complete. Ordered
   /// for crash safety: detach the fault handler (which waits out every
-  /// fault still in flight, so none outlives the restorer), checkpoint,
-  /// remove the bitmap cell, clear the flag. A crash anywhere in between
-  /// reopens via OpenRestoring with a full bitmap and finalizes again —
-  /// idempotent.
+  /// fault still in flight, so none outlives the restorer), checkpoint
+  /// (its commit saves the last unsaved bits), clear the log's commit
+  /// barrier, remove the bitmap cell, clear the flag. A crash anywhere in
+  /// between reopens via OpenRestoring with a full bitmap and finalizes
+  /// again — idempotent.
   Status FinalizeRestore();
 
   Env* const env_;
@@ -325,6 +326,18 @@ class Database {
   const DbOptions options_;
 
   OpRegistry registry_;
+
+  /// Instant-restore state: the backup chain head OpenRestoring was given
+  /// (empty on a plain open), the flag the gates read, and the restorer
+  /// (alive exactly while restoring_ is true). The restorer is the log's
+  /// commit barrier while restoring, so it is declared before log_ and
+  /// outlives the log's advancer thread: a commit after the restorer went
+  /// would run a dangling barrier, and one with the barrier cleared would
+  /// make records durable ahead of their pages' bits.
+  std::string restore_backup_name_;
+  std::atomic<bool> restoring_{false};
+  std::unique_ptr<InstantRestorer> restorer_;
+
   std::unique_ptr<LogManager> log_;
   std::unique_ptr<PageStore> stable_;
   BackupCoordinator coordinator_;
@@ -337,13 +350,6 @@ class Database {
   /// Standby role flag: written by Init/Promote, read by every mutating
   /// entry point (possibly from other threads).
   std::atomic<bool> standby_{false};
-
-  /// Instant-restore state: the backup chain head OpenRestoring was given
-  /// (empty on a plain open), the flag the gates read, and the restorer
-  /// (alive exactly while restoring_ is true).
-  std::string restore_backup_name_;
-  std::atomic<bool> restoring_{false};
-  std::unique_ptr<InstantRestorer> restorer_;
 
   /// Atomics: updated by whichever thread runs a backup, read by
   /// GatherStats from concurrent foreground/monitoring threads.

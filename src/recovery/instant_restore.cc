@@ -192,7 +192,7 @@ Status InstantRestorer::Init() {
   } else {
     return cell.status();
   }
-  saved_bits_ = bits_;
+  saved_count_ = restored_count_;
 
   // Snapshot the media-recovery slice. Taken before new appends (Open
   // precedes serving), so the snapshot equals the log range
@@ -232,15 +232,11 @@ std::string InstantRestorer::EncodeBitmapLocked() const {
   return payload;
 }
 
-Status InstantRestorer::WaitSavedLocked(std::unique_lock<std::mutex>& lk,
-                                        const std::vector<PageId>& pages) {
-  auto saved = [&] {
-    for (const PageId& id : pages) {
-      if (TestBit(bits_, id) && !TestBit(saved_bits_, id)) return false;
-    }
-    return true;
-  };
-  while (!saved()) {
+Status InstantRestorer::WaitSavedLocked(std::unique_lock<std::mutex>& lk) {
+  // Bits are only ever set, so restored_count_ orders them: a save that
+  // snapshot the bitmap at count n holds every bit set before it.
+  const uint64_t want = restored_count_;
+  while (saved_count_ < want) {
     if (saving_) {
       // The save in flight may have started before these bits were set:
       // wait for it, then look again (and lead the next one if needed).
@@ -249,19 +245,24 @@ Status InstantRestorer::WaitSavedLocked(std::unique_lock<std::mutex>& lk,
     }
     saving_ = true;
     std::string payload = EncodeBitmapLocked();
-    std::vector<uint8_t> snapshot = bits_;
+    const uint64_t count = restored_count_;
     lk.unlock();
     Status s = DurableCursor::Save(env_, bitmap_name_, Slice(payload));
     lk.lock();
     saving_ = false;
     if (s.ok()) {
-      saved_bits_ = std::move(snapshot);
+      saved_count_ = count;
       ++bitmap_saves_;
     }
     cv_.notify_all();
     LLB_RETURN_IF_ERROR(s);
   }
   return Status::OK();
+}
+
+Status InstantRestorer::SaveBitmap() {
+  std::unique_lock<std::mutex> lock(mu_);
+  return WaitSavedLocked(lock);
 }
 
 bool InstantRestorer::TryClaimLocked(const SliceIndex::Closure& closure,
@@ -389,37 +390,30 @@ Status InstantRestorer::RestoreOnFault(const PageId& id) {
     return Status::OK();
   }
   std::unique_lock<std::mutex> lock(mu_);
-  if (TestBit(saved_bits_, id)) return Status::OK();
-  // The bits this fault must see durable before it returns: the page's
-  // own (possibly set by another fault whose save is still pending), or
-  // every page it installs.
-  std::vector<PageId> landed{id};
-  if (!TestBit(bits_, id)) {
-    SliceIndex::Closure closure = slice_.ClosureOf({id});
-    std::vector<PageId> to_install;
-    bool waiting = false;
-    while (!TestBit(bits_, id) && !TryClaimLocked(closure, &to_install)) {
-      if (!waiting) ++faults_waiting_;
-      waiting = true;
-      cv_.wait(lock);
-    }
-    if (waiting) {
-      --faults_waiting_;
-      cv_.notify_all();
-    }
-    if (!TestBit(bits_, id)) {
-      lock.unlock();
-      uint64_t installed = 0;
-      Status s = RestoreClaimed(closure, to_install, /*yield=*/false,
-                                &installed, nullptr);
-      lock.lock();
-      faulted_pages_ += installed;
-      if (installed > 0) closure_extra_pages_ += installed - 1;
-      LLB_RETURN_IF_ERROR(s);
-      landed = std::move(to_install);
-    }
+  if (TestBit(bits_, id)) return Status::OK();
+  SliceIndex::Closure closure = slice_.ClosureOf({id});
+  std::vector<PageId> to_install;
+  bool waiting = false;
+  while (!TestBit(bits_, id) && !TryClaimLocked(closure, &to_install)) {
+    if (!waiting) ++faults_waiting_;
+    waiting = true;
+    cv_.wait(lock);
   }
-  return WaitSavedLocked(lock, landed);
+  if (waiting) {
+    --faults_waiting_;
+    cv_.notify_all();
+  }
+  if (TestBit(bits_, id)) return Status::OK();
+  lock.unlock();
+  uint64_t installed = 0;
+  Status s = RestoreClaimed(closure, to_install, /*yield=*/false, &installed,
+                            nullptr);
+  lock.lock();
+  faulted_pages_ += installed;
+  if (installed > 0) closure_extra_pages_ += installed - 1;
+  // The bits ride the next log commit (SaveBitmap as the log's commit
+  // barrier): durable before any record that touches these pages.
+  return s;
 }
 
 Result<uint64_t> InstantRestorer::Step() {
@@ -457,7 +451,7 @@ Result<uint64_t> InstantRestorer::Step() {
   // Yielded to a waiting fault: sleep until no fault waits rather than
   // come straight back for an empty step.
   if (yielded) cv_.wait(lock, [this] { return faults_waiting_ == 0; });
-  LLB_RETURN_IF_ERROR(WaitSavedLocked(lock, to_install));
+  LLB_RETURN_IF_ERROR(WaitSavedLocked(lock));
   return installed;
 }
 

@@ -100,12 +100,16 @@ struct RestoreStatus {
 ///  * `recovery_tail` is the durable log tail captured at the FIRST
 ///    restoring open and pinned in the bitmap cell before any new
 ///    transaction appends. Records at or below it form the
-///    media-recovery slice; records above it are new work. Because a
-///    page fault durably restores (and durably marks) every page a
-///    transaction touches before the transaction's record can become
-///    durable, every record above the tail touches only restored pages —
-///    which is what makes plain crash redo from recovery_tail + 1 sound
-///    over a half-restored store.
+///    media-recovery slice; records above it are new work. A page's bit
+///    is durable before any record touching the page is: a transaction
+///    faults every page it touches (install durable, bit set in memory)
+///    before it appends its record, and SaveBitmap runs as the log's
+///    commit barrier, so the commit that writes the record first saves
+///    the bit. Every durable record above the tail therefore touches only
+///    durably restored pages — which is what makes plain crash redo from
+///    recovery_tail + 1 sound over a half-restored store. A bit no
+///    durable record depends on (a read-only fault's) may be lost to a
+///    crash; its page then re-restores to the same slice state.
 ///  * A fault on page X cannot simply replay X's log records in
 ///    isolation: logical operations recompute their writes from readset
 ///    pages at historical states. Instead the restorer computes X's
@@ -130,12 +134,14 @@ struct RestoreStatus {
 /// closure meets another's claim waits on the condition variable and
 /// retries. A waiting fault also makes a running Step yield between
 /// runs (it drops its unlanded claims), and Step then sleeps until no
-/// fault waits. Bitmap saves are group-committed: a caller returns only
-/// after a save that started after its bits were set, and callers that
-/// finish during a save share the next one. RestoreOnFault runs as the
-/// cache's page-fault handler, usually with the cache mutex released
-/// (under it only for a miss inside apply); the restorer never calls
-/// into the cache, so the lock order cache -> restorer holds.
+/// fault waits. Bitmap saves are group-committed: SaveBitmap (the log's
+/// commit barrier) and Step return only after a save that started after
+/// their bits were set, and callers that finish during a save share the
+/// next one. RestoreOnFault runs as the cache's page-fault handler,
+/// usually with the cache mutex released (under it only for a miss
+/// inside apply); the restorer never calls into the cache or the log
+/// while holding its mutex, so the lock order cache -> log commit ->
+/// restorer holds.
 class InstantRestorer {
  public:
   static Result<std::unique_ptr<InstantRestorer>> Open(
@@ -155,9 +161,17 @@ class InstantRestorer {
   InstantRestorer& operator=(const InstantRestorer&) = delete;
 
   /// The prioritized single-page phase (cache page-fault handler): if
-  /// `id` is not yet restored, restores its influence closure into S and
-  /// persists the bitmap before returning. No-op for restored pages.
+  /// `id` is not yet restored, restores its influence closure into S.
+  /// Returns once the closure's pages are installed and synced on S and
+  /// their bits set in memory; the bits become durable with the next
+  /// SaveBitmap, which the log runs before it writes any record that
+  /// could touch them. No-op for restored pages.
   Status RestoreOnFault(const PageId& id);
+
+  /// Returns once every bit set before the call is in the durable
+  /// bitmap cell, sharing a save with concurrent callers. Installed as
+  /// the log's commit barrier while restoring (LogManager::CommitBarrier).
+  Status SaveBitmap();
 
   /// The background phase: restores (up to) the next
   /// options.step_pages unrestored, unclaimed pages plus their closure,
@@ -227,11 +241,9 @@ class InstantRestorer {
                         const std::vector<PageId>& to_install, bool yield,
                         uint64_t* installed, bool* yielded);
 
-  /// Group commit: returns once every page of `pages` whose bit is set
-  /// has it in a completed bitmap save, leading a save when none is in
-  /// flight.
-  Status WaitSavedLocked(std::unique_lock<std::mutex>& lk,
-                         const std::vector<PageId>& pages);
+  /// Group commit: returns once every bit set before the call is in a
+  /// completed bitmap save, leading a save when none is in flight.
+  Status WaitSavedLocked(std::unique_lock<std::mutex>& lk);
 
   Env* const env_;
   const std::string bitmap_name_;
@@ -262,8 +274,9 @@ class InstantRestorer {
   /// waiting.
   std::condition_variable cv_;
   std::vector<uint8_t> bits_;
-  /// bits_ as of the last completed save: what a crash would keep.
-  std::vector<uint8_t> saved_bits_;
+  /// restored_count_ as of the last completed save (bits are only ever
+  /// set, so it names what a crash would keep).
+  uint64_t saved_count_ = 0;
   bool saving_ = false;
   /// Unrestored pages an in-flight fault or step is restoring.
   std::unordered_set<PageId, PageIdHash> claimed_;

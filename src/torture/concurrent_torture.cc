@@ -1,7 +1,9 @@
 #include "torture/concurrent_torture.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -54,27 +56,56 @@ Result<ConcurrentTortureReport> RunConcurrentTorture(
   std::atomic<uint64_t> pages_copied{0};
   std::atomic<uint64_t> backups_completed{0};
   std::atomic<uint64_t> stats_polls{0};
+  std::atomic<bool> backups_done{false};
   std::atomic<bool> done{false};
 
+  // Updaters run until the last backup completes, and every backup step
+  // waits for its partition's updater to finish a Step inside the step's
+  // Doubt window, so flushes take the Iw/oF path however the threads are
+  // scheduled. steps[p] counts updater p's Steps; stopped[p] is set when
+  // it exits.
+  std::mutex progress_mu;
+  std::condition_variable progress_cv;
+  std::vector<uint64_t> steps(options.partitions, 0);
+  std::vector<bool> stopped(options.partitions, false);
   std::vector<std::thread> updaters;
   updaters.reserve(options.partitions);
   for (uint32_t p = 0; p < options.partitions; ++p) {
     updaters.emplace_back([&, p] {
-      for (uint32_t i = 0; i < options.updates_per_thread; ++i) {
+      for (uint32_t i = 0;; ++i) {
+        if (i >= options.updates_per_thread &&
+            backups_done.load(std::memory_order_acquire)) {
+          break;
+        }
         Status s = drivers[p]->Step();
         if (!s.ok()) {
           updater_status[p] = s;
-          return;
+          break;
         }
         updates_applied.fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(progress_mu);
+        ++steps[p];
+        progress_cv.notify_all();
       }
+      std::lock_guard<std::mutex> lock(progress_mu);
+      stopped[p] = true;
+      progress_cv.notify_all();
     });
   }
+  // The Step in flight when the fence moved may have flushed before it;
+  // the one after it runs wholly inside the window.
+  auto await_updater = [&](PartitionId p, uint32_t) {
+    std::unique_lock<std::mutex> lock(progress_mu);
+    const uint64_t target = steps[p] + 2;
+    progress_cv.wait(lock, [&] { return steps[p] >= target || stopped[p]; });
+    return Status::OK();
+  };
 
-  std::thread backup_thread([&] {
+  auto take_backups = [&]() -> Status {
     for (uint32_t i = 0; i < options.backups; ++i) {
       BackupJobOptions job;
       job.steps = options.backup_steps;
+      job.mid_step = await_updater;
       if (options.sweep_threads >= 2) {
         job.sweep_threads = options.sweep_threads;
       } else {
@@ -83,18 +114,19 @@ Result<ConcurrentTortureReport> RunConcurrentTorture(
       BackupJobStats stats;
       Result<BackupManifest> manifest =
           db->TakeBackupWithOptions("cbk_" + std::to_string(i), job, &stats);
-      if (!manifest.ok()) {
-        backup_status = manifest.status();
-        return;
-      }
+      if (!manifest.ok()) return manifest.status();
       if (!manifest->complete) {
-        backup_status = Status::Internal("concurrent backup " +
-                                         std::to_string(i) + " incomplete");
-        return;
+        return Status::Internal("concurrent backup " + std::to_string(i) +
+                                " incomplete");
       }
       pages_copied.fetch_add(stats.pages_copied, std::memory_order_relaxed);
       backups_completed.fetch_add(1, std::memory_order_relaxed);
     }
+    return Status::OK();
+  };
+  std::thread backup_thread([&] {
+    backup_status = take_backups();
+    backups_done.store(true, std::memory_order_release);
   });
 
   std::thread poller;
@@ -134,6 +166,10 @@ Result<ConcurrentTortureReport> RunConcurrentTorture(
   LLB_RETURN_IF_ERROR(db->FlushAll());
   LLB_RETURN_IF_ERROR(db->ForceLog());
   report.identity_writes = db->GatherStats().cache.identity_writes;
+  if (report.identity_writes == 0) {
+    return Status::Internal(
+        "no identity writes: no flush took the Iw/oF path during a backup");
+  }
   LLB_RETURN_IF_ERROR(torture::VerifyOpenDb(&engine));
 
   std::string last_backup = "cbk_" + std::to_string(options.backups - 1);

@@ -19,8 +19,9 @@ struct ConcurrentTortureOptions {
   uint32_t partitions = 2;
   uint32_t pages_per_partition = 64;
   uint32_t cache_pages = 32;
-  /// Foreground Copy+flush steps per updater thread (one thread per
-  /// partition, each driving its own partition).
+  /// Minimum foreground Copy+flush steps per updater thread (one thread
+  /// per partition, each driving its own partition). Updaters keep going
+  /// until the last backup completes, so every sweep races them.
   uint32_t updates_per_thread = 300;
   uint32_t backup_steps = 8;
   /// Consecutive full backups the sweep thread takes while updaters run.
@@ -52,7 +53,8 @@ struct ConcurrentTortureReport {
 
 /// Runs updater threads (one per partition) against a backup thread
 /// taking `backups` consecutive parallel-partition sweeps, with an
-/// optional stats-poller thread. After the race: the database must match
+/// optional stats-poller thread. After the race: some flush must have
+/// taken the Iw/oF path (identity_writes > 0), the database must match
 /// the full-log oracle, every backup must be complete and clean, and the
 /// last backup must support a full wipe + media recovery back to the
 /// oracle state.

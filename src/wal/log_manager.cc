@@ -169,6 +169,9 @@ Status LogManager::GroupCommitLocked(bool roll) {
     sealed = open_epoch_++;
     tail = next_lsn_ - 1;
   }
+  // Before draining: a failing barrier leaves every record in its channel
+  // for the next commit, whose later epoch close drains it too.
+  if (commit_barrier_) LLB_RETURN_IF_ERROR(commit_barrier_());
 
   size_t total = 0;
   for (size_t i = 0; i < channels_.size(); ++i) {
@@ -340,6 +343,11 @@ Status LogManager::OpenActiveLocked() {
   writer_.SetFile(active.file);
   files_.push_back(std::move(active));
   return Status::OK();
+}
+
+void LogManager::SetCommitBarrier(CommitBarrier barrier) {
+  std::lock_guard<std::mutex> commit(commit_mu_);
+  commit_barrier_ = std::move(barrier);
 }
 
 void LogManager::SetSealObserver(SealObserver observer) {

@@ -113,6 +113,16 @@ class LogManager {
   /// return — the shipper's pattern).
   using SealObserver = std::function<void(const SealedSegment&)>;
 
+  /// Runs inside every group commit, after the commit closes its epoch
+  /// and before any of that epoch's records are written: a record
+  /// issued before the close reaches the log file only once the barrier
+  /// returned OK. A failing barrier fails the commit, which then writes
+  /// nothing and leaves the watermark where it was; the records stay
+  /// buffered for the next commit, which runs the barrier again.
+  /// Called with commit_mu_ held: the barrier must not call back into
+  /// the LogManager.
+  using CommitBarrier = std::function<Status()>;
+
   /// Opens (creating if needed) the log. Finds its files by name and
   /// reads only the active file to learn the next LSN to assign — plus
   /// the newest sealed file when the active one is empty (a fresh roll,
@@ -157,6 +167,12 @@ class LogManager {
   }
 
   uint32_t channels() const { return options_.channels; }
+
+  /// Installs the commit barrier (nullptr clears). Waits out a commit in
+  /// flight, so a cleared barrier is never run again once this returns.
+  /// Instant restore installs one to make restored bits durable before
+  /// the records that touch their pages.
+  void SetCommitBarrier(CommitBarrier barrier);
 
   /// Installs the seal observer (nullptr clears). Seals that happened
   /// before installation are not replayed — a late-attaching shipper
@@ -249,14 +265,15 @@ class LogManager {
   /// caller.
   Status SealLocked(Epoch sealed_epoch);
 
-  /// Closes the open epoch, drains every channel, merges by LSN into the
-  /// writer, seals, rolls the active file when it reached kLogRollBytes
-  /// (or, with `roll`, whenever it is not empty), and publishes the
-  /// watermark. commit_mu_ held by the caller; takes issue_mu_, each
-  /// channel mutex, and mu_ in turn (never nested with each other). On IO
-  /// failure the drained bytes stay in the writer buffer and the
-  /// watermark does not advance — the next commit retries them (classic
-  /// LogWriter retry semantics).
+  /// Closes the open epoch, runs the commit barrier, drains every
+  /// channel, merges by LSN into the writer, seals, rolls the active file
+  /// when it reached kLogRollBytes (or, with `roll`, whenever it is not
+  /// empty), and publishes the watermark. commit_mu_ held by the caller;
+  /// takes issue_mu_, each channel mutex, and mu_ in turn (never nested
+  /// with each other). On IO failure the drained bytes stay in the writer
+  /// buffer and the watermark does not advance — the next commit retries
+  /// them (classic LogWriter retry semantics); a failing barrier fails
+  /// the commit before anything is drained.
   Status GroupCommitLocked(bool roll = false);
 
   /// Seals the active file: renames it to its sealed name and starts a
@@ -277,7 +294,11 @@ class LogManager {
   // Lock order: commit_mu_ -> { channel mu / issue_mu_ (never nested
   // with each other by the commit path; an appender holds its channel
   // mutex across issue_mu_) } -> mu_ -> issue_mu_. watermark_mu_ is a
-  // leaf taken with nothing else held.
+  // leaf taken with nothing else held. The commit barrier runs under
+  // commit_mu_ alone and takes its owner's locks: with instant restore
+  // the engine-wide order is cache -> commit_mu_ -> restorer (a cache
+  // eviction forces the log under the cache mutex; the restorer never
+  // calls into the cache or the log while holding its own mutex).
   mutable std::mutex mu_;
   // Oldest first; back() is the active file the writer appends to (it is
   // sealed only while a failed roll awaits its create).
@@ -308,6 +329,7 @@ class LogManager {
     size_t offset = 0;  // its byte offset in `bytes`
   };
   std::mutex commit_mu_;
+  CommitBarrier commit_barrier_;  // guarded by commit_mu_
   std::vector<std::unique_ptr<LogChannel>> channels_;
   std::vector<Run> runs_;
   std::vector<size_t> merge_order_;  // run index of each merged record

@@ -14,6 +14,7 @@
 
 #include "cache/cache_manager.h"
 #include "filestore/filestore.h"
+#include "io/faulty_env.h"
 #include "io/mem_env.h"
 #include "recovery/instant_restore.h"
 #include "sim/harness.h"
@@ -75,12 +76,11 @@ Result<std::vector<std::string>> SnapshotStable(Env* env,
 
 /// Opens `name` in restoring mode with every domain registered and crash
 /// redo run — OpenRestoring's analogue of TestEngine::Create.
-Result<std::unique_ptr<Database>> OpenRestoringDb(Env* env,
-                                                  const std::string& name,
-                                                  const std::string& backup) {
+Result<std::unique_ptr<Database>> OpenRestoringDb(
+    Env* env, const std::string& name, const std::string& backup,
+    const DbOptions& options = RestoringDb()) {
   LLB_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
-                       Database::OpenRestoring(env, name, RestoringDb(),
-                                               backup));
+                       Database::OpenRestoring(env, name, options, backup));
   RegisterAllOps(db->registry());
   LLB_RETURN_IF_ERROR(db->Recover());
   return db;
@@ -458,6 +458,9 @@ TEST(InstantRestoreTest, FinalizeWaitsForAFaultParkedInTheHandler) {
   std::condition_variable cv;
   bool parked = false;
   bool released = false;
+  // Set when the parked handler call returns, which is what detaching
+  // the handler waits for (the reader's ReadPage returns a little later).
+  std::atomic<bool> fault_done{false};
   db->cache()->SetPageFaultHandler([&, inner](const PageId& id) {
     if (id == target) {
       std::unique_lock<std::mutex> lock(mu);
@@ -465,16 +468,14 @@ TEST(InstantRestoreTest, FinalizeWaitsForAFaultParkedInTheHandler) {
       cv.notify_all();
       cv.wait(lock, [&] { return released; });
     }
-    return inner(id);
+    Status s = inner(id);
+    if (id == target) fault_done.store(true);
+    return s;
   });
 
-  std::atomic<bool> fault_done{false};
   Status read_status;
   PageImage faulted;
-  std::thread reader([&] {
-    read_status = db->ReadPage(target, &faulted);
-    fault_done.store(true);
-  });
+  std::thread reader([&] { read_status = db->ReadPage(target, &faulted); });
   {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return parked; });
@@ -505,6 +506,162 @@ TEST(InstantRestoreTest, FinalizeWaitsForAFaultParkedInTheHandler) {
   ASSERT_OK(db->FlushAll());
   db.reset();
   ExpectStableMatchesOracle(engine->env(), "ir_park_oracle");
+}
+
+/// Durable bits of the restore's bitmap cell (what a crash keeps).
+uint64_t DurableRestoredPages(Env* env) {
+  Result<RestoreStatus> cell = InstantRestorer::InspectBitmap(
+      env, Database::RestoreBitmapName("db"), nullptr);
+  EXPECT_TRUE(cell.ok()) << cell.status().ToString();
+  return cell.ok() ? cell->pages_restored : 0;
+}
+
+TEST(InstantRestoreTest, WriteFaultsBitIsDurableBeforeItsRecord) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TestEngine> engine,
+                       TestEngine::Create(RestoringDb()));
+  ASSERT_OK(BuildBackupScenario(engine.get()));
+  ASSERT_OK(WipeStable(engine->env(), "db"));
+
+  uint64_t restored = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                         OpenRestoringDb(engine->env(), "db", "ir_incr"));
+    // The write faults its pages in; the fault returns before any bit is
+    // saved, and nothing but the log force below saves one.
+    FileStore store(db.get(), 0, 0, kPagesPerFile, kFiles);
+    ASSERT_OK(store.WriteValues(7, {4242, 7}));
+    restored = db->restore_status().pages_restored;
+    ASSERT_GT(restored, 0u);
+    EXPECT_EQ(DurableRestoredPages(engine->env()), 0u);
+    ASSERT_OK(db->ForceLog());
+  }
+  engine->env()->CrashAndRestart();
+
+  // The force that made the write's record durable saved every bit set
+  // before it: no Step ran, and no other save happened.
+  EXPECT_EQ(DurableRestoredPages(engine->env()), restored);
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                         OpenRestoringDb(engine->env(), "db", "ir_incr"));
+    ASSERT_OK(db->FinishRestore());
+    FileStore store(db.get(), 0, 0, kPagesPerFile, kFiles);
+    ASSERT_OK_AND_ASSIGN(std::vector<int64_t> values, store.ReadValues(7));
+    ASSERT_GE(values.size(), 1u);
+    EXPECT_EQ(values[0], 4242);
+    ASSERT_OK(db->FlushAll());
+  }
+  ExpectStableMatchesOracle(engine->env(), "ir_wbit_oracle");
+}
+
+TEST(InstantRestoreTest, ReadOnlyFaultMayLoseItsBitAndReRestores) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TestEngine> engine,
+                       TestEngine::Create(RestoringDb()));
+  ASSERT_OK(BuildBackupScenario(engine.get()));
+  ASSERT_OK(WipeStable(engine->env(), "db"));
+
+  // File 5's first page: its closure pulls in the Copy's source file.
+  const PageId target{0, 5 * kPagesPerFile};
+  PageImage first;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                         OpenRestoringDb(engine->env(), "db", "ir_incr"));
+    ASSERT_OK(db->ReadPage(target, &first));
+    ASSERT_GT(db->restore_status().pages_restored, 0u);
+  }
+  engine->env()->CrashAndRestart();
+
+  // No record depends on the read's bits, so no commit saved them.
+  EXPECT_EQ(DurableRestoredPages(engine->env()), 0u);
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                         OpenRestoringDb(engine->env(), "db", "ir_incr"));
+    PageImage again;
+    ASSERT_OK(db->ReadPage(target, &again));
+    EXPECT_EQ(again.raw_string(), first.raw_string());
+    ASSERT_OK(db->FinishRestore());
+  }
+  ExpectStableMatchesOracle(engine->env(), "ir_rbit_oracle");
+}
+
+TEST(InstantRestoreTest, FailedBarrierSaveFailsTheForceAndTheRetryCommits) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TestEngine> engine,
+                       TestEngine::Create(RestoringDb()));
+  ASSERT_OK(BuildBackupScenario(engine.get()));
+  ASSERT_OK(WipeStable(engine->env(), "db"));
+
+  FaultyEnv env(engine->env());
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                         OpenRestoringDb(&env, "db", "ir_incr"));
+    FileStore store(db.get(), 0, 0, kPagesPerFile, kFiles);
+    ASSERT_OK(store.WriteValues(7, {4242, 7}));
+    LogManager* log = db->log();
+    const Lsn durable_lsn = log->durable_lsn();
+    const Epoch durable_epoch = log->durable_epoch();
+    const Lsn tail = log->next_lsn() - 1;
+    ASSERT_GT(tail, durable_lsn);
+
+    // The barrier's bitmap save fails: the commit writes nothing.
+    ScriptedFaultPolicy policy(
+        {{FaultOp::kSync, ".rbm.tmp", 1, FaultAction::kFail}});
+    env.SetPolicy(&policy);
+    Status s = db->ForceLog();
+    env.SetPolicy(nullptr);
+    EXPECT_EQ(policy.fired(), 1u);
+    EXPECT_TRUE(s.IsIoError()) << s.ToString();
+    EXPECT_EQ(log->durable_lsn(), durable_lsn);
+    EXPECT_EQ(log->durable_epoch(), durable_epoch);
+    EXPECT_EQ(DurableRestoredPages(engine->env()), 0u);
+
+    // The records stayed buffered: the next commit re-runs the barrier
+    // and makes them durable.
+    ASSERT_OK(db->ForceLog());
+    EXPECT_EQ(log->durable_lsn(), tail);
+    EXPECT_GT(log->durable_epoch(), durable_epoch);
+    EXPECT_GT(DurableRestoredPages(engine->env()), 0u);
+  }
+  engine->env()->CrashAndRestart();
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                         OpenRestoringDb(engine->env(), "db", "ir_incr"));
+    ASSERT_OK(db->FinishRestore());
+    FileStore store(db.get(), 0, 0, kPagesPerFile, kFiles);
+    ASSERT_OK_AND_ASSIGN(std::vector<int64_t> values, store.ReadValues(7));
+    ASSERT_GE(values.size(), 1u);
+    EXPECT_EQ(values[0], 4242);
+    ASSERT_OK(db->FlushAll());
+  }
+  ExpectStableMatchesOracle(engine->env(), "ir_fail_oracle");
+}
+
+TEST(InstantRestoreTest, ClosingWhileTheAdvancerCommitsLeavesNoBarrier) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TestEngine> engine,
+                       TestEngine::Create(RestoringDb()));
+  ASSERT_OK(BuildBackupScenario(engine.get()));
+  ASSERT_OK(WipeStable(engine->env(), "db"));
+
+  // The advancer group-commits every few microseconds, through the
+  // restorer's barrier, while each session faults, writes and closes:
+  // the restorer goes before the log, so the barrier must go first.
+  DbOptions options = RestoringDb();
+  options.group_commit_interval_us = 5;
+  for (int session = 0; session < 50; ++session) {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<Database> db,
+        OpenRestoringDb(engine->env(), "db", "ir_incr", options));
+    FileStore store(db.get(), session % kPartitions, 0, kPagesPerFile,
+                    kFiles);
+    ASSERT_OK(store.WriteValues(static_cast<uint32_t>(session) % kFiles,
+                                {session, 1}));
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<Database> db,
+        OpenRestoringDb(engine->env(), "db", "ir_incr", options));
+    ASSERT_OK(db->FinishRestore());
+    ASSERT_OK(db->FlushAll());
+  }
+  ExpectStableMatchesOracle(engine->env(), "ir_close_oracle");
 }
 
 TEST(InstantRestoreTest, SliceIndexClosureMatchesFixpoint) {
