@@ -15,13 +15,12 @@
 //
 // Experiment X12 rides in the same binary: BM_UpdatersDuringBackup runs
 // 1/4/16 updater threads against a continuously-active backup over a
-// device-shaped log (LatencyEnv, SSD profile), with the WAL on one or
-// four channels of epoch group commit. Every Iw/oF install waits out
-// the epoch watermark with the cache mutex released, so one
+// device-shaped log (LatencyEnv, SSD profile). Every Iw/oF install waits
+// out the epoch watermark with the cache mutex released, so one
 // group-commit sync covers every concurrent waiter and updaters scale
-// past the single device sync whatever the channel count.
+// past the single device sync.
 // tools/benchrunner derives updates_during_backup_ops_per_s and
-// updater_scaling_t4 = ops(t4, c1) / ops(t1, c1), which
+// updater_scaling_t4 = ops(t4) / ops(t1), which
 // tools/bench_check.py gates >= 2x (EXPERIMENTS.md X12).
 
 #include <benchmark/benchmark.h>
@@ -200,7 +199,7 @@ struct UpdaterEngine {
       : env(&base, profile) {}
 };
 
-std::unique_ptr<UpdaterEngine> NewUpdaterEngine(uint32_t channels) {
+std::unique_ptr<UpdaterEngine> NewUpdaterEngine() {
   DbOptions options;
   options.partitions = kUpdaterPartitions;
   options.pages_per_partition = kFilesPerPartition;
@@ -213,7 +212,6 @@ std::unique_ptr<UpdaterEngine> NewUpdaterEngine(uint32_t channels) {
   options.graph = WriteGraphKind::kGeneral;
   options.backup_policy = BackupPolicy::kGeneral;
   options.backup_steps = 8;
-  options.log_channels = channels;
 
   auto engine = std::make_unique<UpdaterEngine>(LatencyProfile::Ssd());
   // Seed through the zero-latency base env, then reopen over the
@@ -251,8 +249,7 @@ std::unique_ptr<UpdaterEngine> NewUpdaterEngine(uint32_t channels) {
 
 void BM_UpdatersDuringBackup(benchmark::State& state) {
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  const uint32_t channels = static_cast<uint32_t>(state.range(1));
-  std::unique_ptr<UpdaterEngine> engine = NewUpdaterEngine(channels);
+  std::unique_ptr<UpdaterEngine> engine = NewUpdaterEngine();
 
   // Continuous backups on their own thread: a backup is always active,
   // so every dirty eviction is an Iw/oF flush decision.
@@ -304,13 +301,10 @@ void BM_UpdatersDuringBackup(benchmark::State& state) {
   state.counters["log_forces"] = static_cast<double>(stats.log.forces);
 }
 BENCHMARK(BM_UpdatersDuringBackup)
-    ->ArgNames({"threads", "channels"})
-    ->Args({1, 1})
-    ->Args({1, 4})
-    ->Args({4, 1})
-    ->Args({4, 4})
-    ->Args({16, 1})
-    ->Args({16, 4})
+    ->ArgNames({"threads"})
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -474,7 +474,7 @@ void CacheManager::DecideBackupLogging(const InstallUnit& unit,
 
 Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
                                  const std::vector<InstallUnit>& plan,
-                                 bool write_back) {
+                                 bool write_back, bool* deferred) {
   PartitionId partition = 0;
   bool have_partition = false;
   for (const InstallUnit& unit : plan) {
@@ -505,16 +505,43 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     latch = std::shared_lock<std::shared_mutex>(progress->latch());
   }
 
+  // Iw/oF decisions. Crash redo seeds an Iw'd page with the logged value
+  // and skips the operations below it, so an Iw record may become durable
+  // only once every operation that read the page's older value is
+  // installed or skipped too: identity writes go in installation order
+  // (DESIGN.md §3). Such an operation belongs to the page's own node or
+  // to a predecessor. Logging one var of a node logs them all, so redo
+  // seeds every var past the node's operations. And the plan is cut
+  // before the first unit that must log while it has a predecessor in
+  // the plan: the prefix is closed under predecessors, and the caller
+  // re-plans the rest once it is on S, when the cut unit has none left.
+  std::vector<std::vector<PageId>> to_log(plan.size());
+  size_t units = plan.size();
+  for (size_t i = 0; progress != nullptr && i < plan.size(); ++i) {
+    const CacheStats counted = stats_;
+    DecideBackupLogging(plan[i], *progress, &to_log[i]);
+    if (to_log[i].empty()) continue;
+    to_log[i] = plan[i].vars;
+    if (!plan[i].preds.empty()) {
+      stats_ = counted;  // decided again when the unit is re-planned
+      ++stats_.iw_order_waits;
+      units = i;
+      break;
+    }
+  }
+  *deferred = units < plan.size();
+
   // A plan whose nodes each have one var needs no journal: it goes out
   // in write-graph levels, a unit one level past its deepest planned
   // predecessor, each level durable before the next is written. A node
   // with several vars must land atomically, so such a plan is one level
   // written through the shadow journal, which keeps the order too.
   bool journaled = false;
-  for (const InstallUnit& unit : plan) journaled |= unit.vars.size() > 1;
+  for (size_t i = 0; i < units; ++i) journaled |= plan[i].vars.size() > 1;
   std::unordered_map<uint64_t, size_t> level_of;
   std::vector<std::vector<PageStore::Entry>> levels(1);
-  for (const InstallUnit& unit : plan) {
+  for (size_t i = 0; i < units; ++i) {
+    const InstallUnit& unit = plan[i];
     size_t level = 0;
     for (uint64_t pred : unit.preds) {
       auto it = level_of.find(pred);
@@ -534,7 +561,7 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     std::vector<PageId> pages;
   };
   std::vector<PendingInstall> pending;
-  pending.reserve(plan.size());
+  pending.reserve(units);
   Epoch wait_epoch = kInvalidEpoch;
   Lsn wait_lsn = 0;
 
@@ -550,17 +577,15 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     install_cv_.notify_all();
   };
 
-  // Phase 1 (cache mutex held): decide + append Iw records + snapshot the
-  // images to write + mark every unit installing. Iw/oF puts the chosen
-  // pages' values on the media recovery log, installing their operations
-  // in B without relying on the sweep (paper 3.2); the pages are still
+  // Phase 1 (cache mutex held): append Iw records + snapshot the images
+  // to write + mark every unit installing. Iw/oF puts the chosen pages'
+  // values on the media recovery log, installing their operations in B
+  // without relying on the sweep (paper 3.2); the pages are still
   // flushed too ("we both log and flush X"). A planned node's vars are
   // dirty and therefore resident, so lookups must hit.
-  for (const InstallUnit& unit : plan) {
-    std::vector<PageId> to_log;
-    if (progress != nullptr) DecideBackupLogging(unit, *progress, &to_log);
-
-    for (const PageId& x : to_log) {
+  for (size_t i = 0; i < units; ++i) {
+    const InstallUnit& unit = plan[i];
+    for (const PageId& x : to_log[i]) {
       auto it = frames_.find(x);
       if (it == frames_.end()) {
         clear_marks();
@@ -765,7 +790,10 @@ Status CacheManager::FlushPageLocked(std::unique_lock<std::mutex>& lk,
     }
     if (!busy) {
       if (write_back) AddWriteBackVictims(x, &plan);
-      return InstallPlan(lk, plan, write_back);
+      bool deferred = false;
+      LLB_RETURN_IF_ERROR(InstallPlan(lk, plan, write_back, &deferred));
+      if (!deferred) return Status::OK();
+      continue;
     }
     ++stats_.install_waits;
     install_cv_.wait(lk);

@@ -64,6 +64,10 @@ struct CacheStats {
   // flush had to wait for an in-flight install.
   uint64_t overlapped_installs = 0;
   uint64_t install_waits = 0;
+  // Units an install plan left for a later one because their Iw record
+  // may not become durable before their in-plan predecessors are on S;
+  // each costs one more install round and its log wait.
+  uint64_t iw_order_waits = 0;
 
   // Batched write-back: installs made by a dirty eviction (each carries
   // the victim plus up to kWriteBackBatch - 1 cold dirty pages of its
@@ -231,9 +235,12 @@ class CacheManager {
   /// PageStore::WritePages per write-graph level, each durable before the
   /// next starts, or one shadow-journal WriteBatchAtomic when some node
   /// has several vars), phase 3 re-acquired (mark clean/installed, wake
-  /// waiters).
+  /// waiters). Installs only the prefix before the first unit that must
+  /// log an Iw record while a predecessor of it is in the plan, and sets
+  /// *deferred when that left units out.
   Status InstallPlan(std::unique_lock<std::mutex>& lk,
-                     const std::vector<InstallUnit>& plan, bool write_back);
+                     const std::vector<InstallUnit>& plan, bool write_back,
+                     bool* deferred);
   void Touch(Frame& frame);
 
   /// Decides which vars of the unit need Iw/oF logging given backup

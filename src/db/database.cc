@@ -64,11 +64,7 @@ Result<std::unique_ptr<Database>> Database::OpenRestoring(
 }
 
 Status Database::Init() {
-  LogManagerOptions log_options;
-  log_options.channels = options_.log_channels;
-  log_options.group_commit_interval_us = options_.group_commit_interval_us;
-  LLB_ASSIGN_OR_RETURN(log_,
-                       LogManager::Open(env_, LogName(name_), log_options));
+  LLB_ASSIGN_OR_RETURN(log_, LogManager::Open(env_, LogName(name_)));
   LLB_ASSIGN_OR_RETURN(
       stable_, PageStore::Open(env_, StableName(name_), options_.partitions));
   CacheOptions cache_options;
@@ -499,7 +495,6 @@ DbStats Database::GatherStats() const {
   stats.backups_taken = backups_taken_;
   stats.backup_pages_copied = backup_pages_copied_;
   stats.backup_fence_updates = backup_fence_updates_;
-  stats.log_channels = log_->channels();
   stats.durable_epoch = log_->durable_epoch();
   stats.open_epoch = log_->CurrentEpoch();
   return stats;

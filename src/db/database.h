@@ -68,17 +68,9 @@ struct DbOptions {
   /// Env::OpenAsync (io_uring where the kernel grants it, the portable
   /// thread pool elsewhere). <= 1 moves one run at a time.
   uint32_t io_queue_depth = 0;
-  /// Number of per-thread WAL append channels (LogManagerOptions::
-  /// channels) of epoch-based group commit. Every count, including 1,
-  /// runs the same path: flush decisions wait on the epoch watermark
-  /// instead of forcing inline, and installs overlap their durability
-  /// wait + stable write with concurrent updaters. More channels only
-  /// spread append-lock contention; the log file's bytes are the same.
+  /// Ignored (one log stream); goes away with the next benchmark change.
   uint32_t log_channels = 1;
-  /// When >0, a background advancer group-commits every interval and
-  /// waiters block on the watermark; 0 means the first durability
-  /// waiter leads the commit and concurrent waiters piggyback on its
-  /// single sync.
+  /// Ignored (waiters lead commits); goes away with the next benchmark change.
   uint32_t group_commit_interval_us = 0;
   /// Write backups in store format v2: page-content compression (RLE),
   /// zero-page frames, and dedup refs against the newest complete full
@@ -331,9 +323,9 @@ class Database {
   /// (empty on a plain open), the flag the gates read, and the restorer
   /// (alive exactly while restoring_ is true). The restorer is the log's
   /// commit barrier while restoring, so it is declared before log_ and
-  /// outlives the log's advancer thread: a commit after the restorer went
-  /// would run a dangling barrier, and one with the barrier cleared would
-  /// make records durable ahead of their pages' bits.
+  /// destroyed after it: the log never holds a barrier into a destroyed
+  /// restorer, and the barrier is never cleared early, which would let
+  /// records become durable ahead of their pages' bits.
   std::string restore_backup_name_;
   std::atomic<bool> restoring_{false};
   std::unique_ptr<InstantRestorer> restorer_;

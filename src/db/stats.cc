@@ -14,7 +14,6 @@ std::string DbStats::ToString() const {
       << " log_bytes=" << log.bytes
       << " identity_bytes=" << log.identity_bytes
       << " backup_pages=" << backup_pages_copied
-      << " log_channels=" << log_channels
       << " group_commits=" << log.group_commits
       << " durable_epoch=" << durable_epoch << " open_epoch=" << open_epoch;
   return out.str();

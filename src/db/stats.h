@@ -20,8 +20,7 @@ struct DbStats {
   uint64_t backup_pages_copied = 0;
   uint64_t backup_fence_updates = 0;
 
-  // WAL channel/epoch status (group commit; see LogManagerOptions).
-  uint32_t log_channels = 1;
+  // WAL epoch status (group commit; see LogManager).
   Epoch durable_epoch = kInvalidEpoch;
   Epoch open_epoch = kInvalidEpoch;
 

@@ -32,7 +32,6 @@ Result<ConcurrentTortureReport> RunConcurrentTorture(
   db_options.graph = WriteGraphKind::kGeneral;
   db_options.backup_policy = BackupPolicy::kGeneral;
   db_options.backup_steps = options.backup_steps;
-  db_options.log_channels = options.log_channels;
 
   TortureEngine engine(db_options);
   LLB_RETURN_IF_ERROR(engine.Open());

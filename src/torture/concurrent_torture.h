@@ -35,10 +35,6 @@ struct ConcurrentTortureOptions {
   /// Whether a fourth thread polls Database::GatherStats concurrently
   /// (exercises the stats paths foreground threads read).
   bool poll_stats = true;
-  /// WAL append channels (DbOptions::log_channels). >1 spreads the
-  /// updaters' appends across channels of the epoch group commit; every
-  /// count races the three-phase install path against the sweep fences.
-  uint32_t log_channels = 1;
 };
 
 struct ConcurrentTortureReport {

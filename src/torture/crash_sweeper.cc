@@ -203,8 +203,6 @@ DbOptions CrashSweeper::MakeDbOptions() const {
   options.backup_batch_pages = scenario_.batch_pages;
   options.io_queue_depth = scenario_.queue_depth;
   options.backup_sweep_threads = scenario_.sweep_threads;
-  options.log_channels = scenario_.log_channels;
-  options.group_commit_interval_us = scenario_.group_commit_interval_us;
   if (scenario_.kind == ScenarioKind::kInstantRestore) {
     // Small background steps so the sweep and the faulting workload
     // genuinely interleave on CI-sized scenarios (one big step would

@@ -160,19 +160,6 @@ struct ScenarioOptions {
   /// their durability-event sequences stay stable). kParallelRestore also
   /// reuses this (and batch_pages / queue_depth) as its RestoreOptions.
   uint32_t sweep_threads = 1;
-  /// WAL append channels (DbOptions::log_channels) of epoch-based group
-  /// commit: every Iw/oF flush decision waits on the epoch watermark, so
-  /// the sweep's crash points land between "channels sealed" (the group
-  /// commit's sync) and "epoch published" —
-  /// a crash there must salvage with no committed-but-lost records and
-  /// no Iw-after-flush ordering violation. The scripts are single-
-  /// threaded, so the durability-event sequence stays deterministic.
-  uint32_t log_channels = 1;
-  /// Background group-commit interval (DbOptions::group_commit_interval_
-  /// us). Scenarios keep 0 (caller-driven commits): a background advancer
-  /// would inject nondeterministically-timed sync events and break the
-  /// sweeper's event-count contract.
-  uint32_t group_commit_interval_us = 0;
 };
 
 /// How exhaustively to sweep.

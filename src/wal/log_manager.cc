@@ -1,7 +1,6 @@
 #include "wal/log_manager.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <iterator>
 
@@ -41,9 +40,7 @@ Result<RecordRange> ReadRecordRange(std::shared_ptr<File> file) {
 }  // namespace
 
 Result<std::unique_ptr<LogManager>> LogManager::Open(Env* env,
-                                                     const std::string& name,
-                                                     LogManagerOptions options) {
-  if (options.channels == 0) options.channels = 1;
+                                                     const std::string& name) {
   // Sealed files are "<name>.<20 digits>"; the digits are the first LSN.
   const std::string prefix = name + ".";
   std::vector<LogFile> files;
@@ -94,63 +91,34 @@ Result<std::unique_ptr<LogManager>> LogManager::Open(Env* env,
   }
   files.push_back(std::move(active));
   return std::unique_ptr<LogManager>(
-      new LogManager(env, name, std::move(files), next, options));
+      new LogManager(env, name, std::move(files), next));
 }
 
 LogManager::LogManager(Env* env, std::string name, std::vector<LogFile> files,
-                       Lsn next_lsn, LogManagerOptions options)
+                       Lsn next_lsn)
     : env_(env),
       name_(std::move(name)),
-      options_(options),
       files_(std::move(files)),
       writer_(files_.back().file, files_.back().bytes),
       durable_lsn_(next_lsn - 1),
-      next_lsn_(next_lsn) {
-  channels_.reserve(options_.channels);
-  for (uint32_t i = 0; i < options_.channels; ++i) {
-    channels_.push_back(std::make_unique<LogChannel>());
-  }
-  runs_.resize(channels_.size());
-  if (options_.group_commit_interval_us > 0) {
-    advancer_ = std::thread([this] { AdvancerLoop(); });
-  }
-}
-
-LogManager::~LogManager() {
-  if (advancer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(watermark_mu_);
-      stop_advancer_ = true;
-    }
-    watermark_cv_.notify_all();
-    advancer_.join();
-  }
-}
-
-LogChannel& LogManager::ChannelForThisThread() {
-  // Threads bind to channels round-robin at first append; the binding is
-  // process-wide (not per-LogManager) which only affects which channel a
-  // thread lands on, never correctness.
-  static std::atomic<uint64_t> next_slot{0};
-  thread_local uint64_t slot = next_slot.fetch_add(1);
-  return *channels_[slot % channels_.size()];
-}
+      next_lsn_(next_lsn) {}
 
 Lsn LogManager::Append(LogRecord* record, Epoch* epoch_out) {
-  LogChannel& channel = ChannelForThisThread();
-  // The channel mutex is held across issuance AND buffering: once the
-  // group commit closes epoch E, any record issued in an epoch <= E is
-  // either fully buffered or its appender still holds the channel mutex
-  // the drain must take — the drain never sees a half-buffered epoch.
-  std::lock_guard<std::mutex> lock(channel.mu());
-  Epoch epoch;
-  {
-    std::lock_guard<std::mutex> issue(issue_mu_);
-    record->lsn = next_lsn_++;
-    epoch = open_epoch_;
+  // Issuance and buffering under one mutex keep the buffer in LSN order,
+  // and a group commit that closes epoch E finds every record issued in
+  // an epoch <= E fully buffered.
+  std::lock_guard<std::mutex> append(append_mu_);
+  record->lsn = next_lsn_++;
+  if (epoch_out != nullptr) *epoch_out = open_epoch_;
+  const size_t before = buffer_.size();
+  record->EncodeTo(&buffer_);
+  const size_t size = buffer_.size() - before;
+  ++appended_.records;
+  appended_.bytes += size;
+  if (record->IsIdentityWrite()) {
+    ++appended_.identity_records;
+    appended_.identity_bytes += size;
   }
-  channel.AddLocked(epoch, *record);
-  if (epoch_out != nullptr) *epoch_out = epoch;
   return record->lsn;
 }
 
@@ -160,139 +128,67 @@ Status LogManager::Force() {
 }
 
 Status LogManager::GroupCommitLocked(bool roll) {
-  // Close the open epoch. Everything issued before this point belongs to
-  // an epoch <= sealed and is (or is being) buffered in some channel.
+  // Close the open epoch and cut the buffer: the records before the cut
+  // are exactly those issued in an epoch <= sealed, up to `tail`.
   Epoch sealed;
   Lsn tail;
+  size_t cut;
   {
-    std::lock_guard<std::mutex> issue(issue_mu_);
+    std::lock_guard<std::mutex> append(append_mu_);
     sealed = open_epoch_++;
     tail = next_lsn_ - 1;
+    cut = buffer_.size();
   }
-  // Before draining: a failing barrier leaves every record in its channel
-  // for the next commit, whose later epoch close drains it too.
+  // Before taking the prefix: a failing barrier leaves every record
+  // buffered for the next commit, whose later cut covers it too.
   if (commit_barrier_) LLB_RETURN_IF_ERROR(commit_barrier_());
-
-  size_t total = 0;
-  for (size_t i = 0; i < channels_.size(); ++i) {
-    Run& run = runs_[i];
-    run.head = 0;
-    run.offset = 0;
-    channels_[i]->Drain(sealed, &run);
-    total += run.lsns.size();
+  if (cut > 0) {
+    std::lock_guard<std::mutex> append(append_mu_);
+    if (buffer_.size() == cut) {
+      commit_bytes_.swap(buffer_);
+    } else {
+      commit_bytes_.assign(buffer_, 0, cut);
+      buffer_.erase(0, cut);
+    }
   }
 
   std::unique_lock<std::mutex> lock(mu_);
-  if (total > 0) {
-    // Merge the runs by LSN: each is already in LSN order, so the next
-    // record is always some run's head. The merged records must continue
-    // the log densely up to the LSN issuance tail captured at the epoch
-    // close; a gap means a record was issued but never buffered — an
-    // invariant violation, not an IO error.
-    const Lsn first =
-        (last_appended_ != kInvalidLsn ? last_appended_ : durable_lsn()) + 1;
-    merge_order_.clear();
-    for (Lsn expect = first; merge_order_.size() < total; ++expect) {
-      size_t r = 0;
-      while (r < runs_.size() && (runs_[r].head == runs_[r].lsns.size() ||
-                                  runs_[r].lsns[runs_[r].head] != expect)) {
-        ++r;
-      }
-      if (r == runs_.size()) {
-        return Status::Internal("group commit: channel merge gap at lsn " +
-                                std::to_string(expect));
-      }
-      merge_order_.push_back(r);
-      ++runs_[r].head;
+  if (cut > 0) {
+    writer_.AddRaw(&commit_bytes_);
+    if (seal_first_lsn_ == kInvalidLsn) {
+      seal_first_lsn_ =
+          (last_appended_ != kInvalidLsn ? last_appended_ : durable_lsn()) + 1;
     }
-    if (first + total - 1 != tail) {
-      return Status::Internal("group commit: merge does not reach epoch tail");
-    }
-    if (runs_[merge_order_.front()].lsns.size() == total) {
-      // One run holds everything (always so on one channel): it already
-      // is the merged order, so hand its buffer over without copying.
-      writer_.AddRaw(&runs_[merge_order_.front()].bytes);
-    } else {
-      for (Run& run : runs_) run.head = 0;
-      for (size_t r : merge_order_) {
-        Run& run = runs_[r];
-        size_t size = run.sizes[run.head++];
-        writer_.AddRaw(Slice(run.bytes.data() + run.offset, size));
-        run.offset += size;
-      }
-    }
-    if (seal_first_lsn_ == kInvalidLsn) seal_first_lsn_ = first;
     last_appended_ = tail;
   }
   LLB_RETURN_IF_ERROR(SealLocked(sealed));
-  ++stats_.forces;
-  ++stats_.group_commits;
+  ++group_commits_;
   if (roll ? writer_.file_bytes() > 0 : writer_.file_bytes() >= kLogRollBytes) {
     LLB_RETURN_IF_ERROR(RollLocked());
   }
   lock.unlock();
-
-  {
-    std::lock_guard<std::mutex> watermark(watermark_mu_);
-    durable_epoch_.store(sealed, std::memory_order_release);
-    advancer_error_ = Status::OK();
-  }
-  watermark_cv_.notify_all();
+  durable_epoch_.store(sealed, std::memory_order_release);
   return Status::OK();
 }
 
 Status LogManager::WaitEpochDurable(Epoch epoch) {
   if (epoch == kInvalidEpoch) return Status::OK();
   if (durable_epoch() >= epoch) return Status::OK();
-  if (options_.group_commit_interval_us == 0) {
-    // Caller-driven: lead a commit, or piggyback if a concurrent leader
-    // already published our epoch while we queued on the commit lock.
-    std::lock_guard<std::mutex> commit(commit_mu_);
-    if (durable_epoch() >= epoch) return Status::OK();
-    return GroupCommitLocked();
-  }
-  std::unique_lock<std::mutex> watermark(watermark_mu_);
-  watermark_cv_.wait(watermark, [&] {
-    return durable_epoch() >= epoch || !advancer_error_.ok() || stop_advancer_;
-  });
+  // Lead a commit, or piggyback if a concurrent leader already published
+  // our epoch while we queued on the commit lock.
+  std::lock_guard<std::mutex> commit(commit_mu_);
   if (durable_epoch() >= epoch) return Status::OK();
-  if (!advancer_error_.ok()) return advancer_error_;
-  return Status::Internal("log manager shut down while waiting for epoch");
+  return GroupCommitLocked();
 }
 
 Epoch LogManager::CurrentEpoch() const {
-  std::lock_guard<std::mutex> issue(issue_mu_);
+  std::lock_guard<std::mutex> append(append_mu_);
   return open_epoch_;
 }
 
 Status LogManager::WaitLsnDurable(Lsn lsn) {
   if (lsn <= durable_lsn()) return Status::OK();
   return WaitEpochDurable(CurrentEpoch());
-}
-
-void LogManager::AdvancerLoop() {
-  const auto interval =
-      std::chrono::microseconds(options_.group_commit_interval_us);
-  while (true) {
-    {
-      std::unique_lock<std::mutex> watermark(watermark_mu_);
-      watermark_cv_.wait_for(watermark, interval,
-                             [&] { return stop_advancer_; });
-      if (stop_advancer_) return;
-    }
-    Status s;
-    {
-      std::lock_guard<std::mutex> commit(commit_mu_);
-      s = GroupCommitLocked();
-    }
-    if (!s.ok()) {
-      {
-        std::lock_guard<std::mutex> watermark(watermark_mu_);
-        advancer_error_ = s;
-      }
-      watermark_cv_.notify_all();
-    }
-  }
 }
 
 Status LogManager::SealLocked(Epoch sealed_epoch) {
@@ -367,12 +263,8 @@ Lsn LogManager::InstallSealObserver(SealObserver observer) {
 
 Status LogManager::AppendSealed(const SealedSegment& segment,
                                 std::vector<LogRecord>* records_out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Lsn next;
-  {
-    std::lock_guard<std::mutex> issue(issue_mu_);
-    next = next_lsn_;
-  }
+  std::lock_guard<std::mutex> append(append_mu_);
+  const Lsn next = next_lsn_;
   if (segment.epoch != kInvalidEpoch &&
       segment.epoch <= last_ingested_epoch_) {
     // Duplicate epoch replay: idempotent iff everything it carries is
@@ -415,22 +307,17 @@ Status LogManager::AppendSealed(const SealedSegment& segment,
   if (records.empty() || records.back().lsn != segment.last_lsn) {
     return Status::Corruption("sealed segment does not end at last_lsn");
   }
-  writer_.AddRaw(Slice(segment.bytes));
-  if (seal_first_lsn_ == kInvalidLsn) seal_first_lsn_ = segment.first_lsn;
+  buffer_.append(segment.bytes);
   for (const LogRecord& rec : records) {
     size_t encoded = rec.EncodedSize();
-    ++stats_.records;
-    stats_.bytes += encoded;
+    ++appended_.records;
+    appended_.bytes += encoded;
     if (rec.IsIdentityWrite()) {
-      ++stats_.identity_records;
-      stats_.identity_bytes += encoded;
+      ++appended_.identity_records;
+      appended_.identity_bytes += encoded;
     }
   }
-  {
-    std::lock_guard<std::mutex> issue(issue_mu_);
-    next_lsn_ = segment.last_lsn + 1;
-  }
-  last_appended_ = segment.last_lsn;
+  next_lsn_ = segment.last_lsn + 1;
   if (segment.epoch != kInvalidEpoch) last_ingested_epoch_ = segment.epoch;
   if (records_out != nullptr) {
     for (LogRecord& rec : records) records_out->push_back(std::move(rec));
@@ -439,12 +326,12 @@ Status LogManager::AppendSealed(const SealedSegment& segment,
 }
 
 Epoch LogManager::last_ingested_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> append(append_mu_);
   return last_ingested_epoch_;
 }
 
 Lsn LogManager::next_lsn() const {
-  std::lock_guard<std::mutex> issue(issue_mu_);
+  std::lock_guard<std::mutex> append(append_mu_);
   return next_lsn_;
 }
 
@@ -485,26 +372,22 @@ std::vector<LogFileInfo> LogManager::Files() const {
 LogStats LogManager::stats() const {
   LogStats total;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    total = stats_;
+    std::lock_guard<std::mutex> append(append_mu_);
+    total = appended_;
   }
-  // Channel mutexes rank above mu_, so they are read after releasing it.
-  for (const auto& channel : channels_) {
-    LogChannel::Counters c = channel->ReadCounters(/*reset=*/false);
-    total.records += c.records;
-    total.bytes += c.bytes;
-    total.identity_records += c.identity_records;
-    total.identity_bytes += c.identity_bytes;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  total.forces = group_commits_;
+  total.group_commits = group_commits_;
   return total;
 }
 
 void LogManager::ResetStats() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = LogStats{};
+    std::lock_guard<std::mutex> append(append_mu_);
+    appended_ = LogStats{};
   }
-  for (const auto& channel : channels_) channel->ReadCounters(/*reset=*/true);
+  std::lock_guard<std::mutex> lock(mu_);
+  group_commits_ = 0;
 }
 
 Status LogManager::TruncatePrefix(Lsn keep_from) {

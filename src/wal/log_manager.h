@@ -2,19 +2,16 @@
 #define LLB_WAL_LOG_MANAGER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "io/env.h"
-#include "wal/log_channel.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
 #include "wal/log_writer.h"
@@ -30,7 +27,7 @@ struct LogStats {
   uint64_t bytes = 0;
   uint64_t identity_bytes = 0;
   uint64_t forces = 0;
-  uint64_t group_commits = 0;  // epoch seals that wrote + synced channels
+  uint64_t group_commits = 0;  // epoch seals that wrote + synced the log
 };
 
 /// One ship frame: the contiguous run of framed records a single
@@ -68,21 +65,6 @@ struct LogFileInfo {
   bool sealed = false;
 };
 
-/// Tuning knobs for the WAL append path.
-struct LogManagerOptions {
-  /// Number of per-thread log channels (0 is treated as 1). Appends are
-  /// sharded across the channels and become durable in (epoch, LSN)
-  /// order at the next group commit; the log file's bytes do not depend
-  /// on the channel count.
-  uint32_t channels = 1;
-  /// When >0, a background advancer closes the open epoch and
-  /// group-commits every interval; WaitEpochDurable() then blocks on the
-  /// watermark instead of leading a commit itself. 0 means caller-driven:
-  /// the first waiter leads the commit and concurrent waiters piggyback
-  /// on its single sync.
-  uint32_t group_commit_interval_us = 0;
-};
-
 /// Owns the recovery log: assigns LSNs, appends records, forces them
 /// durable (WAL), and scans them for redo. The same log serves crash
 /// recovery and media recovery ("maintaining the media recovery log is
@@ -97,14 +79,14 @@ struct LogManagerOptions {
 /// truncation unlinks whole files, so neither costs more than the files
 /// it touches.
 ///
-/// The append path is sharded: each appender thread is bound round-robin
-/// to a LogChannel and only contends on its channel's mutex plus a tiny
-/// (lsn, epoch) issuance lock. A group commit closes the open epoch E,
-/// drains every channel's records for epochs <= E, merges them by LSN
-/// into the active log file (byte format unchanged), syncs once, and
-/// publishes durable_epoch = E — the commit point. The fence protocol's
-/// "identity write durable before flush to S" becomes "the epoch
-/// containing the Iw record has been published".
+/// Appends form one totally ordered stream: an appender takes the LSN and
+/// the open epoch and encodes its record into one buffer under one mutex,
+/// so the buffer is always in LSN order. A group commit closes the open
+/// epoch E and cuts the buffer at its current end, writes that prefix to
+/// the active log file, syncs once, and publishes durable_epoch = E — the
+/// commit point. The fence protocol's "identity write durable before
+/// flush to S" becomes "the epoch containing the Iw record has been
+/// published".
 class LogManager {
  public:
   /// Observes segment seals. Invoked after the seal is durable (the
@@ -127,10 +109,8 @@ class LogManager {
   /// reads only the active file to learn the next LSN to assign — plus
   /// the newest sealed file when the active one is empty (a fresh roll,
   /// or a crash between a roll's rename and its create).
-  static Result<std::unique_ptr<LogManager>> Open(
-      Env* env, const std::string& name, LogManagerOptions options = {});
-
-  ~LogManager();
+  static Result<std::unique_ptr<LogManager>> Open(Env* env,
+                                                  const std::string& name);
 
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
@@ -141,15 +121,14 @@ class LogManager {
   Lsn Append(LogRecord* record, Epoch* epoch_out = nullptr);
 
   /// Makes all appended records durable: a full group commit (closes the
-  /// open epoch, drains every channel, publishes the watermark). If the
-  /// seal covered records, the seal observer (if any) fires before Force
-  /// returns.
+  /// open epoch, writes what was buffered before the close, publishes the
+  /// watermark). If the seal covered records, the seal observer (if any)
+  /// fires before Force returns.
   Status Force();
 
   /// Blocks until durable_epoch() >= epoch (i.e. every record issued in
-  /// `epoch` is durable). Caller-driven mode: the first waiter leads a
-  /// group commit under the commit lock and concurrent waiters piggyback
-  /// on its one sync. Background mode: waits on the advancer's watermark.
+  /// `epoch` is durable). The first waiter leads a group commit under the
+  /// commit lock and concurrent waiters piggyback on its one sync.
   Status WaitEpochDurable(Epoch epoch);
 
   /// The epoch any subsequent Append() would be issued in. Waiting for
@@ -165,8 +144,6 @@ class LogManager {
   Epoch durable_epoch() const {
     return durable_epoch_.load(std::memory_order_acquire);
   }
-
-  uint32_t channels() const { return options_.channels; }
 
   /// Installs the commit barrier (nullptr clears). Waits out a commit in
   /// flight, so a cleared barrier is never run again once this returns.
@@ -199,7 +176,7 @@ class LogManager {
   /// the media-recovery merge keyed by (epoch, LSN) sane:
   ///  - an empty segment (no bytes, first_lsn == kInvalidLsn) with a new
   ///    epoch just advances the ingested-epoch bookkeeping (an idle
-  ///    channel epoch published with no records);
+  ///    epoch published with no records);
   ///  - replaying an epoch <= the last ingested one is an idempotent
   ///    no-op iff its records are already ingested (last_lsn < next_lsn),
   ///    and InvalidArgument otherwise (a stale epoch cannot introduce
@@ -258,22 +235,23 @@ class LogManager {
   };
 
   LogManager(Env* env, std::string name, std::vector<LogFile> files,
-             Lsn next_lsn, LogManagerOptions options);
+             Lsn next_lsn);
 
   /// Forces the writer and, if records were sealed, fires the observer.
   /// First creates the active file if a roll's create failed. mu_ held by
   /// caller.
   Status SealLocked(Epoch sealed_epoch);
 
-  /// Closes the open epoch, runs the commit barrier, drains every
-  /// channel, merges by LSN into the writer, seals, rolls the active file
-  /// when it reached kLogRollBytes (or, with `roll`, whenever it is not
-  /// empty), and publishes the watermark. commit_mu_ held by the caller;
-  /// takes issue_mu_, each channel mutex, and mu_ in turn (never nested
-  /// with each other). On IO failure the drained bytes stay in the writer
-  /// buffer and the watermark does not advance — the next commit retries
-  /// them (classic LogWriter retry semantics); a failing barrier fails
-  /// the commit before anything is drained.
+  /// Closes the open epoch and cuts the append buffer at its end, runs
+  /// the commit barrier, hands the buffer's prefix up to the cut to the
+  /// writer, seals, rolls the active file when it reached kLogRollBytes
+  /// (or, with `roll`, whenever it is not empty), and publishes the
+  /// watermark. commit_mu_ held by the caller; takes append_mu_ twice and
+  /// then mu_. A failing barrier fails the commit before
+  /// anything leaves the buffer, so the next commit writes those records.
+  /// On IO failure the bytes stay in the writer buffer and the watermark
+  /// does not advance — the next commit retries them (classic LogWriter
+  /// retry semantics).
   Status GroupCommitLocked(bool roll = false);
 
   /// Seals the active file: renames it to its sealed name and starts a
@@ -284,21 +262,15 @@ class LogManager {
   /// held. Retried by the next seal if a roll's create failed.
   Status OpenActiveLocked();
 
-  LogChannel& ChannelForThisThread();
-  void AdvancerLoop();
-
   Env* const env_;
   const std::string name_;
-  const LogManagerOptions options_;
 
-  // Lock order: commit_mu_ -> { channel mu / issue_mu_ (never nested
-  // with each other by the commit path; an appender holds its channel
-  // mutex across issue_mu_) } -> mu_ -> issue_mu_. watermark_mu_ is a
-  // leaf taken with nothing else held. The commit barrier runs under
-  // commit_mu_ alone and takes its owner's locks: with instant restore
-  // the engine-wide order is cache -> commit_mu_ -> restorer (a cache
-  // eviction forces the log under the cache mutex; the restorer never
-  // calls into the cache or the log while holding its own mutex).
+  // Lock order: commit_mu_ first; mu_ and append_mu_ are never held
+  // together. The commit barrier runs under commit_mu_ alone and takes
+  // its owner's locks: with instant restore the engine-wide order is
+  // cache -> commit_mu_ -> restorer (a cache eviction forces the log
+  // under the cache mutex; the restorer never calls into the cache or
+  // the log while holding its own mutex).
   mutable std::mutex mu_;
   // Oldest first; back() is the active file the writer appends to (it is
   // sealed only while a failed roll awaits its create).
@@ -307,40 +279,27 @@ class LogManager {
   // Written under mu_ once the sync covering it succeeded; read anywhere.
   std::atomic<Lsn> durable_lsn_;
   Lsn last_appended_ = kInvalidLsn;
-  // Forces, group commits, and records ingested through AppendSealed;
-  // records appended through the channels are counted per channel.
-  LogStats stats_;
+  uint64_t group_commits_ = 0;
   SealObserver seal_observer_;
   uint64_t seal_seq_ = 0;
   Lsn seal_first_lsn_ = kInvalidLsn;  // first LSN buffered since last seal
-  Epoch last_ingested_epoch_ = kInvalidEpoch;
 
-  // (lsn, epoch) issuance — the only cross-channel append coordination.
-  mutable std::mutex issue_mu_;
+  // The append stream: LSN and epoch issuance, the framed records not yet
+  // handed to the writer (in LSN order, AppendSealed's included), the
+  // append-time counters and the ingested-epoch bookkeeping.
+  mutable std::mutex append_mu_;
   Lsn next_lsn_;
   Epoch open_epoch_ = 1;
+  std::string buffer_;
+  LogStats appended_;  // records and bytes only
+  Epoch last_ingested_epoch_ = kInvalidEpoch;
 
   // Group commit: serializes epoch closes; piggybacking waiters queue
   // on commit_mu_ and re-check the watermark once the leader publishes.
-  // runs_ (one per channel, with merge cursors) and merge_order_ are the
-  // commit's scratch, kept across commits so their buffers are reused.
-  struct Run : LogChannel::Run {
-    size_t head = 0;    // next record of this run to merge
-    size_t offset = 0;  // its byte offset in `bytes`
-  };
   std::mutex commit_mu_;
   CommitBarrier commit_barrier_;  // guarded by commit_mu_
-  std::vector<std::unique_ptr<LogChannel>> channels_;
-  std::vector<Run> runs_;
-  std::vector<size_t> merge_order_;  // run index of each merged record
+  std::string commit_bytes_;      // the commit's cut prefix, reused
   std::atomic<Epoch> durable_epoch_{kInvalidEpoch};
-
-  // Watermark publication + background advancer.
-  mutable std::mutex watermark_mu_;
-  std::condition_variable watermark_cv_;
-  Status advancer_error_;  // sticky until the next successful commit
-  bool stop_advancer_ = false;
-  std::thread advancer_;
 };
 
 }  // namespace llb

@@ -1,8 +1,8 @@
-// Epoch-based group commit over per-thread log channels: epoch issuance
-// and watermark publication, log bytes independent of the channel count,
-// the (epoch, LSN) merge rules of AppendSealed, the atomic seal-observer
-// install, and the multi-threaded append / commit / observer-swap races
-// (run under the tsan preset).
+// Epoch-based group commit over the one log append stream: epoch
+// issuance and watermark publication, the commit's cut, the (epoch, LSN)
+// merge rules of AppendSealed, the atomic seal-observer install, and the
+// multi-threaded append / commit / observer-swap races (run under the
+// tsan preset).
 
 #include <gtest/gtest.h>
 
@@ -32,25 +32,12 @@ LogRecord SampleRecord(int salt) {
   return rec;
 }
 
-std::string ReadWholeFile(Env* env, const std::string& name) {
-  auto file = env->OpenFile(name, /*create=*/false);
-  EXPECT_TRUE(file.ok()) << file.status().ToString();
-  auto size = file.value()->Size();
-  EXPECT_TRUE(size.ok()) << size.status().ToString();
-  std::string bytes;
-  EXPECT_OK(file.value()->ReadAt(0, size.value(), &bytes));
-  return bytes;
-}
-
 // ---------- epoch issuance and the watermark ----------
 
 TEST(GroupCommitTest, EpochAdvancesAndPublishesOnForce) {
   MemEnv env;
-  LogManagerOptions options;
-  options.channels = 4;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
-                       LogManager::Open(&env, "log", options));
-  EXPECT_EQ(log->channels(), 4u);
+                       LogManager::Open(&env, "log"));
   EXPECT_EQ(log->durable_epoch(), kInvalidEpoch);
   EXPECT_EQ(log->CurrentEpoch(), 1u);
 
@@ -70,10 +57,8 @@ TEST(GroupCommitTest, EpochAdvancesAndPublishesOnForce) {
 
 TEST(GroupCommitTest, WaitEpochDurableLeadsCallerDrivenCommit) {
   MemEnv env;
-  LogManagerOptions options;
-  options.channels = 4;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
-                       LogManager::Open(&env, "log", options));
+                       LogManager::Open(&env, "log"));
   std::vector<Epoch> epochs;
   for (int i = 0; i < 5; ++i) {
     LogRecord rec = SampleRecord(i);
@@ -88,7 +73,7 @@ TEST(GroupCommitTest, WaitEpochDurableLeadsCallerDrivenCommit) {
   uint64_t commits = log->stats().group_commits;
   ASSERT_OK(log->WaitEpochDurable(epochs.front()));
   EXPECT_EQ(log->stats().group_commits, commits);
-  // Scan sees the merged records densely.
+  // Scan sees the records densely.
   Lsn expect = 1;
   ASSERT_OK(log->Scan(1, [&](const LogRecord& rec) {
     EXPECT_EQ(rec.lsn, expect++);
@@ -114,67 +99,77 @@ TEST(GroupCommitTest, WaitEpochDurableWorksSingleChannel) {
 
 TEST(GroupCommitTest, EmptyEpochPublishesWithoutRecords) {
   MemEnv env;
-  LogManagerOptions options;
-  options.channels = 4;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
-                       LogManager::Open(&env, "log", options));
+                       LogManager::Open(&env, "log"));
   Epoch barrier = log->CurrentEpoch();
   ASSERT_OK(log->WaitEpochDurable(barrier));
   EXPECT_GE(log->durable_epoch(), barrier);
   EXPECT_EQ(log->next_lsn(), 1u);
 }
 
-TEST(GroupCommitTest, BackgroundAdvancerPublishesWithoutCaller) {
+TEST(GroupCommitTest, CommitWritesUpToTheTailCapturedAtEpochClose) {
   MemEnv env;
-  LogManagerOptions options;
-  options.channels = 2;
-  options.group_commit_interval_us = 100;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
-                       LogManager::Open(&env, "log", options));
-  LogRecord rec = SampleRecord(1);
-  Epoch epoch = kInvalidEpoch;
-  log->Append(&rec, &epoch);
-  // The waiter blocks on the advancer's watermark instead of committing.
-  ASSERT_OK(log->WaitEpochDurable(epoch));
-  EXPECT_GE(log->durable_epoch(), epoch);
-  EXPECT_EQ(log->durable_lsn(), 1u);
-}
+                       LogManager::Open(&env, "log"));
+  for (int i = 0; i < 3; ++i) {
+    LogRecord rec = SampleRecord(i);
+    log->Append(&rec);
+  }
+  std::vector<SealedSegment> seals;
+  log->SetSealObserver(
+      [&](const SealedSegment& segment) { seals.push_back(segment); });
+  // The barrier runs after the epoch close and blocks until record R has
+  // been appended behind the cut.
+  std::atomic<bool> in_barrier{false};
+  std::atomic<bool> release{false};
+  log->SetCommitBarrier([&] {
+    in_barrier.store(true);
+    while (!release.load()) std::this_thread::yield();
+    return Status::OK();
+  });
+  Status committed;
+  std::thread committer([&] { committed = log->Force(); });
+  while (!in_barrier.load()) std::this_thread::yield();
+  LogRecord r = SampleRecord(9);
+  Epoch r_epoch = kInvalidEpoch;
+  EXPECT_EQ(log->Append(&r, &r_epoch), 4u);
+  release.store(true);
+  committer.join();
+  ASSERT_OK(committed);
 
-// ---------- channel-count independence ----------
-
-TEST(GroupCommitTest, SingleThreadLogBytesIdenticalAcrossChannelCounts) {
-  // The same append/force script must produce the identical log file
-  // whatever the channel count: the group commit merges by LSN into the
-  // same frame encoding.
-  auto run = [](uint32_t channels) {
-    MemEnv env;
-    LogManagerOptions options;
-    options.channels = channels;
-    auto log = LogManager::Open(&env, "log", options);
-    EXPECT_TRUE(log.ok()) << log.status().ToString();
-    for (int round = 0; round < 3; ++round) {
-      for (int i = 0; i < 4; ++i) {
-        LogRecord rec = SampleRecord(round * 4 + i);
-        log.value()->Append(&rec);
-      }
-      EXPECT_OK(log.value()->Force());
-    }
-    return ReadWholeFile(&env, "log");
+  EXPECT_EQ(log->durable_lsn(), 3u);
+  EXPECT_LT(log->durable_epoch(), r_epoch);
+  ASSERT_EQ(seals.size(), 1u);
+  EXPECT_EQ(seals[0].first_lsn, 1u);
+  EXPECT_EQ(seals[0].last_lsn, 3u);
+  std::vector<Lsn> seen;
+  auto scan = [&] {
+    seen.clear();
+    return log->Scan(1, [&](const LogRecord& rec) {
+      seen.push_back(rec.lsn);
+      return Status::OK();
+    });
   };
-  std::string single = run(1);
-  std::string grouped = run(4);
-  EXPECT_FALSE(single.empty());
-  EXPECT_EQ(single, grouped);
+  ASSERT_OK(scan());
+  EXPECT_EQ(seen, (std::vector<Lsn>{1, 2, 3}));
+
+  log->SetCommitBarrier(nullptr);
+  ASSERT_OK(log->Force());
+  EXPECT_EQ(log->durable_lsn(), 4u);
+  EXPECT_GE(log->durable_epoch(), r_epoch);
+  ASSERT_EQ(seals.size(), 2u);
+  EXPECT_EQ(seals[1].first_lsn, 4u);
+  EXPECT_EQ(seals[1].last_lsn, 4u);
+  ASSERT_OK(scan());
+  EXPECT_EQ(seen, (std::vector<Lsn>{1, 2, 3, 4}));
 }
 
 // ---------- AppendSealed epoch-merge edges ----------
 
 TEST(GroupCommitTest, SealObserverSegmentsCarryEpochAndReplayIdempotently) {
   MemEnv env;
-  LogManagerOptions options;
-  options.channels = 4;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> primary,
-                       LogManager::Open(&env, "primary", options));
+                       LogManager::Open(&env, "primary"));
   std::vector<SealedSegment> seals;
   primary->SetSealObserver(
       [&](const SealedSegment& segment) { seals.push_back(segment); });
@@ -200,10 +195,8 @@ TEST(GroupCommitTest, SealObserverSegmentsCarryEpochAndReplayIdempotently) {
 
 TEST(GroupCommitTest, AppendSealedRejectsStaleEpochWithNewRecords) {
   MemEnv env;
-  LogManagerOptions options;
-  options.channels = 4;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> primary,
-                       LogManager::Open(&env, "primary", options));
+                       LogManager::Open(&env, "primary"));
   std::vector<SealedSegment> seals;
   primary->SetSealObserver(
       [&](const SealedSegment& segment) { seals.push_back(segment); });
@@ -248,10 +241,8 @@ TEST(GroupCommitTest, AppendSealedEmptyEpochAdvancesBookkeepingOnly) {
 
 TEST(GroupCommitTest, AppendSealedRejectsNonContiguousEpochSegment) {
   MemEnv env;
-  LogManagerOptions options;
-  options.channels = 4;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> primary,
-                       LogManager::Open(&env, "primary", options));
+                       LogManager::Open(&env, "primary"));
   std::vector<SealedSegment> seals;
   primary->SetSealObserver(
       [&](const SealedSegment& segment) { seals.push_back(segment); });
@@ -272,15 +263,13 @@ TEST(GroupCommitTest, AppendSealedRejectsNonContiguousEpochSegment) {
 
 TEST(GroupCommitTest, TruncatePrefixCommitsOpenEpochFirst) {
   MemEnv env;
-  LogManagerOptions options;
-  options.channels = 4;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
-                       LogManager::Open(&env, "log", options));
+                       LogManager::Open(&env, "log"));
   for (int i = 0; i < 6; ++i) {
     LogRecord rec = SampleRecord(i);
     log->Append(&rec);
   }
-  // Records 1..6 still sit in channel buffers; TruncatePrefix must group
+  // Records 1..6 still sit in the append buffer; TruncatePrefix must group
   // -commit them before it rolls, or the kept suffix would be empty. They
   // share one file with records 1..3, which therefore stay too.
   ASSERT_OK(log->TruncatePrefix(4));
@@ -296,10 +285,8 @@ TEST(GroupCommitTest, TruncatePrefixCommitsOpenEpochFirst) {
 
 TEST(GroupCommitTest, ConcurrentAppendersCommitsAndObserverSwaps) {
   MemEnv env;
-  LogManagerOptions options;
-  options.channels = 4;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
-                       LogManager::Open(&env, "log", options));
+                       LogManager::Open(&env, "log"));
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;
   std::atomic<uint64_t> observed_records{0};
@@ -354,10 +341,8 @@ TEST(GroupCommitTest, ShipperAttachRacesConcurrentForces) {
   // InstallSealObserver, so every durable LSN reaches the channel
   // exactly once after enough Pumps.
   MemEnv env;
-  LogManagerOptions options;
-  options.channels = 2;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
-                       LogManager::Open(&env, "primary", options));
+                       LogManager::Open(&env, "primary"));
   std::atomic<bool> stop{false};
   std::thread writer([&]() {
     int salt = 0;
@@ -402,7 +387,9 @@ TEST(GroupCommitTest, ShipperAttachRacesConcurrentForces) {
 
 // ---------- engine-level installs ----------
 
-DbOptions SmallGroupedOptions(uint32_t channels) {
+// Four updaters race back-to-back backups; every install takes the
+// three-phase path.
+TEST(GroupCommitTest, ConcurrentUpdatersDuringBackupStayConsistent) {
   DbOptions options;
   options.partitions = 4;
   options.pages_per_partition = 16;
@@ -410,16 +397,8 @@ DbOptions SmallGroupedOptions(uint32_t channels) {
   options.graph = WriteGraphKind::kGeneral;
   options.backup_policy = BackupPolicy::kGeneral;
   options.backup_steps = 4;
-  options.log_channels = channels;
-  return options;
-}
-
-// Four updaters race back-to-back backups; every install takes the
-// three-phase path whatever the channel count.
-void UpdatersDuringBackupStayConsistent(uint32_t channels) {
-  ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<TestEngine> engine,
-      TestEngine::Create(SmallGroupedOptions(channels)));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TestEngine> engine,
+                       TestEngine::Create(options));
   constexpr int kThreads = 4;
   constexpr int kRounds = 40;
   std::vector<std::unique_ptr<FileStore>> files;
@@ -468,19 +447,8 @@ void UpdatersDuringBackupStayConsistent(uint32_t channels) {
     }
   }
   DbStats stats = engine->db()->GatherStats();
-  EXPECT_EQ(stats.log_channels, channels);
   EXPECT_GT(stats.cache.overlapped_installs, 0u);
   EXPECT_GE(stats.open_epoch, stats.durable_epoch);
-}
-
-TEST(GroupCommitTest, ConcurrentUpdatersDuringBackupStayConsistent) {
-  UpdatersDuringBackupStayConsistent(4);
-}
-
-// The same workload on a single log channel, which once selected a
-// separate install path; it now takes the three-phase path as well.
-TEST(GroupCommitTest, ConcurrentUpdatersDuringBackupLegacyChannel) {
-  UpdatersDuringBackupStayConsistent(1);
 }
 
 }  // namespace

@@ -76,11 +76,12 @@ Result<std::vector<std::string>> SnapshotStable(Env* env,
 
 /// Opens `name` in restoring mode with every domain registered and crash
 /// redo run — OpenRestoring's analogue of TestEngine::Create.
-Result<std::unique_ptr<Database>> OpenRestoringDb(
-    Env* env, const std::string& name, const std::string& backup,
-    const DbOptions& options = RestoringDb()) {
+Result<std::unique_ptr<Database>> OpenRestoringDb(Env* env,
+                                                  const std::string& name,
+                                                  const std::string& backup) {
   LLB_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
-                       Database::OpenRestoring(env, name, options, backup));
+                       Database::OpenRestoring(env, name, RestoringDb(),
+                                               backup));
   RegisterAllOps(db->registry());
   LLB_RETURN_IF_ERROR(db->Recover());
   return db;
@@ -632,36 +633,6 @@ TEST(InstantRestoreTest, FailedBarrierSaveFailsTheForceAndTheRetryCommits) {
     ASSERT_OK(db->FlushAll());
   }
   ExpectStableMatchesOracle(engine->env(), "ir_fail_oracle");
-}
-
-TEST(InstantRestoreTest, ClosingWhileTheAdvancerCommitsLeavesNoBarrier) {
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TestEngine> engine,
-                       TestEngine::Create(RestoringDb()));
-  ASSERT_OK(BuildBackupScenario(engine.get()));
-  ASSERT_OK(WipeStable(engine->env(), "db"));
-
-  // The advancer group-commits every few microseconds, through the
-  // restorer's barrier, while each session faults, writes and closes:
-  // the restorer goes before the log, so the barrier must go first.
-  DbOptions options = RestoringDb();
-  options.group_commit_interval_us = 5;
-  for (int session = 0; session < 50; ++session) {
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<Database> db,
-        OpenRestoringDb(engine->env(), "db", "ir_incr", options));
-    FileStore store(db.get(), session % kPartitions, 0, kPagesPerFile,
-                    kFiles);
-    ASSERT_OK(store.WriteValues(static_cast<uint32_t>(session) % kFiles,
-                                {session, 1}));
-  }
-  {
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<Database> db,
-        OpenRestoringDb(engine->env(), "db", "ir_incr", options));
-    ASSERT_OK(db->FinishRestore());
-    ASSERT_OK(db->FlushAll());
-  }
-  ExpectStableMatchesOracle(engine->env(), "ir_close_oracle");
 }
 
 TEST(InstantRestoreTest, SliceIndexClosureMatchesFixpoint) {

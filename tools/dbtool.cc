@@ -938,13 +938,10 @@ int CmdEnvCaps() {
 int Usage();
 
 int RunOneSweep(ScenarioKind kind, uint64_t seed, uint64_t max_points,
-                uint64_t nested_points, uint32_t log_channels = 1) {
+                uint64_t nested_points) {
   ScenarioOptions scenario;
   scenario.kind = kind;
   scenario.seed = seed;
-  // >1 sweeps the epoch group-commit path: crash points land between
-  // "channel sealed" and "epoch published" (the commit's sync event).
-  scenario.log_channels = log_channels;
   // Backup and restore sweep the general-operation path; resume and scrub
   // sweep the tree path, matching the coverage split in torture_test.cc.
   scenario.graph =
@@ -989,11 +986,8 @@ int RunOneSweep(ScenarioKind kind, uint64_t seed, uint64_t max_points,
     }
   };
 
-  printf("sweeping %s scenario (seed=%llu%s)...\n", ScenarioKindName(kind),
-         static_cast<unsigned long long>(seed),
-         log_channels > 1
-             ? (", log_channels=" + std::to_string(log_channels)).c_str()
-             : "");
+  printf("sweeping %s scenario (seed=%llu)...\n", ScenarioKindName(kind),
+         static_cast<unsigned long long>(seed));
   CrashSweeper sweeper(scenario);
   auto report_or = sweeper.Sweep(sweep);
   if (!report_or.ok()) {
@@ -1026,33 +1020,27 @@ int CmdTorture(const std::string& scenario, uint64_t seed,
   struct Entry {
     const char* name;
     ScenarioKind kind;
-    uint32_t log_channels;
   };
   static const Entry kSweeps[] = {
-      {"backup", ScenarioKind::kBackup, 1},
-      {"resume", ScenarioKind::kResume, 1},
-      {"scrub", ScenarioKind::kScrub, 1},
-      {"restore", ScenarioKind::kRestore, 1},
-      {"batched", ScenarioKind::kBatchedBackup, 1},
-      {"parallel", ScenarioKind::kParallelBackup, 1},
-      {"restore-parallel", ScenarioKind::kParallelRestore, 1},
-      {"log-shipping", ScenarioKind::kLogShipping, 1},
-      {"instant-restore", ScenarioKind::kInstantRestore, 1},
-      {"catalog", ScenarioKind::kCatalogPrune, 1},
-      {"write-back", ScenarioKind::kWriteBack, 1},
-      {"log-truncate", ScenarioKind::kLogTruncate, 1},
-      // Epoch group-commit variants: same scripts over 4 log channels,
-      // so crashes enumerate the sealed-but-unpublished window too.
-      {"backup-grouped", ScenarioKind::kBackup, 4},
-      {"log-shipping-grouped", ScenarioKind::kLogShipping, 4},
+      {"backup", ScenarioKind::kBackup},
+      {"resume", ScenarioKind::kResume},
+      {"scrub", ScenarioKind::kScrub},
+      {"restore", ScenarioKind::kRestore},
+      {"batched", ScenarioKind::kBatchedBackup},
+      {"parallel", ScenarioKind::kParallelBackup},
+      {"restore-parallel", ScenarioKind::kParallelRestore},
+      {"log-shipping", ScenarioKind::kLogShipping},
+      {"instant-restore", ScenarioKind::kInstantRestore},
+      {"catalog", ScenarioKind::kCatalogPrune},
+      {"write-back", ScenarioKind::kWriteBack},
+      {"log-truncate", ScenarioKind::kLogTruncate},
   };
   bool matched = false;
   int rc = 0;
   for (const Entry& entry : kSweeps) {
     if (scenario == "all" || scenario == entry.name) {
       matched = true;
-      rc |= RunOneSweep(entry.kind, seed, max_points, nested_points,
-                        entry.log_channels);
+      rc |= RunOneSweep(entry.kind, seed, max_points, nested_points);
     }
   }
   if (scenario == "all" || scenario == "concurrent") {
@@ -1142,17 +1130,13 @@ int Usage() {
           "      crash-point sweep of a pipeline scenario (backup, resume,\n"
           "      scrub, restore, batched, parallel, restore-parallel,\n"
           "      log-shipping, instant-restore, catalog, write-back,\n"
-          "      log-truncate, concurrent, backup-grouped,\n"
-          "      log-shipping-grouped, or all); catalog sweeps\n"
+          "      log-truncate, concurrent, or all); catalog sweeps\n"
           "      compressed-backup retention: chain + dedup protection\n"
           "      must survive a crash at every catalog save and\n"
           "      file-deletion event; write-back sweeps the cache's flat,\n"
           "      multi-level and journaled eviction batches; log-truncate\n"
           "      sweeps log rolls, whole-file truncation and the PITR\n"
-          "      cut; the\n"
-          "      -grouped variants run with log_channels=4 so crash\n"
-          "      points land between channel seal and epoch publish:\n"
-          "      run once to count durability events, then crash at each\n"
+          "      cut: run once to count durability events, then crash at each\n"
           "      one, recover, and verify db + completed backups against\n"
           "      the oracle; max-points caps the sweep (0 = every event)\n"
           "      and nested-points > 0 also crashes the recovery itself\n");
