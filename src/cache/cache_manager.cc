@@ -7,6 +7,27 @@
 
 namespace llb {
 
+namespace {
+
+/// Cleaner threads per cache: with three closed-loop clients, two give
+/// fewer ops/s than three, and four no more (EXPERIMENTS.md X18).
+constexpr size_t kCleaners = 3;
+
+}  // namespace
+
+/// Counts a client thread inside ExecuteOp or ReadPage, from before it
+/// takes mu_ until after it releases it.
+class CacheManager::ClientScope {
+ public:
+  explicit ClientScope(CacheManager* cm) : cm_(cm) { ++cm_->active_clients_; }
+  ~ClientScope() { --cm_->active_clients_; }
+  ClientScope(const ClientScope&) = delete;
+  ClientScope& operator=(const ClientScope&) = delete;
+
+ private:
+  CacheManager* const cm_;
+};
+
 CacheManager::CacheManager(PageStore* stable, LogManager* log,
                            const OpRegistry* registry,
                            std::unique_ptr<WriteGraph> graph,
@@ -20,8 +41,53 @@ CacheManager::CacheManager(PageStore* stable, LogManager* log,
       tracker_(tracker),
       options_(options) {}
 
+CacheManager::~CacheManager() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_cleaners_ = true;
+  }
+  cleaner_cv_.notify_all();
+  for (std::thread& cleaner : cleaners_) cleaner.join();
+}
+
 void CacheManager::Touch(Frame& frame) {
   lru_.splice(lru_.begin(), lru_, frame.lru_pos);
+  const uint64_t stamp = ++lru_clock_;
+  if (!frame.dirty) {
+    // The newest stamp: reinserting at the end costs no search.
+    auto node = clean_.extract(frame.stamp);
+    node.key() = stamp;
+    clean_.insert(clean_.end(), std::move(node));
+  }
+  frame.stamp = stamp;
+}
+
+CacheManager::Frame& CacheManager::AddFrame(const PageId& id) {
+  lru_.push_front(id);
+  Frame& frame = frames_[id];
+  frame.lru_pos = lru_.begin();
+  frame.stamp = ++lru_clock_;
+  clean_.emplace_hint(clean_.end(), frame.stamp, id);
+  return frame;
+}
+
+void CacheManager::RemoveFrame(
+    std::unordered_map<PageId, Frame, PageIdHash>::iterator it) {
+  if (!it->second.dirty) clean_.erase(it->second.stamp);
+  lru_.erase(it->second.lru_pos);
+  frames_.erase(it);
+}
+
+void CacheManager::MarkDirty(Frame& frame) {
+  if (frame.dirty) return;
+  clean_.erase(frame.stamp);
+  frame.dirty = true;
+}
+
+void CacheManager::MarkClean(const PageId& id, Frame& frame) {
+  if (!frame.dirty) return;
+  clean_.emplace(frame.stamp, id);
+  frame.dirty = false;
 }
 
 void CacheManager::SetPageFaultHandler(
@@ -59,7 +125,7 @@ Status CacheManager::GetFrame(std::unique_lock<std::mutex>& lk,
     load_cv_.wait(lk);
   }
   *loaded = true;
-  Frame f;
+  PageImage image;
   // Restoring mode: restore the page on demand before reading it from S.
   // The handler returns once the page's media-recovery state is durably
   // in S and its bit set; the log saves that bit before it writes any
@@ -69,7 +135,7 @@ Status CacheManager::GetFrame(std::unique_lock<std::mutex>& lk,
       LLB_RETURN_IF_ERROR(page_fault_handler_(id));
     }
     LLB_RETURN_IF_ERROR(EnsureRoom(lk));
-    LLB_RETURN_IF_ERROR(stable_->ReadPage(id, &f.image));
+    LLB_RETURN_IF_ERROR(stable_->ReadPage(id, &image));
   } else {
     // Room first, while the latch already holds other missers of this
     // page off (evicting a dirty victim releases mu_). Nothing writes S
@@ -83,7 +149,7 @@ Status CacheManager::GetFrame(std::unique_lock<std::mutex>& lk,
       if (handler) ++faults_in_flight_;
       lk.unlock();
       if (handler) s = handler(id);
-      if (s.ok()) s = stable_->ReadPage(id, &f.image);
+      if (s.ok()) s = stable_->ReadPage(id, &image);
       lk.lock();
       if (handler) --faults_in_flight_;
     }
@@ -99,56 +165,77 @@ Status CacheManager::GetFrame(std::unique_lock<std::mutex>& lk,
       return Status::OK();
     }
   }
-  lru_.push_front(id);
-  f.lru_pos = lru_.begin();
-  auto [pos, inserted] = frames_.emplace(id, std::move(f));
-  *frame = &pos->second;
+  Frame& added = AddFrame(id);
+  added.image = std::move(image);
+  *frame = &added;
   return Status::OK();
 }
 
 Status CacheManager::EnsureRoom(std::unique_lock<std::mutex>& lk,
                                 size_t reserved) {
-  // Prefer the least-recently-used clean page. Flushing a dirty victim
-  // releases the mutex, so every round re-derives its facts, pinned
-  // frames are skipped, and a fully-pinned cache tolerates a transient
-  // overrun instead of deadlocking.
+  // Prefer the least-recently-used clean page: the first unpinned one in
+  // clean_ (pinned frames are the few an op in flight declared, near the
+  // MRU end). With none, the coldest unpinned page that no install holds
+  // is a dirty victim (a cleaner leaves its pages at the cold end while it
+  // writes them; a lone client never meets an installing page here).
+  // Flushing it releases the mutex, so every round re-derives its facts,
+  // and a fully-pinned cache tolerates a transient overrun instead of
+  // deadlocking.
   while (frames_.size() + reserved >= options_.capacity_pages &&
          !lru_.empty()) {
     PageId victim = kInvalidPageId;
     bool victim_dirty = false;
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      Frame& f = frames_[*it];
-      if (f.pins > 0) continue;
-      if (!f.dirty) {
-        victim = *it;
-        victim_dirty = false;
+    bool installing = false;
+    for (const auto& [stamp, id] : clean_) {
+      if (frames_.find(id)->second.pins == 0) {
+        victim = id;
         break;
       }
-      if (victim == kInvalidPageId) {
-        victim = *it;  // coldest unpinned page as the dirty fallback
+    }
+    for (auto it = lru_.rbegin();
+         victim == kInvalidPageId && it != lru_.rend(); ++it) {
+      const Frame& frame = frames_.find(*it)->second;
+      installing |= frame.installing;
+      if (frame.pins == 0 && !frame.installing) {
+        victim = *it;
         victim_dirty = true;
       }
     }
-    if (victim == kInvalidPageId) return Status::OK();  // everything pinned
-    if (victim_dirty) {
+    if (victim == kInvalidPageId && (!installing || in_apply_)) {
+      return Status::OK();  // everything pinned
+    }
+    if (victim == kInvalidPageId || victim_dirty) {
       if (in_apply_) return Status::OK();  // never release mu_ mid-apply
-      LLB_RETURN_IF_ERROR(FlushPageLocked(lk, victim, /*write_back=*/true));
-      // The install touched the victim to the MRU end, so a rescan would
-      // walk the whole LRU to find it: evict it directly if it is still
-      // clean and unpinned, and otherwise re-derive everything.
+      if (victim == kInvalidPageId ||
+          (eviction_waiters_ < cleaning_.size() && active_clients_ >= 2)) {
+        // An install in flight leaves clean frames behind. One client
+        // waits per cleaner install; the others write back themselves,
+        // so installs stay as parallel as the clients.
+        ++eviction_waiters_;
+        ++stats_.install_waits;
+        install_cv_.wait(lk);
+        --eviction_waiters_;
+        continue;
+      }
+      LLB_RETURN_IF_ERROR(FlushPageLocked(lk, victim, Installer::kEviction));
+      // The install touched the victim to the MRU end, where other clean
+      // frames may be colder: evict it directly if it is still clean and
+      // unpinned, and otherwise re-derive everything.
     }
     auto it = frames_.find(victim);
     if (it != frames_.end() && !it->second.dirty && it->second.pins == 0) {
-      lru_.erase(it->second.lru_pos);
-      frames_.erase(it);
+      RemoveFrame(it);
       ++stats_.evictions;
     }
   }
+  WakeCleaners();
   return Status::OK();
 }
 
 Status CacheManager::ReadPage(const PageId& id, PageImage* out) {
+  ClientScope client(this);
   std::unique_lock<std::mutex> lock(mu_);
+  LLB_RETURN_IF_ERROR(TakeCleanerError());
   Frame* frame = nullptr;
   bool loaded = false;
   LLB_RETURN_IF_ERROR(GetFrame(lock, id, &frame, &loaded));
@@ -195,7 +282,9 @@ class CacheManager::CacheOpContext : public OpContext {
 };
 
 Status CacheManager::ExecuteOp(LogRecord* rec) {
+  ClientScope client(this);
   std::unique_lock<std::mutex> lock(mu_);
+  LLB_RETURN_IF_ERROR(TakeCleanerError());
 
   // Enforce the single-partition rule (paper 3.4 tracks backup progress
   // per partition; we preclude cross-partition operations so that flush
@@ -372,25 +461,25 @@ Status CacheManager::ExecuteOp(LogRecord* rec) {
 
   for (auto& [id, image] : ctx.staged()) {
     auto it = frames_.find(id);
+    Frame* frame = nullptr;
     if (it == frames_.end()) {
       // A reservation (pinned pages are resident) that no in-apply miss
       // loaded: its staged image becomes the frame, at the MRU end.
       // Invariant 3: never GetFrame here — the latch is this op's own.
-      lru_.push_front(id);
-      Frame f;
-      f.lru_pos = lru_.begin();
-      it = frames_.emplace(id, std::move(f)).first;
+      frame = &AddFrame(id);
       ++stats_.blind_misses;
     } else {
-      Touch(it->second);
+      frame = &it->second;
+      Touch(*frame);
     }
-    it->second.image = std::move(image);
-    it->second.image.set_lsn(lsn);
-    it->second.dirty = true;
+    frame->image = std::move(image);
+    frame->image.set_lsn(lsn);
+    MarkDirty(*frame);
   }
   graph_->OnOperation(*rec);
   ++stats_.ops_applied;
   release();
+  WakeCleaners();
   return Status::OK();
 }
 
@@ -474,7 +563,7 @@ void CacheManager::DecideBackupLogging(const InstallUnit& unit,
 
 Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
                                  const std::vector<InstallUnit>& plan,
-                                 bool write_back, bool* deferred) {
+                                 Installer by, bool* deferred) {
   PartitionId partition = 0;
   bool have_partition = false;
   for (const InstallUnit& unit : plan) {
@@ -517,6 +606,7 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
   // re-plans the rest once it is on S, when the cut unit has none left.
   std::vector<std::vector<PageId>> to_log(plan.size());
   size_t units = plan.size();
+  const uint64_t decisions = stats_.decisions;
   for (size_t i = 0; progress != nullptr && i < plan.size(); ++i) {
     const CacheStats counted = stats_;
     DecideBackupLogging(plan[i], *progress, &to_log[i]);
@@ -530,6 +620,9 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     }
   }
   *deferred = units < plan.size();
+  if (by == Installer::kCleaner) {
+    stats_.cleaner_decisions += stats_.decisions - decisions;
+  }
 
   // A plan whose nodes each have one var needs no journal: it goes out
   // in write-graph levels, a unit one level past its deepest planned
@@ -592,8 +685,8 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
         return Status::Internal("installing page not resident: " +
                                 x.ToString());
       }
-      Touch(it->second);
       Frame* frame = &it->second;
+      if (by != Installer::kCleaner) Touch(*frame);
       LogRecord wip = MakeIdentityWrite(x, frame->image);
       Epoch epoch = kInvalidEpoch;
       Lsn lsn = log_->Append(&wip, &epoch);
@@ -617,7 +710,7 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     std::vector<PageStore::Entry>& level = levels[level_of[unit.node_id]];
     for (const PageId& x : unit.vars) {
       Frame& frame = frames_.find(x)->second;
-      Touch(frame);
+      if (by != Installer::kCleaner) Touch(frame);
       frame.installing = true;
       wait_lsn = std::max(wait_lsn, frame.image.lsn());
       level.push_back(PageStore::Entry{x, frame.image});
@@ -636,6 +729,7 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     pages += level.size();
     if (!level.empty()) ++written_levels;
   }
+  if (by == Installer::kCleaner) cleaner_pages_ += pages;
 
   // Phase 2 (cache mutex released, backup latch still shared): the WAL
   // rule first. A plan that logged Iw records waits for their epoch —
@@ -659,6 +753,7 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
   // exclusive fence update (writer-preferring rwlock).
   if (latch.owns_lock()) latch.unlock();
   lk.lock();
+  if (by == Installer::kCleaner) cleaner_pages_ -= pages;
 
   // Phase 3 (cache mutex re-held): mark pages clean and nodes installed,
   // wake writers and planners that waited on these units.
@@ -670,7 +765,7 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     for (const PageId& x : pi.pages) {
       auto it = frames_.find(x);
       if (it != frames_.end()) {
-        it->second.dirty = false;
+        MarkClean(x, it->second);
         it->second.installing = false;
       }
       if (tracker_ != nullptr) tracker_->OnPageFlushed(x);
@@ -681,7 +776,9 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     ++stats_.node_installs;
   }
   stats_.pages_flushed += pages;
-  if (write_back) {
+  if (by != Installer::kFlush) {
+    ++(by == Installer::kCleaner ? stats_.cleaner_installs
+                                 : stats_.client_writebacks);
     ++stats_.writeback_batches;
     stats_.writeback_pages += pages;
     if (journaled) {
@@ -694,7 +791,19 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
   return Status::OK();
 }
 
-void CacheManager::AddWriteBackVictims(const PageId& victim,
+Lsn CacheManager::PlanLsn(const std::vector<InstallUnit>& plan) const {
+  Lsn lsn = 0;
+  for (const InstallUnit& unit : plan) {
+    lsn = std::max(lsn, unit.max_lsn);
+    for (const PageId& x : unit.vars) {
+      auto it = frames_.find(x);
+      if (it != frames_.end()) lsn = std::max(lsn, it->second.image.lsn());
+    }
+  }
+  return lsn;
+}
+
+void CacheManager::AddWriteBackVictims(const PageId& victim, Installer by,
                                        std::vector<InstallUnit>* plan) {
   const size_t window = options_.capacity_pages / 4;
   const size_t limit = std::min<size_t>(kWriteBackBatch, window);
@@ -709,22 +818,22 @@ void CacheManager::AddWriteBackVictims(const PageId& victim,
   // whose operations are not yet durable would turn a write-back that
   // costs no log IO into a log force on this client's op: skip it.
   const Lsn durable = log_->durable_lsn();
-  bool forces = false;
-  for (const InstallUnit& unit : *plan) {
-    forces |= unit.max_lsn > durable;
-    for (const PageId& x : unit.vars) {
-      auto it = frames_.find(x);
-      forces |= it != frames_.end() && it->second.image.lsn() > durable;
-    }
-  }
+  const bool forces = PlanLsn(*plan) > durable;
   std::vector<InstallUnit> more;
   size_t scanned = 0;
   for (auto it = lru_.rbegin();
        it != lru_.rend() && scanned < window && planned.size() < limit;
-       ++it, ++scanned) {
+       ++it) {
     const PageId& id = *it;
-    if (id.partition != victim.partition || planned.count(id) != 0) continue;
     const Frame& frame = frames_.find(id)->second;
+    // The pages cleaners clean stay at the cold end: a cleaner's window
+    // is the coldest dirty frames of the victim's partition.
+    if (by == Installer::kCleaner &&
+        (!frame.dirty || id.partition != victim.partition)) {
+      continue;
+    }
+    ++scanned;
+    if (id.partition != victim.partition || planned.count(id) != 0) continue;
     if (!frame.dirty || frame.pins > 0 || frame.installing ||
         loading_.count(id) != 0 || !graph_->IsTracked(id) ||
         !graph_->PlanInstall(id, &more).ok()) {
@@ -758,10 +867,11 @@ void CacheManager::AddWriteBackVictims(const PageId& victim,
 }
 
 Status CacheManager::FlushPageLocked(std::unique_lock<std::mutex>& lk,
-                                     const PageId& x, bool write_back) {
+                                     const PageId& x, Installer by) {
   // A plan touching a node already mid-install waits for it to finish
   // (its pages come out clean), then re-plans — the graph may have
   // changed while waiting.
+  bool logged = false;
   for (;;) {
     if (!graph_->IsTracked(x)) {
       auto it = frames_.find(x);
@@ -788,15 +898,104 @@ Status CacheManager::FlushPageLocked(std::unique_lock<std::mutex>& lk,
         break;
       }
     }
+    if (!busy && by == Installer::kCleaner && !logged &&
+        !BackupActive(x.partition)) {
+      // Log before mark: a cleaner forces the log for its plan with the
+      // mutex released before it marks any page installing, so writers
+      // of those pages wait only for the S writes. Then it re-plans.
+      // During a backup an Iw plan waits for its own records after it
+      // marks (InstallPlan phase 2), and that one sync covers the plan.
+      logged = true;
+      const Lsn need = PlanLsn(plan);
+      if (need > log_->durable_lsn()) {
+        lk.unlock();
+        Status s = log_->WaitLsnDurable(need);
+        lk.lock();
+        LLB_RETURN_IF_ERROR(s);
+        continue;
+      }
+    }
     if (!busy) {
-      if (write_back) AddWriteBackVictims(x, &plan);
+      if (by != Installer::kFlush) AddWriteBackVictims(x, by, &plan);
       bool deferred = false;
-      LLB_RETURN_IF_ERROR(InstallPlan(lk, plan, write_back, &deferred));
+      LLB_RETURN_IF_ERROR(InstallPlan(lk, plan, by, &deferred));
       if (!deferred) return Status::OK();
       continue;
     }
     ++stats_.install_waits;
     install_cv_.wait(lk);
+  }
+}
+
+bool CacheManager::BackupActive(PartitionId partition) const {
+  BackupProgress* progress =
+      coordinator_ != nullptr ? coordinator_->Get(partition) : nullptr;
+  if (progress == nullptr) return false;
+  std::shared_lock<std::shared_mutex> latch(progress->latch());
+  return progress->active();
+}
+
+bool CacheManager::CleanersNeeded() const {
+  if (!cleaner_error_.ok()) return false;
+  const size_t capacity = options_.capacity_pages;
+  const size_t free =
+      frames_.size() < capacity ? capacity - frames_.size() : 0;
+  return free + clean_.size() + cleaner_pages_ < capacity / 4;
+}
+
+void CacheManager::WakeCleaners() {
+  if (stop_cleaners_ || active_clients_ < 2 || !CleanersNeeded()) return;
+  if (cleaners_.empty()) {
+    for (size_t i = 0; i < kCleaners; ++i) {
+      cleaners_.emplace_back([this] { CleanerLoop(); });
+    }
+  } else if (idle_cleaners_ > 0) {
+    cleaner_cv_.notify_one();
+  }
+}
+
+PageId CacheManager::CleanerVictim() const {
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    const Frame& frame = frames_.find(*it)->second;
+    if (frame.dirty && frame.pins == 0 && !frame.installing &&
+        std::find(cleaning_.begin(), cleaning_.end(), *it) ==
+            cleaning_.end()) {
+      return *it;
+    }
+  }
+  return kInvalidPageId;
+}
+
+Status CacheManager::TakeCleanerError() {
+  Status s = std::move(cleaner_error_);
+  cleaner_error_ = Status::OK();
+  return s;
+}
+
+void CacheManager::CleanerLoop() {
+  // Only a client that sees another client active wakes a cleaner, which
+  // then installs until the clean frames are back at the low-water mark.
+  // A lone client writes back for itself, as a cache without cleaners
+  // would: with no other client to overlap with, a hand-off only adds a
+  // thread switch, and single-threaded runs keep one install sequence
+  // (the crash sweeps count on it).
+  std::unique_lock<std::mutex> lk(mu_);
+  while (!stop_cleaners_) {
+    PageId victim = CleanersNeeded() ? CleanerVictim() : kInvalidPageId;
+    if (victim == kInvalidPageId) {
+      ++idle_cleaners_;
+      cleaner_cv_.wait(lk);
+      --idle_cleaners_;
+      continue;
+    }
+    cleaning_.push_back(victim);
+    Status s = FlushPageLocked(lk, victim, Installer::kCleaner);
+    cleaning_.erase(std::find(cleaning_.begin(), cleaning_.end(), victim));
+    // A failure leaves the pages dirty; cleaners pause until a client op
+    // has returned it.
+    if (!s.ok() && cleaner_error_.ok()) cleaner_error_ = std::move(s);
+    // Clients waiting for this install re-derive their victims.
+    install_cv_.notify_all();
   }
 }
 
@@ -846,12 +1045,9 @@ Lsn CacheManager::RedoStartLsn() const {
 Status CacheManager::DropCleanPages() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = frames_.begin(); it != frames_.end();) {
-    if (!it->second.dirty && it->second.pins == 0) {
-      lru_.erase(it->second.lru_pos);
-      it = frames_.erase(it);
-    } else {
-      ++it;
-    }
+    auto next = std::next(it);
+    if (!it->second.dirty && it->second.pins == 0) RemoveFrame(it);
+    it = next;
   }
   return Status::OK();
 }

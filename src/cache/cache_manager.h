@@ -1,12 +1,15 @@
 #ifndef LLB_CACHE_CACHE_MANAGER_H_
 #define LLB_CACHE_CACHE_MANAGER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -78,6 +81,12 @@ struct CacheStats {
   uint64_t writeback_pages = 0;
   uint64_t writeback_multilevel = 0;
   uint64_t writeback_journaled = 0;
+  // Of those installs, the ones a cleaner thread made and the ones a
+  // client thread made for its own eviction, and the Iw/oF decisions
+  // (below) made inside cleaner installs.
+  uint64_t cleaner_installs = 0;
+  uint64_t client_writebacks = 0;
+  uint64_t cleaner_decisions = 0;
 
   // Per-object flush decisions while a backup is active (Figure 5's
   // Prob{log} = decisions_logged / decisions).
@@ -117,12 +126,20 @@ struct CacheStats {
 /// cache misses (outside apply) and install writes release for their
 /// device IO. The backup job runs concurrently, touching only the page
 /// stores and the backup latches.
+///
+/// While two or more client threads are inside ExecuteOp or ReadPage,
+/// kCleaners cleaner threads (started on first need) write cold dirty
+/// pages back so that clean frames stay available at the cold end; a lone
+/// client writes back for itself (see CleanerLoop). A cleaner's failed
+/// install is returned by the next ExecuteOp or ReadPage.
 class CacheManager {
  public:
   CacheManager(PageStore* stable, LogManager* log, const OpRegistry* registry,
                std::unique_ptr<WriteGraph> graph,
                BackupCoordinator* coordinator, IncrementalTracker* tracker,
                CacheOptions options);
+  /// Stops and joins the cleaners; an install in flight finishes first.
+  ~CacheManager();
 
   CacheManager(const CacheManager&) = delete;
   CacheManager& operator=(const CacheManager&) = delete;
@@ -199,9 +216,15 @@ class CacheManager {
     // dirty until phase 3, so it stays resident while marked.
     bool installing = false;
     std::list<PageId>::iterator lru_pos;
+    uint64_t stamp = 0;  // lru_clock_ at its last Touch: lru_ order
   };
 
+  /// Who installs a plan: an explicit flush, a client thread evicting a
+  /// dirty page, or a cleaner thread.
+  enum class Installer { kFlush, kEviction, kCleaner };
+
   class CacheOpContext;
+  class ClientScope;
 
   /// Returns the page's frame, loading it on a miss. Outside apply a
   /// miss marks the page loading (its load latch), makes room, releases
@@ -215,18 +238,24 @@ class CacheManager {
   /// everything left is pinned): `reserved` counts the caller's blind
   /// reservations, which get their frames only at commit.
   Status EnsureRoom(std::unique_lock<std::mutex>& lk, size_t reserved = 0);
-  /// Installs the node owning `x` after its predecessors. With
-  /// `write_back` (a dirty eviction) the plan also takes the coldest
-  /// dirty pages of x's partition, up to kWriteBackBatch pages in all.
+  /// Installs the node owning `x` after its predecessors. A write-back
+  /// (an eviction or a cleaner) also takes the coldest dirty pages of x's
+  /// partition, up to kWriteBackBatch pages in all. A cleaner first makes
+  /// x's plan durable in the log with the mutex released, unless x's
+  /// partition has a backup in progress.
   Status FlushPageLocked(std::unique_lock<std::mutex>& lk, const PageId& x,
-                         bool write_back = false);
+                         Installer by = Installer::kFlush);
   /// Appends to `plan` the plans of the coldest unpinned, idle dirty
-  /// pages of `victim`'s partition among the coldest capacity / 4 frames,
+  /// pages of `victim`'s partition among the coldest capacity / 4 frames
+  /// (for a cleaner: its partition's coldest capacity / 4 dirty frames),
   /// skipping nodes already planned, while the plan stays within the
   /// write-back batch. Unless the plan already forces the log, only pages
   /// whose operations are durable are added.
-  void AddWriteBackVictims(const PageId& victim,
+  void AddWriteBackVictims(const PageId& victim, Installer by,
                            std::vector<InstallUnit>* plan);
+  /// The newest LSN a plan's install needs durable: its operations' and
+  /// its pages'.
+  Lsn PlanLsn(const std::vector<InstallUnit>& plan) const;
   /// Installs a whole plan in three phases: phase 1 under the cache mutex
   /// (decide + Iw appends + image snapshots + mark units installing),
   /// phase 2 with the mutex released but the partition backup latch still
@@ -238,11 +267,35 @@ class CacheManager {
   /// waiters). Installs only the prefix before the first unit that must
   /// log an Iw record while a predecessor of it is in the plan, and sets
   /// *deferred when that left units out.
+  /// A cleaner's install leaves its pages where they are in lru_, so
+  /// they are the next evicted; every other install touches them.
   Status InstallPlan(std::unique_lock<std::mutex>& lk,
-                     const std::vector<InstallUnit>& plan, bool write_back,
+                     const std::vector<InstallUnit>& plan, Installer by,
                      bool* deferred);
-  void Touch(Frame& frame);
 
+  // Frame bookkeeping: lru_ holds every frame, clean_ the clean ones.
+  void Touch(Frame& frame);
+  Frame& AddFrame(const PageId& id);  // a clean frame at the MRU end
+  void RemoveFrame(std::unordered_map<PageId, Frame, PageIdHash>::iterator it);
+  void MarkDirty(Frame& frame);
+  void MarkClean(const PageId& id, Frame& frame);
+
+  // Cleaners.
+  void CleanerLoop();
+  /// True while a cleaner should install: no cleaner error awaits a
+  /// client, and the clean and free frames plus the pages cleaners are
+  /// writing fall below capacity / 4.
+  bool CleanersNeeded() const;
+  /// When cleaners are needed and another client is active: starts the
+  /// cleaners on first need, or wakes an idle one.
+  void WakeCleaners();
+  /// The coldest dirty page no install, op or other cleaner holds.
+  PageId CleanerVictim() const;
+  /// Returns (and clears) a cleaner install's failure.
+  Status TakeCleanerError();
+  /// Whether a backup of `partition` is in progress (takes its latch in
+  /// share mode, as an install's phase 1 does).
+  bool BackupActive(PartitionId partition) const;
   /// Decides which vars of the unit need Iw/oF logging given backup
   /// progress (called with the partition backup latch held in share
   /// mode). Appends the pages to identity-write to *to_log.
@@ -262,6 +315,10 @@ class CacheManager {
   std::function<Status(const PageId&)> page_fault_handler_;
   std::unordered_map<PageId, Frame, PageIdHash> frames_;
   std::list<PageId> lru_;  // front = most recent
+  uint64_t lru_clock_ = 0;
+  // Clean frames by Frame::stamp, coldest first: an eviction takes the
+  // first unpinned one without walking past dirty frames.
+  std::map<uint64_t, PageId> clean_;
   CacheStats stats_;
 
   // Install bookkeeping. While a plan is in phase 2 its nodes are marked
@@ -282,6 +339,24 @@ class CacheManager {
   std::unordered_set<PageId, PageIdHash> loading_;
   uint32_t faults_in_flight_ = 0;
   std::condition_variable load_cv_;
+
+  // Cleaners. active_clients_ counts threads inside ExecuteOp/ReadPage,
+  // those waiting for mu_ included (so it is read without mu_ too);
+  // cleaning_ holds each busy cleaner's victim, from its choice to the end
+  // of its install; a client with no clean frame waits for one of those
+  // installs when another client is active, as one of at most
+  // cleaning_.size() eviction_waiters_. cleaner_pages_ counts the pages
+  // cleaner installs have marked. cleaner_cv_ wakes idle cleaners (and
+  // all of them on shutdown).
+  std::vector<std::thread> cleaners_;
+  std::condition_variable cleaner_cv_;
+  std::atomic<uint32_t> active_clients_{0};
+  uint32_t idle_cleaners_ = 0;
+  size_t eviction_waiters_ = 0;
+  size_t cleaner_pages_ = 0;
+  std::vector<PageId> cleaning_;
+  Status cleaner_error_;
+  bool stop_cleaners_ = false;
 };
 
 }  // namespace llb

@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
+#include "filestore/filestore.h"
 #include "sim/workload.h"
 
 namespace llb {
@@ -16,6 +18,8 @@ std::string ConcurrentTortureReport::ToString() const {
          " backups=" + std::to_string(backups_completed) +
          " pages_copied=" + std::to_string(pages_copied) +
          " identity_writes=" + std::to_string(identity_writes) +
+         " cleaner_installs=" + std::to_string(cleaner_installs) +
+         " cleaner_decisions=" + std::to_string(cleaner_decisions) +
          " stats_polls=" + std::to_string(stats_polls);
 }
 
@@ -38,11 +42,18 @@ Result<ConcurrentTortureReport> RunConcurrentTorture(
   Database* db = engine.db.get();
 
   // Build the drivers serially (driver construction is not the race under
-  // test) and pre-seed each partition so backups copy real content.
+  // test) and pre-seed each partition so backups copy real content. A
+  // driver Step flushes the page it writes; each updater also transforms
+  // a random page of its partition and leaves it dirty, so dirty pages
+  // outgrow the cache and write-back runs on the cleaners.
   std::vector<std::unique_ptr<GeneralUniformDriver>> drivers;
+  std::vector<std::unique_ptr<FileStore>> dirtiers;
   for (uint32_t p = 0; p < options.partitions; ++p) {
     drivers.push_back(std::make_unique<GeneralUniformDriver>(
         db, p, options.pages_per_partition, options.seed * 1000 + p));
+    dirtiers.push_back(std::make_unique<FileStore>(
+        db, p, /*base_page=*/0, /*pages_per_file=*/1,
+        options.pages_per_partition));
     LLB_RETURN_IF_ERROR(drivers[p]->Step());
   }
   LLB_RETURN_IF_ERROR(db->FlushAll());
@@ -71,12 +82,18 @@ Result<ConcurrentTortureReport> RunConcurrentTorture(
   updaters.reserve(options.partitions);
   for (uint32_t p = 0; p < options.partitions; ++p) {
     updaters.emplace_back([&, p] {
+      Random rng(options.seed * 7919 + p);
       for (uint32_t i = 0;; ++i) {
         if (i >= options.updates_per_thread &&
             backups_done.load(std::memory_order_acquire)) {
           break;
         }
         Status s = drivers[p]->Step();
+        if (s.ok()) {
+          s = dirtiers[p]->Transform(
+              static_cast<uint32_t>(rng.Uniform(options.pages_per_partition)),
+              rng.Next());
+        }
         if (!s.ok()) {
           updater_status[p] = s;
           break;
@@ -164,10 +181,20 @@ Result<ConcurrentTortureReport> RunConcurrentTorture(
   // Quiesce and check the invariants the race must not have broken.
   LLB_RETURN_IF_ERROR(db->FlushAll());
   LLB_RETURN_IF_ERROR(db->ForceLog());
-  report.identity_writes = db->GatherStats().cache.identity_writes;
+  const CacheStats cache = db->GatherStats().cache;
+  report.identity_writes = cache.identity_writes;
+  report.cleaner_installs = cache.cleaner_installs;
+  report.cleaner_decisions = cache.cleaner_decisions;
   if (report.identity_writes == 0) {
     return Status::Internal(
         "no identity writes: no flush took the Iw/oF path during a backup");
+  }
+  if (report.cleaner_installs == 0) {
+    return Status::Internal("no cleaner install ran beside the updaters");
+  }
+  if (report.cleaner_decisions == 0) {
+    return Status::Internal(
+        "no cleaner install made an Iw/oF decision during a backup");
   }
   LLB_RETURN_IF_ERROR(torture::VerifyOpenDb(&engine));
 

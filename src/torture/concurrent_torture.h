@@ -19,9 +19,10 @@ struct ConcurrentTortureOptions {
   uint32_t partitions = 2;
   uint32_t pages_per_partition = 64;
   uint32_t cache_pages = 32;
-  /// Minimum foreground Copy+flush steps per updater thread (one thread
-  /// per partition, each driving its own partition). Updaters keep going
-  /// until the last backup completes, so every sweep races them.
+  /// Minimum foreground steps per updater thread (one thread per
+  /// partition, each driving its own partition): a Copy and a flush of
+  /// its target, then a Transform left dirty. Updaters keep going until
+  /// the last backup completes, so every sweep races them.
   uint32_t updates_per_thread = 300;
   uint32_t backup_steps = 8;
   /// Consecutive full backups the sweep thread takes while updaters run.
@@ -42,6 +43,8 @@ struct ConcurrentTortureReport {
   uint64_t backups_completed = 0;
   uint64_t pages_copied = 0;    // across all backup sweeps
   uint64_t identity_writes = 0; // Iw/oF records forced by Done/Doubt flushes
+  uint64_t cleaner_installs = 0;   // write-back installs by cleaner threads
+  uint64_t cleaner_decisions = 0;  // Iw/oF decisions inside those installs
   uint64_t stats_polls = 0;
 
   std::string ToString() const;
@@ -50,7 +53,9 @@ struct ConcurrentTortureReport {
 /// Runs updater threads (one per partition) against a backup thread
 /// taking `backups` consecutive parallel-partition sweeps, with an
 /// optional stats-poller thread. After the race: some flush must have
-/// taken the Iw/oF path (identity_writes > 0), the database must match
+/// taken the Iw/oF path (identity_writes > 0), some write-back must have
+/// run on a cleaner thread, one of them making an Iw/oF decision during a
+/// backup (cleaner_installs, cleaner_decisions > 0), the database must match
 /// the full-log oracle, every backup must be complete and clean, and the
 /// last backup must support a full wipe + media recovery back to the
 /// oracle state.

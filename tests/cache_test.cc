@@ -365,6 +365,10 @@ class CountingPolicy : public FaultPolicy {
 /// holds that latch as a reservation and reads nothing.
 class CacheManagerTest : public CacheTest {
  protected:
+  /// The cache's cleaner threads may still be writing through faulty_:
+  /// join them before the fixture's envs go away.
+  void TearDown() override { cache_.reset(); }
+
   /// A fault handler that parks every call for `target` until Release.
   /// The first `failures` parked calls fail.
   void InstallParkingHandler(PageId target, int failures = 0) {
@@ -847,6 +851,150 @@ TEST_F(WriteBackTest, ThreeThreadsEvictingThreePartitions) {
   }
 }
 
+/// Cleaner threads write dirty pages back while two or more clients are
+/// inside the cache; a lone client writes back for itself.
+class CleanerTest : public CacheManagerTest {
+ protected:
+  /// Writes `dirty` pages 0.. (fewer than the capacity: no eviction),
+  /// then parks a second client in the fault handler of a miss that
+  /// needs no room, so the next operation runs beside another client.
+  void ParkSecondClient(uint32_t dirty) {
+    for (uint32_t i = 0; i < dirty; ++i) {
+      ASSERT_OK(WritePageOp(i, "v" + std::to_string(i)));
+    }
+    InstallParkingHandler(P(50));
+    parked_client_ = std::thread([this] {
+      PageImage image;
+      parked_status_ = cache_->ReadPage(P(50), &image);
+    });
+    WaitParked(1);
+  }
+
+  void ReleaseSecondClient() {
+    Release();
+    parked_client_.join();
+    EXPECT_OK(parked_status_);
+    cache_->SetPageFaultHandler(nullptr);
+  }
+
+  /// Fails every write to the stable store.
+  class FailStableWrites : public FaultPolicy {
+   public:
+    FaultAction OnOp(FaultOp op, const std::string& file) override {
+      return op == FaultOp::kWriteAt && file.find("stable") == 0
+                 ? FaultAction::kFail
+                 : FaultAction::kNone;
+    }
+  };
+
+  std::thread parked_client_;
+  Status parked_status_;
+};
+
+TEST_F(CleanerTest, LoneClientWritesBackForItself) {
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16);
+  for (uint32_t i = 0; i < 400; ++i) {
+    ASSERT_OK(WritePageOp(i % 40, "v" + std::to_string(i)));
+  }
+  const CacheStats stats = cache_->stats();
+  EXPECT_GT(stats.client_writebacks, 0u);
+  EXPECT_EQ(stats.client_writebacks, stats.writeback_batches);
+  EXPECT_EQ(stats.cleaner_installs, 0u);
+}
+
+TEST_F(CleanerTest, ThreeClientsLeaveWriteBackToTheCleaners) {
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/64,
+       /*partitions=*/3);
+  constexpr uint32_t kPages = 40;
+  constexpr uint32_t kOps = 3000;
+  std::vector<std::map<uint32_t, std::string>> models(3);
+  std::vector<Status> results(3);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint32_t i = 0; i < kOps && results[t].ok(); ++i) {
+        const uint32_t page = (i * 7 + t) % kPages;
+        std::string value = "t" + std::to_string(t) + "i" + std::to_string(i);
+        results[t] = WritePageOp(PageId{t, page}, value);
+        models[t][page] = value;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Status& status : results) ASSERT_OK(status);
+  const CacheStats stats = cache_->stats();
+  EXPECT_GT(stats.cleaner_installs, 0u);
+  EXPECT_EQ(stats.cleaner_installs + stats.client_writebacks,
+            stats.writeback_batches);
+  // Without cleaners every one of these batches is a client's.
+  EXPECT_LT(stats.client_writebacks, stats.writeback_batches / 2);
+
+  ASSERT_OK(cache_->FlushAll());
+  for (uint32_t t = 0; t < 3; ++t) {
+    for (const auto& [page, value] : models[t]) {
+      EXPECT_EQ(StablePrefix(PageId{t, page}, value.size()), value)
+          << t << ":" << page;
+    }
+  }
+}
+
+TEST_F(CleanerTest, FailedCleanerInstallLeavesPagesDirtyAndFailsAClientOp) {
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16,
+       /*partitions=*/1, &faulty_);
+  ParkSecondClient(15);
+  FailStableWrites fail;
+  faulty_.SetPolicy(&fail);
+  // One frame is free and none is clean: below 16 / 4, so this op wakes
+  // the cleaners, and the install of the coldest pages fails. Page 14 is
+  // resident, so the op itself never writes back.
+  Status s;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (s.ok() && std::chrono::steady_clock::now() < deadline) {
+    s = WritePageOp(14, "again");
+    if (s.ok()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(s.IsIoError()) << s.ToString();
+  for (uint32_t i = 0; i < 15; ++i) EXPECT_TRUE(cache_->IsDirty(P(i))) << i;
+  EXPECT_EQ(cache_->stats().cleaner_installs, 0u);
+
+  faulty_.SetPolicy(nullptr);
+  ReleaseSecondClient();
+  ASSERT_OK(cache_->FlushAll());
+  for (uint32_t i = 0; i < 14; ++i) {
+    std::string want = "v" + std::to_string(i);
+    EXPECT_EQ(StablePrefix(P(i), want.size()), want);
+  }
+  EXPECT_EQ(StablePrefix(P(14), 5), "again");
+}
+
+TEST_F(CleanerTest, ClosingMidCleanJoinsTheCleaners) {
+  SyncGateEnv gate(&env_, "stable.p0");
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16,
+       /*partitions=*/1, &gate);
+  ParkSecondClient(15);
+  gate.Arm();
+  // Wakes the cleaners: one installs pages 0..3, the coldest, and parks
+  // in the stable store's sync.
+  ASSERT_OK(WritePageOp(14, "again"));
+  gate.WaitParked();
+  ReleaseSecondClient();
+
+  std::atomic<bool> closed{false};
+  std::thread closer([&] {
+    cache_.reset();
+    closed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(closed) << "closed while a cleaner's install was in flight";
+  gate.Open();
+  closer.join();
+  for (uint32_t i = 0; i < 4; ++i) {
+    std::string want = "v" + std::to_string(i);
+    EXPECT_EQ(StablePrefix(P(i), want.size()), want);
+  }
+}
+
 // Blind writes: a writeset page outside the readset that misses is
 // reserved under its load latch and never read from S; its staged image
 // becomes the frame at commit. `faulty_` hosts S alone, so its counted
@@ -936,6 +1084,9 @@ TEST_F(CacheManagerTest, ReaderMissingAReservedPageWaitsForTheNewValue) {
   EXPECT_EQ(image.payload().ToString().substr(0, 5), "fresh");
   EXPECT_EQ(StableReads(), 0u);
   EXPECT_EQ(cache_->stats().blind_misses, 5u);
+  // Two clients overlapped, so cleaners may be writing through the gate:
+  // join them before it goes out of scope.
+  cache_.reset();
 }
 
 TEST_F(CacheManagerTest, CrossedBlindWritersOnFourThreadsFinish) {
