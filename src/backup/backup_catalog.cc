@@ -306,8 +306,8 @@ Result<std::vector<std::string>> BackupCatalog::Prune(
 
   // Delete the files of every PRUNED or CANCELLED generation — including
   // tombstones from an earlier crash between mark and delete. Every file
-  // of a generation is "<name>."-prefixed (manifest, cursor, pages.pN,
-  // pages.journal), and the dot keeps "bk1" from matching "bk10".
+  // of a generation is "<name>."-prefixed (manifest, cursor, pages.pN),
+  // and the dot keeps "bk1" from matching "bk10".
   for (const BackupGeneration& g : gens_) {
     if (g.state != BackupState::kPruned && g.state != BackupState::kCancelled) {
       continue;

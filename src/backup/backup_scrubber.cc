@@ -27,7 +27,6 @@ void RemoveStoreFiles(Env* env, const std::string& prefix,
   for (uint32_t p = 0; p < partitions; ++p) {
     (void)env->DeleteFile(prefix + ".p" + std::to_string(p));
   }
-  (void)env->DeleteFile(prefix + ".journal");
 }
 
 }  // namespace

@@ -594,23 +594,31 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     latch = std::shared_lock<std::shared_mutex>(progress->latch());
   }
 
-  // Iw/oF decisions. Crash redo seeds an Iw'd page with the logged value
-  // and skips the operations below it, so an Iw record may become durable
-  // only once every operation that read the page's older value is
-  // installed or skipped too: identity writes go in installation order
-  // (DESIGN.md §3). Such an operation belongs to the page's own node or
-  // to a predecessor. Logging one var of a node logs them all, so redo
-  // seeds every var past the node's operations. And the plan is cut
-  // before the first unit that must log while it has a predecessor in
-  // the plan: the prefix is closed under predecessors, and the caller
-  // re-plans the rest once it is on S, when the cut unit has none left.
+  // Iw/oF decisions, and identity writes for multi-var nodes. Crash
+  // redo seeds an Iw'd page with the logged value and skips the
+  // operations below it, so an Iw record may become durable only once
+  // every operation that read the page's older value is installed or
+  // skipped too: identity writes go in installation order (DESIGN.md §3).
+  // Such an operation belongs to the page's own node or to a
+  // predecessor. Logging one var of a node logs them all, so redo seeds
+  // every var past the node's operations; a node with several vars is
+  // always logged that way, which installs it without an atomic
+  // multi-page write (paper 2.5: a node whose vars are all identity-
+  // written needs no flush at all). And the plan is cut before the first
+  // unit that must log while it has a predecessor in the plan: the
+  // prefix is closed under predecessors, and the caller re-plans the
+  // rest once it is on S, when the cut unit has none left.
   std::vector<std::vector<PageId>> to_log(plan.size());
+  std::vector<bool> multivar(plan.size(), false);
   size_t units = plan.size();
   const uint64_t decisions = stats_.decisions;
-  for (size_t i = 0; progress != nullptr && i < plan.size(); ++i) {
+  for (size_t i = 0; i < plan.size(); ++i) {
     const CacheStats counted = stats_;
-    DecideBackupLogging(plan[i], *progress, &to_log[i]);
-    if (to_log[i].empty()) continue;
+    if (progress != nullptr) {
+      DecideBackupLogging(plan[i], *progress, &to_log[i]);
+    }
+    multivar[i] = to_log[i].empty() && plan[i].vars.size() > 1;
+    if (to_log[i].empty() && !multivar[i]) continue;
     to_log[i] = plan[i].vars;
     if (!plan[i].preds.empty()) {
       stats_ = counted;  // decided again when the unit is re-planned
@@ -624,30 +632,13 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     stats_.cleaner_decisions += stats_.decisions - decisions;
   }
 
-  // A plan whose nodes each have one var needs no journal: it goes out
-  // in write-graph levels, a unit one level past its deepest planned
-  // predecessor, each level durable before the next is written. A node
-  // with several vars must land atomically, so such a plan is one level
-  // written through the shadow journal, which keeps the order too.
-  bool journaled = false;
-  for (size_t i = 0; i < units; ++i) journaled |= plan[i].vars.size() > 1;
-  std::unordered_map<uint64_t, size_t> level_of;
-  std::vector<std::vector<PageStore::Entry>> levels(1);
-  for (size_t i = 0; i < units; ++i) {
-    const InstallUnit& unit = plan[i];
-    size_t level = 0;
-    for (uint64_t pred : unit.preds) {
-      auto it = level_of.find(pred);
-      if (it == level_of.end()) {
-        return Status::Internal("install plan lists node " +
-                                std::to_string(unit.node_id) +
-                                " before its predecessor");
-      }
-      if (!journaled) level = std::max(level, it->second + 1);
-    }
-    level_of[unit.node_id] = level;
-    if (level >= levels.size()) levels.resize(level + 1);
-  }
+  // The plan goes out in write-graph levels, each durable before the
+  // next is written.
+  std::vector<size_t> level_of;
+  LLB_RETURN_IF_ERROR(InstallLevels(plan, units, &level_of));
+  size_t num_levels = 1;
+  for (size_t level : level_of) num_levels = std::max(num_levels, level + 1);
+  std::vector<std::vector<PageStore::Entry>> levels(num_levels);
 
   struct PendingInstall {
     uint64_t node_id = 0;
@@ -688,11 +679,13 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
       Frame* frame = &it->second;
       if (by != Installer::kCleaner) Touch(*frame);
       LogRecord wip = MakeIdentityWrite(x, frame->image);
+      if (multivar[i]) wip.op_code = kOpInstallIdentity;
       Epoch epoch = kInvalidEpoch;
       Lsn lsn = log_->Append(&wip, &epoch);
       graph_->OnIdentityWrite(x, lsn);
       frame->image.set_lsn(lsn);
-      ++stats_.identity_writes;
+      ++(multivar[i] ? stats_.multivar_identity_writes
+                     : stats_.identity_writes);
       wait_epoch = std::max(wait_epoch, epoch);
     }
 
@@ -707,7 +700,7 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
     pi.node_id = unit.node_id;
     pi.pages = unit.vars;
     wait_lsn = std::max(wait_lsn, unit.max_lsn);
-    std::vector<PageStore::Entry>& level = levels[level_of[unit.node_id]];
+    std::vector<PageStore::Entry>& level = levels[level_of[i]];
     for (const PageId& x : unit.vars) {
       Frame& frame = frames_.find(x)->second;
       if (by != Installer::kCleaner) Touch(frame);
@@ -742,8 +735,7 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
   lk.unlock();
   Status s = wait_epoch != kInvalidEpoch ? log_->WaitEpochDurable(wait_epoch)
                                          : log_->WaitLsnDurable(wait_lsn);
-  if (s.ok() && journaled) s = stable_->WriteBatchAtomic(levels[0]);
-  for (size_t i = 0; s.ok() && !journaled && i < levels.size(); ++i) {
+  for (size_t i = 0; s.ok() && i < levels.size(); ++i) {
     if (!levels[i].empty()) s = stable_->WritePages(levels[i]);
   }
   // The fence obligation ends once the images are on S; phase 3 is pure
@@ -781,11 +773,7 @@ Status CacheManager::InstallPlan(std::unique_lock<std::mutex>& lk,
                                  : stats_.client_writebacks);
     ++stats_.writeback_batches;
     stats_.writeback_pages += pages;
-    if (journaled) {
-      ++stats_.writeback_journaled;
-    } else if (written_levels > 1) {
-      ++stats_.writeback_multilevel;
-    }
+    if (written_levels > 1) ++stats_.writeback_multilevel;
   }
   install_cv_.notify_all();
   return Status::OK();

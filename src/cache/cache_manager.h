@@ -61,6 +61,9 @@ struct CacheStats {
   uint64_t node_installs = 0;
   uint64_t pages_flushed = 0;
   uint64_t identity_writes = 0;  // Iw/oF page loggings
+  // Identity writes that install a node with several vars without an
+  // atomic multi-page write (the backup's Iw/oF is counted above only).
+  uint64_t multivar_identity_writes = 0;
 
   // Install plans (every install releases the cache mutex for its
   // durability wait + stable write), and the times an operation or
@@ -74,13 +77,11 @@ struct CacheStats {
 
   // Batched write-back: installs made by a dirty eviction (each carries
   // the victim plus up to kWriteBackBatch - 1 cold dirty pages of its
-  // partition), the pages they wrote, those written in more than one
-  // write-graph level, and those holding a multi-page node, which went
-  // through the store's shadow journal. The rest were flat: one level.
+  // partition), the pages they wrote, and those written in more than one
+  // write-graph level. The rest were flat: one level.
   uint64_t writeback_batches = 0;
   uint64_t writeback_pages = 0;
   uint64_t writeback_multilevel = 0;
-  uint64_t writeback_journaled = 0;
   // Of those installs, the ones a cleaner thread made and the ones a
   // client thread made for its own eviction, and the Iw/oF decisions
   // (below) made inside cleaner installs.
@@ -262,11 +263,11 @@ class CacheManager {
   /// held in share mode (a log wait only if the plan logged Iw records or
   /// holds a page past the durable LSN, then the stable writes: one
   /// PageStore::WritePages per write-graph level, each durable before the
-  /// next starts, or one shadow-journal WriteBatchAtomic when some node
-  /// has several vars), phase 3 re-acquired (mark clean/installed, wake
-  /// waiters). Installs only the prefix before the first unit that must
-  /// log an Iw record while a predecessor of it is in the plan, and sets
-  /// *deferred when that left units out.
+  /// next starts), phase 3 re-acquired (mark clean/installed, wake
+  /// waiters). A node with several vars logs an identity write of each
+  /// var, like an Iw/oF decision. Installs only the prefix before the
+  /// first unit that must log an Iw record while a predecessor of it is
+  /// in the plan, and sets *deferred when that left units out.
   /// A cleaner's install leaves its pages where they are in lru_, so
   /// they are the next evicted; every other install touches them.
   Status InstallPlan(std::unique_lock<std::mutex>& lk,

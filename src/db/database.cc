@@ -160,10 +160,12 @@ Status Database::Recover() {
   if (!standby_.load(std::memory_order_acquire)) {
     LLB_ASSIGN_OR_RETURN(start, FindCrashRedoStart(*log_));
   }
-  LLB_ASSIGN_OR_RETURN(RedoReport report,
-                       RunRedo(*log_, registry_, stable_.get(), start));
-  (void)report;
-  return Status::OK();
+  return RunCrashRedo(log_.get(),
+                      standby_.load(std::memory_order_acquire)
+                          ? RedoTarget::kStandby
+                          : RedoTarget::kDatabase,
+                      registry_, stable_.get(), start)
+      .status();
 }
 
 Status Database::Execute(LogRecord* rec) {

@@ -185,8 +185,9 @@ class MemFile : public File {
     std::lock_guard<std::mutex> lock(env_->mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     if (size == 0) {
-      // Truncating to empty (a retired journal): move the durable bytes
-      // into undo images instead of copying them.
+      // Truncating to empty (a wiped partition, a log file cut back to
+      // nothing): move the durable bytes into undo images instead of
+      // copying them.
       data_.Resize(std::min<uint64_t>(data_.size(), durable_size_));
       uint64_t offset = 0;
       for (std::string& block : data_.TakeBlocks()) {

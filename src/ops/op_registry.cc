@@ -5,6 +5,7 @@ namespace llb {
 OpRegistry::OpRegistry() {
   Register(kOpPhysicalWrite, ApplyPhysicalWrite);
   Register(kOpIdentityWrite, ApplyPhysicalWrite);
+  Register(kOpInstallIdentity, ApplyPhysicalWrite);
   // Checkpoint records carry no page writes; applying one is a no-op.
   Register(kOpCheckpoint,
            [](OpContext&, const LogRecord&) { return Status::OK(); });

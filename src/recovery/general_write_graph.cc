@@ -177,10 +177,12 @@ void GeneralWriteGraph::OnOperation(const LogRecord& rec) {
   // First collapse: the new op joins (and merges) every node whose vars
   // intersect its writeset.
   uint64_t target = 0;
+  bool merged = false;
   for (const PageId& x : rec.writeset) {
     auto it = owner_.find(x);
     if (it == owner_.end()) continue;
     uint64_t n = Find(it->second);
+    if (target != 0 && Find(target) != n) merged = true;
     target = (target == 0) ? n : Merge(target, n);
   }
   if (target == 0) target = NewNode();
@@ -215,8 +217,9 @@ void GeneralWriteGraph::OnOperation(const LogRecord& rec) {
     readers_[x].insert(target);
   }
 
-  // Second collapse: if a new edge closed a cycle, merge the SCC.
-  if (added_edge) {
+  // Second collapse: if a new edge, or a merge joining two nodes with a
+  // path between them, closed a cycle, merge the SCC.
+  if (added_edge || merged) {
     bool cycle = false;
     for (uint64_t p : LivePreds(*node)) {
       if (Reaches(target, p)) {
@@ -247,26 +250,43 @@ Status GeneralWriteGraph::PlanInstall(const PageId& x,
   if (it == owner_.end()) {
     return Status::NotFound("page not tracked: " + x.ToString());
   }
-  uint64_t start = Find(it->second);
+  std::unordered_set<uint64_t> visited;
+  AppendPlan(Find(it->second), &visited, plan);
+  return Status::OK();
+}
 
+void GeneralWriteGraph::PlanInstallAll(std::vector<InstallUnit>* plan) {
+  plan->clear();
+  std::vector<uint64_t> ids;
+  ids.reserve(nodes_.size());
+  for (const auto& [id, node] : nodes_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  std::unordered_set<uint64_t> visited;
+  for (uint64_t id : ids) {
+    if (visited.count(id) == 0) AppendPlan(id, &visited, plan);
+  }
+}
+
+void GeneralWriteGraph::AppendPlan(uint64_t start,
+                                   std::unordered_set<uint64_t>* visited,
+                                   std::vector<InstallUnit>* plan) const {
   // DFS over predecessor edges emitting post-order: every node appears
   // after all of its uninstalled predecessors (the graph is acyclic).
   std::vector<uint64_t> order;
-  std::unordered_set<uint64_t> visited;
   struct Frame {
     uint64_t node;
     std::vector<uint64_t> preds;
     size_t next = 0;
   };
   std::vector<Frame> stack;
-  stack.push_back({start, LivePreds(nodes_[start])});
-  visited.insert(start);
+  stack.push_back({start, LivePreds(nodes_.at(start))});
+  visited->insert(start);
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next < frame.preds.size()) {
       uint64_t p = frame.preds[frame.next++];
-      if (visited.insert(p).second) {
-        stack.push_back({p, LivePreds(nodes_[p])});
+      if (visited->insert(p).second) {
+        stack.push_back({p, LivePreds(nodes_.at(p))});
       }
     } else {
       order.push_back(frame.node);
@@ -275,7 +295,7 @@ Status GeneralWriteGraph::PlanInstall(const PageId& x,
   }
 
   for (uint64_t id : order) {
-    const Node& node = nodes_[id];
+    const Node& node = nodes_.at(id);
     InstallUnit unit;
     unit.node_id = id;
     unit.vars.assign(node.vars.begin(), node.vars.end());
@@ -289,7 +309,6 @@ Status GeneralWriteGraph::PlanInstall(const PageId& x,
     }
     plan->push_back(std::move(unit));
   }
-  return Status::OK();
 }
 
 void GeneralWriteGraph::MarkInstalled(uint64_t node_id) {

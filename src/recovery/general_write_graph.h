@@ -45,6 +45,10 @@ class GeneralWriteGraph : public WriteGraph {
   Lsn RedoStartLsn(Lsn next_lsn) const override;
   WriteGraphStats GetStats() const override;
 
+  /// Plans every live node at once, in the order PlanInstall would list
+  /// them (each after its predecessors), visiting nodes by ascending id.
+  void PlanInstallAll(std::vector<InstallUnit>* plan);
+
   /// Number of live (uninstalled) nodes.
   size_t NumNodes() const { return nodes_.size(); }
 
@@ -75,6 +79,10 @@ class GeneralWriteGraph : public WriteGraph {
   /// Collapses every non-trivial strongly connected component.
   void CollapseCycles();
   bool Reaches(uint64_t from, uint64_t to) const;
+  /// Appends the not yet `visited` part of start's install plan: its
+  /// uninstalled predecessors, transitively, then start itself.
+  void AppendPlan(uint64_t start, std::unordered_set<uint64_t>* visited,
+                  std::vector<InstallUnit>* plan) const;
   /// Resolved, live, deduplicated predecessor set of a node.
   std::vector<uint64_t> LivePreds(const Node& node) const;
   std::vector<uint64_t> LiveSuccs(const Node& node) const;

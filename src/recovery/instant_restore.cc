@@ -464,12 +464,9 @@ Status InstantRestorer::Drain() {
 }
 
 Status InstantRestorer::ResumeRedo() {
-  LLB_ASSIGN_OR_RETURN(
-      RedoReport report,
-      RunRedoRange(*log_, registry_, stable_, recovery_tail_ + 1, kInvalidLsn,
-                   /*only_partition=*/nullptr));
-  (void)report;
-  return Status::OK();
+  return RunCrashRedo(log_, RedoTarget::kDatabase, registry_, stable_,
+                      recovery_tail_ + 1)
+      .status();
 }
 
 bool InstantRestorer::complete() const {

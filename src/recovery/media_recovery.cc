@@ -10,53 +10,9 @@
 #include "io/transfer_pipeline.h"
 #include "storage/page_store.h"
 #include "wal/log_manager.h"
-#include "wal/log_reader.h"
 #include "wal/log_record.h"
 
 namespace llb {
-
-namespace {
-
-// After a point-in-time restore, the excluded log suffix must go away —
-// otherwise the next crash recovery would replay it and undo the PITR.
-// Newest first: files wholly after the cut are unlinked, then the file
-// holding it is cut after its last record <= cut. A crash part-way
-// leaves a contiguous prefix of files, and a rerun finishes the job.
-Status TruncateLogAfter(Env* env, const std::vector<LogFileInfo>& files,
-                        Lsn cut) {
-  for (auto it = files.rbegin(); it != files.rend(); ++it) {
-    if (it->sealed && it->first_lsn > cut) {
-      LLB_RETURN_IF_ERROR(env->DeleteFile(it->name));
-      continue;
-    }
-    LLB_ASSIGN_OR_RETURN(std::shared_ptr<File> file,
-                         env->OpenFile(it->name, /*create=*/false));
-    LLB_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-    if (size == 0) {
-      // An empty active file holds nothing; an anchor at or below the cut
-      // means everything older is too.
-      if (it->sealed) return Status::OK();
-      continue;
-    }
-    LogReader reader(file);
-    LLB_RETURN_IF_ERROR(reader.Init());
-    uint64_t keep = 0;
-    LogRecord rec;
-    while (reader.Next(&rec) && rec.lsn <= cut) keep = reader.valid_bytes();
-    LLB_RETURN_IF_ERROR(reader.status());
-    if (keep == 0) {
-      // The active file, wholly after the cut: a reopen recreates it.
-      LLB_RETURN_IF_ERROR(env->DeleteFile(it->name));
-      continue;
-    }
-    if (keep == size) return Status::OK();
-    LLB_RETURN_IF_ERROR(file->Truncate(keep));
-    return file->Sync();
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<RestoreChainPlan> LoadRestoreChain(Env* env,
                                           const std::string& backup_name) {
@@ -181,12 +137,11 @@ Result<MediaRecoveryReport> RestoreFromBackupWithOptions(
       RunRedoRange(*log, registry, stable.get(), newest.start_lsn,
                    options.stop_at_lsn, only));
 
-  // Point-in-time recovery discards the excluded log suffix (a partition-
-  // only restore must NOT: other partitions still need those records).
+  // Point-in-time recovery discards the excluded log suffix, or the next
+  // crash recovery would replay it and undo the PITR (a partition-only
+  // restore must NOT: other partitions still need those records).
   if (options.stop_at_lsn != kInvalidLsn && !options.partition_only) {
-    const std::vector<LogFileInfo> files = log->Files();
-    log.reset();
-    LLB_RETURN_IF_ERROR(TruncateLogAfter(env, files, options.stop_at_lsn));
+    LLB_RETURN_IF_ERROR(log->TruncateAfter(options.stop_at_lsn));
   }
   return report;
 }

@@ -73,6 +73,28 @@ Result<RedoReport> RunRedoRange(const LogManager& log,
                                 const PartitionId* only_partition,
                                 bool use_identity_seeds = true);
 
+/// Whose store a crash redo over the store's own log rebuilds. A store
+/// without a log of its own (a restored backup, an oracle, a scratch
+/// rebuild) goes through RunRedoRange, which never writes the log.
+enum class RedoTarget {
+  /// The stable database whose cache wrote the log: its multi-var
+  /// installs (kOpInstallIdentity) seed like identity writes.
+  kDatabase,
+  /// A standby's store. Its log carries the primary's records, whose
+  /// multi-var installs were ordered after predecessors installed in the
+  /// primary's store, not in this one, so they apply in order.
+  kStandby,
+};
+
+/// Crash redo of a store that keeps `log` as its own, from `start_lsn` to
+/// the end of the log (database open, a standby's open, instant
+/// restore's resumed redo). A replayed node with several vars stages its
+/// pages on `log` while they are written (LogApplier::Flush), and redo
+/// seeds from, then cuts, the staged pages a crash left behind.
+Result<RedoReport> RunCrashRedo(LogManager* log, RedoTarget target,
+                                const OpRegistry& registry, PageStore* store,
+                                Lsn start_lsn);
+
 }  // namespace llb
 
 #endif  // LLB_RECOVERY_REDO_H_

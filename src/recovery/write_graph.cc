@@ -1,8 +1,29 @@
 #include "recovery/write_graph.h"
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
 
 namespace llb {
+
+Status InstallLevels(const std::vector<InstallUnit>& plan, size_t units,
+                     std::vector<size_t>* levels) {
+  levels->assign(units, 0);
+  std::unordered_map<uint64_t, size_t> level_of;
+  for (size_t i = 0; i < units; ++i) {
+    for (uint64_t pred : plan[i].preds) {
+      auto it = level_of.find(pred);
+      if (it == level_of.end()) {
+        return Status::Internal("install plan lists node " +
+                                std::to_string(plan[i].node_id) +
+                                " before its predecessor");
+      }
+      (*levels)[i] = std::max((*levels)[i], it->second + 1);
+    }
+    level_of[plan[i].node_id] = (*levels)[i];
+  }
+  return Status::OK();
+}
 
 WriteGraph::~WriteGraph() = default;
 

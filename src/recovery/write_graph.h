@@ -33,6 +33,15 @@ struct InstallUnit {
   bool violation = false;           // violation(X): the dagger property fails
 };
 
+/// Assigns each of the first `units` units of a plan (PlanInstall order:
+/// every unit after its planned predecessors) its write-graph level: one
+/// past its deepest planned predecessor, 0 without one. Writing the
+/// levels in order, each durable before the next, installs every unit
+/// after its predecessors. `levels` gets one entry per unit. Fails if a
+/// unit lists a predecessor that is not earlier in the plan.
+Status InstallLevels(const std::vector<InstallUnit>& plan, size_t units,
+                     std::vector<size_t>* levels);
+
 /// Aggregate structure metrics, used by the Figure-2 experiment to compare
 /// the intersecting-writes graph W against the refined graph rW.
 struct WriteGraphStats {

@@ -20,7 +20,7 @@ std::string StandbyStatus::ToString() const {
 StandbyApplier::StandbyApplier(Database* standby, ShipChannel* channel)
     : db_(standby),
       channel_(channel),
-      applier_(*standby->registry(), standby->stable()) {}
+      applier_(*standby->registry(), standby->stable(), standby->log()) {}
 
 Status StandbyApplier::CatchUpFromLocalLog() {
   // Database::Recover made stable == redo(local log); everything durable
@@ -42,6 +42,7 @@ Status StandbyApplier::FinishInflight() {
     LLB_RETURN_IF_ERROR(applier_.Apply(rec));
   }
   LLB_RETURN_IF_ERROR(applier_.Flush());
+  stats_.pages_staged = applier_.stats().pages_staged;
   applied_lsn_ = inflight_last_lsn_;
   MarkConsumed(inflight_seq_);
   ++stats_.frames_applied;

@@ -21,6 +21,9 @@ struct StandbyApplierStats {
   uint64_t frames_corrupt = 0;    // rejected by segment validation
   uint64_t records_applied = 0;
   uint64_t bytes_applied = 0;
+  // Pages of multi-var nodes the replay staged on the standby's own log
+  // before writing them (LogApplier::Flush).
+  uint64_t pages_staged = 0;
 };
 
 /// Replication lag as seen from the standby. `primary_durable_lsn` is

@@ -4,14 +4,8 @@
 #include <memory>
 #include <utility>
 
-#include "common/coding.h"
-#include "common/crc32c.h"
 
 namespace llb {
-
-namespace {
-constexpr uint32_t kJournalMagic = 0x4C4C424Au;  // "LLBJ"
-}  // namespace
 
 Result<std::unique_ptr<PageStore>> PageStore::Open(Env* env,
                                                    const std::string& prefix,
@@ -21,8 +15,21 @@ Result<std::unique_ptr<PageStore>> PageStore::Open(Env* env,
   }
   std::unique_ptr<PageStore> store(
       new PageStore(env, prefix, num_partitions));
+  // Older builds wrote multi-page batches through a shadow journal next
+  // to the partitions. A non-empty one may hold a committed batch this
+  // build would not replay: refuse the store rather than lose it.
+  const std::string journal = prefix + ".journal";
+  if (env->FileExists(journal)) {
+    LLB_ASSIGN_OR_RETURN(std::shared_ptr<File> file,
+                         env->OpenFile(journal, /*create=*/false));
+    LLB_ASSIGN_OR_RETURN(uint64_t size, file->Size());
+    if (size != 0) {
+      return Status::Corruption("page store " + prefix +
+                                " has a leftover shadow journal " + journal +
+                                " from an older build");
+    }
+  }
   LLB_RETURN_IF_ERROR(store->OpenFiles());
-  LLB_RETURN_IF_ERROR(store->RecoverJournal());
   return store;
 }
 
@@ -35,56 +42,8 @@ Status PageStore::OpenFiles() {
         env_->OpenFile(prefix_ + ".p" + std::to_string(p), /*create=*/true));
     partition_mu_[p] = std::make_unique<std::mutex>();
   }
-  LLB_ASSIGN_OR_RETURN(journal_,
-                       env_->OpenFile(prefix_ + ".journal", /*create=*/true));
   install_writer_ = NewAsyncWriter(kWriteBackBatch);
   return Status::OK();
-}
-
-Status PageStore::RecoverJournal() {
-  LLB_ASSIGN_OR_RETURN(uint64_t size, journal_->Size());
-  if (size == 0) return Status::OK();
-  std::string blob;
-  LLB_RETURN_IF_ERROR(journal_->ReadAt(0, size, &blob));
-
-  // Journal layout: magic(4) count(4) entries{partition(4) page(4)
-  // image(kPageSize)}* crc(4). If the blob does not parse or the CRC is
-  // wrong, the batch never committed: discard it.
-  auto discard = [&]() -> Status {
-    LLB_RETURN_IF_ERROR(journal_->Truncate(0));
-    return journal_->Sync();
-  };
-
-  SliceReader reader{Slice(blob)};
-  uint32_t magic = 0, count = 0;
-  if (!reader.ReadFixed32(&magic) || magic != kJournalMagic ||
-      !reader.ReadFixed32(&count)) {
-    return discard();
-  }
-  std::vector<Entry> entries;
-  entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Entry e;
-    Slice image;
-    if (!reader.ReadFixed32(&e.id.partition) ||
-        !reader.ReadFixed32(&e.id.page) ||
-        !reader.ReadBytes(kPageSize, &image) ||
-        e.id.partition >= num_partitions_) {
-      return discard();
-    }
-    e.image = PageImage::FromRaw(image.ToString());
-    entries.push_back(std::move(e));
-  }
-  uint32_t stored_crc = 0;
-  if (!reader.ReadFixed32(&stored_crc) ||
-      stored_crc !=
-          crc32c::Value(blob.data(), blob.size() - reader.remaining() - 4)) {
-    return discard();
-  }
-
-  // Committed: (re)apply all page writes, then clear the journal.
-  LLB_RETURN_IF_ERROR(WriteSealedEntries(std::move(entries)));
-  return discard();
 }
 
 Status PageStore::ReadPage(const PageId& id, PageImage* out) const {
@@ -425,65 +384,6 @@ std::unique_ptr<PageStore::AsyncRunWriter> PageStore::NewAsyncWriter(
       new AsyncRunWriter(this, queue_depth, streams));
 }
 
-Status PageStore::WriteBatchAtomic(const std::vector<Entry>& entries) {
-  if (entries.empty()) return Status::OK();
-  for (const Entry& e : entries) {
-    if (e.id.partition >= num_partitions_) {
-      return Status::InvalidArgument("partition out of range");
-    }
-  }
-  if (entries.size() == 1) return WritePage(entries[0].id, entries[0].image);
-  // Lock order: the journal mutex first, then partition mutexes one at a
-  // time per page write. Batches serialize against each other on
-  // journal_mu_ (they share the shadow journal file) but let sweep IO on
-  // untouched partitions through.
-  std::lock_guard<std::mutex> journal_lock(journal_mu_);
-
-  std::vector<Entry> sealed;
-  sealed.reserve(entries.size());
-  for (const Entry& e : entries) {
-    sealed.push_back(e);
-    sealed.back().image.Seal();
-  }
-
-  // 1. Persist the shadow journal, as one vectored write straight from
-  //    the sealed images (no staging copy of the batch).
-  std::string header;
-  PutFixed32(&header, kJournalMagic);
-  PutFixed32(&header, static_cast<uint32_t>(sealed.size()));
-  std::string ids;
-  for (const Entry& e : sealed) {
-    PutFixed32(&ids, e.id.partition);
-    PutFixed32(&ids, e.id.page);
-  }
-  std::vector<Slice> chunks;
-  chunks.reserve(2 * sealed.size() + 2);
-  chunks.emplace_back(header);
-  for (size_t i = 0; i < sealed.size(); ++i) {
-    chunks.emplace_back(ids.data() + 8 * i, 8);
-    chunks.push_back(sealed[i].image.raw());
-  }
-  uint32_t crc = 0;
-  for (const Slice& chunk : chunks) {
-    crc = crc32c::Extend(crc, chunk.data(), chunk.size());
-  }
-  std::string trailer;
-  PutFixed32(&trailer, crc);
-  chunks.emplace_back(trailer);
-  LLB_RETURN_IF_ERROR(journal_->Truncate(0));
-  LLB_RETURN_IF_ERROR(journal_->WriteAtv(0, chunks));
-  LLB_RETURN_IF_ERROR(journal_->Sync());
-
-  // 2. Apply the page writes, one sync per touched partition (a crash
-  //    before the last sync is repaired by journal replay at the next
-  //    open).
-  LLB_RETURN_IF_ERROR(WriteSealedEntries(std::move(sealed)));
-
-  // 3. Retire the journal.
-  LLB_RETURN_IF_ERROR(journal_->Truncate(0));
-  return journal_->Sync();
-}
-
 Status PageStore::WritePages(const std::vector<Entry>& entries) {
   std::vector<Entry> sealed;
   sealed.reserve(entries.size());
@@ -494,10 +394,6 @@ Status PageStore::WritePages(const std::vector<Entry>& entries) {
     sealed.push_back(e);
     sealed.back().image.Seal();
   }
-  return WriteSealedEntries(std::move(sealed));
-}
-
-Status PageStore::WriteSealedEntries(std::vector<Entry> sealed) {
   if (sealed.empty()) return Status::OK();
   std::stable_sort(
       sealed.begin(), sealed.end(),

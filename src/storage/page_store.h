@@ -28,12 +28,12 @@ inline constexpr uint32_t kWriteBackBatch = 8;
 /// Guarantees:
 ///  * single-page writes are atomic and durable on return (write + sync),
 ///    the paper's "I/O page atomicity" assumption;
-///  * `WriteBatchAtomic` writes a set of pages atomically with respect to
-///    crashes, via a shadow journal: either all pages of the batch are in
-///    the store after recovery, or none are. This is what lets the cache
-///    manager atomically flush a multi-object vars(n) set (paper 2.4);
 ///  * `WritePages` writes pages that need no order among them with one
-///    sync per touched partition and no journal; each page is atomic;
+///    sync per touched partition; each page is atomic, the batch is not.
+///    It is the one path a write-graph level takes to S: the cache and
+///    redo write a plan level by level, and a node with several vars is
+///    installed through identity writes rather than an atomic multi-page
+///    write (paper 2.5);
 ///  * pages never written read back as all-zero images with LSN 0.
 ///
 /// Thread-safe. Writes hold a per-partition latch across their WriteAt
@@ -43,10 +43,7 @@ inline constexpr uint32_t kWriteBackBatch = 8;
 /// ("coordination ... occurs at the disk arm", paper 1.2) and never waits
 /// behind another thread's sync. Sweeps of DIFFERENT partitions proceed
 /// fully in parallel, which is what makes a multi-threaded partitioned
-/// backup faster than a serial one. WriteBatchAtomic additionally
-/// serializes on a store-wide journal mutex (lock order: journal, then
-/// partition; nothing acquires the journal mutex while holding a
-/// partition mutex).
+/// backup faster than a serial one.
 class PageStore {
  public:
   struct Entry {
@@ -55,8 +52,8 @@ class PageStore {
   };
 
   /// Opens (creating if absent) a store of `num_partitions` partitions
-  /// under the given file-name prefix, and replays any committed shadow
-  /// journal left by a crash mid-batch.
+  /// under the given file-name prefix. Fails with Corruption if an older
+  /// build left a non-empty `<prefix>.journal` beside it.
   static Result<std::unique_ptr<PageStore>> Open(Env* env,
                                                  const std::string& prefix,
                                                  uint32_t num_partitions);
@@ -90,18 +87,12 @@ class PageStore {
   Status WriteSealedRun(PartitionId partition, uint32_t first_page,
                         const std::vector<PageImage>& images);
 
-  /// Atomically (w.r.t. crash) writes all entries. Order of persistence is
-  /// all-or-nothing even across partitions: the shadow journal is synced
-  /// first, then every page is written and each touched partition synced
-  /// once, then the journal is retired.
-  Status WriteBatchAtomic(const std::vector<Entry>& entries);
-
-  /// Durably writes pages that need no order among them — the cache's
-  /// flat write-back batches, an antichain of one-page install units.
+  /// Durably writes pages that need no order among them — one level of
+  /// a write-graph install, from the cache or from redo.
   /// Contiguous pages coalesce into runs; a single run is written inline
   /// like WriteSealedRun, several go through the store's install writer
-  /// all in flight at once; each touched partition gets one sync. No
-  /// journal: a crash may leave any subset written, each page whole.
+  /// all in flight at once; each touched partition gets one sync. A
+  /// crash may leave any subset written, each page whole.
   Status WritePages(const std::vector<Entry>& entries);
 
   /// One finished asynchronous run. Reads carry the checksum-verified
@@ -263,10 +254,6 @@ class PageStore {
       : env_(env), prefix_(std::move(prefix)), num_partitions_(num_partitions) {}
 
   Status OpenFiles();
-  Status RecoverJournal();
-  /// Writes sealed entries (a later duplicate of a slot wins) as
-  /// coalesced runs, with one sync per touched partition.
-  Status WriteSealedEntries(std::vector<Entry> sealed);
   /// Writes sealed bytes at first_page under the partition's latch, then
   /// syncs the partition with the latch released.
   Status WriteAndSync(PartitionId partition, uint32_t first_page,
@@ -285,12 +272,8 @@ class PageStore {
   /// One latch per partition: concurrent sweeps of different partitions
   /// never contend (paper 3.4 — a backup latch per partition).
   mutable std::vector<std::unique_ptr<std::mutex>> partition_mu_;
-  /// Serializes multi-page atomic batches (they own the shadow journal).
-  /// Lock order: journal_mu_ before any partition mutex.
-  mutable std::mutex journal_mu_;
   std::vector<std::shared_ptr<File>> partition_files_;
-  std::shared_ptr<File> journal_;
-  /// Shared by every multi-run WriteSealedEntries (see AsyncRunWriter's
+  /// Shared by every multi-run WritePages (see AsyncRunWriter's
   /// concurrency contract); its channels open once per partition.
   std::unique_ptr<AsyncRunWriter> install_writer_;
 };

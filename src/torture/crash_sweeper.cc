@@ -84,19 +84,24 @@ class BtreeScenarioWorkload : public ScenarioWorkload {
 /// explicitly (dirty evictions do it), and a copy's source is often
 /// transformed right after, so evictions meet copy -> overwrite pairs
 /// (two write-graph levels); every fourth such transform rewrites the
-/// copy's target with it, a two-page node that must land atomically.
+/// copy's target with it, a two-page node installed through identity
+/// writes of both pages.
 /// Whether the random pairs reach an eviction batch together depends on
-/// the seed, so the set-up scripts one such batch first.
+/// the seed, so the set-up scripts both shapes first. With `pairs` (and
+/// no `write_back`) every third step transforms a copy's source and
+/// target together instead of its target alone: a two-page node, which
+/// a standby's replay must write through identity writes of its own.
 class GeneralScenarioWorkload : public ScenarioWorkload {
  public:
   GeneralScenarioWorkload(Database* db, uint32_t num_pages, uint64_t seed,
-                          bool write_back = false)
+                          bool write_back = false, bool pairs = false)
       : db_(db),
         files_(db, /*partition=*/0, /*base_page=*/0, /*pages_per_file=*/1,
                num_pages),
         rng_(seed),
         num_pages_(num_pages),
-        write_back_(write_back) {}
+        write_back_(write_back),
+        pairs_(pairs) {}
 
   Status Setup() override {
     const uint32_t files = write_back_ ? num_pages_ : 4;
@@ -106,12 +111,16 @@ class GeneralScenarioWorkload : public ScenarioWorkload {
     }
     LLB_RETURN_IF_ERROR(db_->FlushAll());
     if (!write_back_) return Status::OK();
-    // A copy, an overwrite of its source, then one write to every other
-    // page: the cache fills with dirty pages behind the pair, and the
-    // first dirty eviction takes the copy's target with its overwritten
-    // source, a batch written in two levels.
+    // A copy, an overwrite of its source, a two-page transform, then one
+    // write to every other page: the cache fills with dirty pages behind
+    // them, and the first dirty evictions take the copy's target with its
+    // overwritten source, a batch written in two levels, and the
+    // two-page node, installed through identity writes.
     LLB_RETURN_IF_ERROR(files_.Copy(0, 1));
     LLB_RETURN_IF_ERROR(files_.Transform(0, /*seed=*/1));
+    LogRecord pair = MakeFileTransform(
+        {files_.PagesOf(2)[0], files_.PagesOf(3)[0]}, /*seed=*/1);
+    LLB_RETURN_IF_ERROR(db_->Execute(&pair));
     for (uint32_t f = 2; f < num_pages_; ++f) {
       LLB_RETURN_IF_ERROR(files_.WriteValues(f, {static_cast<int64_t>(f), 5}));
     }
@@ -135,7 +144,11 @@ class GeneralScenarioWorkload : public ScenarioWorkload {
         continue;
       }
       LLB_RETURN_IF_ERROR(db_->FlushPage(files_.PagesOf(dst)[0]));
-      if (i % 3 == 2) {
+      if (i % 3 == 2 && pairs_) {
+        LogRecord pair = MakeFileTransform(
+            {files_.PagesOf(src)[0], files_.PagesOf(dst)[0]}, rng_.Next());
+        LLB_RETURN_IF_ERROR(db_->Execute(&pair));
+      } else if (i % 3 == 2) {
         LLB_RETURN_IF_ERROR(files_.Transform(dst, rng_.Next()));
       }
     }
@@ -159,6 +172,7 @@ class GeneralScenarioWorkload : public ScenarioWorkload {
   Random rng_;
   const uint32_t num_pages_;
   const bool write_back_;
+  const bool pairs_;
 };
 
 }  // namespace
@@ -243,7 +257,8 @@ std::unique_ptr<ScenarioWorkload> MakeWorkload(Database* db,
         db, s.pages_per_partition, s.seed, /*write_back=*/true);
   }
   return std::make_unique<GeneralScenarioWorkload>(
-      db, std::min<uint32_t>(s.pages_per_partition, 24), s.seed);
+      db, std::min<uint32_t>(s.pages_per_partition, 24), s.seed,
+      /*write_back=*/false, /*pairs=*/s.kind == ScenarioKind::kLogShipping);
 }
 
 /// The RestoreOptions every off-line restore of this scenario uses —
@@ -478,15 +493,16 @@ Status CrashSweeper::RunScenario(TortureEngine* e) const {
       if (!full.complete) return Status::Internal("full backup incomplete");
       LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_post));
       const CacheStats stats = db->cache()->stats();
-      if (stats.writeback_multilevel == 0 || stats.writeback_journaled == 0 ||
-          stats.writeback_multilevel + stats.writeback_journaled ==
-              stats.writeback_batches) {
+      if (stats.writeback_multilevel == 0 ||
+          stats.writeback_multilevel == stats.writeback_batches ||
+          stats.multivar_identity_writes == 0) {
         return Status::Internal(
-            "write-back scenario did not run flat, multi-level and "
-            "journaled batches: " + std::to_string(stats.writeback_batches) +
-            " batches, " + std::to_string(stats.writeback_multilevel) +
-            " multi-level, " + std::to_string(stats.writeback_journaled) +
-            " journaled");
+            "write-back scenario did not run flat and multi-level batches "
+            "and install a multi-var node through identity writes: " +
+            std::to_string(stats.writeback_batches) + " batches, " +
+            std::to_string(stats.writeback_multilevel) + " multi-level, " +
+            std::to_string(stats.multivar_identity_writes) +
+            " multi-var identity writes");
       }
       if (stats.blind_misses == 0) {
         return Status::Internal(
@@ -977,6 +993,11 @@ Status CrashSweeper::RunScenario(TortureEngine* e) const {
       }
       if (e->standby->log()->durable_lsn() != db->log()->durable_lsn()) {
         return Status::Internal("standby log tail diverges from primary");
+      }
+      if (scenario_.graph == WriteGraphKind::kGeneral &&
+          applier.stats().pages_staged == 0) {
+        return Status::Internal(
+            "standby replay never staged a two-page node on its own log");
       }
 
       // Promote: the standby becomes a writable primary, takes writes of

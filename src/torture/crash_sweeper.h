@@ -103,10 +103,12 @@ enum class ScenarioKind {
   /// install first; every fourth such Transform also rewrites the copy's
   /// target, a two-page node) over more pages than the cache holds and
   /// with no explicit flushes, so dirty evictions install flat batches,
-  /// batches written in several write-graph levels, and journaled ones.
-  /// One workload pass runs with no backup, one inside a full backup's
-  /// mid-step hook (Iw/oF decisions on every batch). The clean run fails
-  /// unless all three batch kinds ran.
+  /// batches written in several write-graph levels, and two-page nodes
+  /// installed through identity writes of both pages. One workload pass
+  /// runs with no backup, one inside a full backup's mid-step hook (Iw/oF
+  /// decisions on every batch). The clean run fails unless flat and
+  /// multi-level batches ran and a multi-var node was installed through
+  /// identity writes.
   kWriteBack,
   /// Segmented-log truncation: a full backup, then TruncateLog cutting
   /// at its start (inside the file the truncation's roll seals), bulk

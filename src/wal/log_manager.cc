@@ -390,6 +390,67 @@ void LogManager::ResetStats() {
   group_commits_ = 0;
 }
 
+Status LogManager::TruncateAfter(Lsn last) {
+  // Declared first so the unlinked files' memory (MemEnv) is freed after
+  // both log locks are released.
+  std::vector<LogFile> doomed;
+  std::lock_guard<std::mutex> commit(commit_mu_);
+  {
+    std::lock_guard<std::mutex> append(append_mu_);
+    if (next_lsn_ <= last + 1) return Status::OK();
+    if (!buffer_.empty() || durable_lsn() + 1 != next_lsn_) {
+      return Status::FailedPrecondition("log tail cut past the durable LSN");
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (files_.front().first_lsn > last + 1) {
+      return Status::FailedPrecondition("log tail cut below the log's start");
+    }
+    // Newest first, each step durable before the next: a crash part-way
+    // leaves a contiguous run of files with a shorter tail, which a rerun
+    // cuts. The active file is emptied; a sealed file wholly after the
+    // cut is unlinked, unless it is the oldest, which is emptied and
+    // stays as the anchor naming the next LSN; the file holding `last`
+    // is cut after it.
+    for (size_t i = files_.size(); i-- > 0;) {
+      LogFile& file = files_[i];
+      const bool cut_is_older = file.first_lsn > last + 1;
+      if (file.sealed && file.first_lsn > last && i > 0) {
+        LLB_RETURN_IF_ERROR(env_->DeleteFile(file.name));
+        doomed.push_back(std::move(file));
+        files_.erase(files_.begin() + i);
+        continue;
+      }
+      uint64_t keep = 0;
+      if (file.first_lsn <= last) {
+        LogReader reader(file.file);
+        LLB_RETURN_IF_ERROR(reader.Init());
+        LogRecord rec;
+        while (reader.Next(&rec) && rec.lsn <= last) keep = reader.valid_bytes();
+        LLB_RETURN_IF_ERROR(reader.status());
+      }
+      LLB_ASSIGN_OR_RETURN(uint64_t size, file.file->Size());
+      if (keep < size) {
+        LLB_RETURN_IF_ERROR(file.file->Truncate(keep));
+        LLB_RETURN_IF_ERROR(file.file->Sync());
+      }
+      file.bytes = keep;
+      if (!file.sealed) {
+        writer_.SetFile(file.file, keep);
+        if (keep == 0) file.first_lsn = last + 1;
+      }
+      if (!cut_is_older) break;
+    }
+    durable_lsn_.store(last, std::memory_order_release);
+    last_appended_ = last;
+    seal_first_lsn_ = kInvalidLsn;
+  }
+  std::lock_guard<std::mutex> append(append_mu_);
+  next_lsn_ = last + 1;
+  return Status::OK();
+}
+
 Status LogManager::TruncatePrefix(Lsn keep_from) {
   // Holding the doomed handles until after the unlinks frees the files'
   // memory (MemEnv) here, outside every env and log lock.

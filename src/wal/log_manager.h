@@ -228,6 +228,17 @@ class LogManager {
   /// the log in the same way that flushing does", paper 3.2).
   Status TruncatePrefix(Lsn keep_from);
 
+  /// Discards every record after `last` and makes the cut durable, so the
+  /// next record gets LSN last + 1 again: a point-in-time restore's
+  /// excluded suffix, or a replay's staged identity writes
+  /// (LogApplier::Flush) once the pages they cover are on the target.
+  /// The cut may span files: sealed files wholly after it are unlinked
+  /// (the log's oldest file is emptied instead, an anchor), newest first,
+  /// so a crash part-way leaves a contiguous run of files that a rerun
+  /// cuts. Every record after `last` must be durable; the caller makes
+  /// sure no one appends, forces or ships meanwhile.
+  Status TruncateAfter(Lsn last);
+
  private:
   /// A LogFileInfo plus the handle readers snapshot.
   struct LogFile : LogFileInfo {

@@ -11,7 +11,7 @@
 
 namespace llb {
 
-/// Operation codes. The engine core interprets 1 and 2; all other codes
+/// Operation codes. The engine core interprets 1 to 5; all other codes
 /// are domain operations dispatched through the OpRegistry.
 enum OpCode : uint16_t {
   kOpInvalid = 0,
@@ -27,6 +27,20 @@ enum OpCode : uint16_t {
   kOpIdentityWrite = 2,
   /// Checkpoint record: payload carries the crash-redo scan start LSN.
   kOpCheckpoint = 3,
+  /// Cache-manager identity write of a var of a node with several vars,
+  /// which installs the node without an atomic multi-page write (paper
+  /// 2.5). Applied like kOpIdentityWrite, but only crash redo over the
+  /// stable database whose cache logged it may seed from it: its
+  /// operations' predecessors were installed in that store, not in a
+  /// backup or a standby.
+  kOpInstallIdentity = 4,
+  /// A replayed page staged by redo (LogApplier::Flush) while a node with
+  /// several vars is written to the target: payload is the full page
+  /// image, with the LSN of the last record that wrote it. Redo over that
+  /// same target seeds the page from it at that LSN; everything else
+  /// skips it. The log is cut back before it once the pages are on the
+  /// target, so it only outlives the replay across a crash.
+  kOpReplayIdentity = 5,
 
   // --- B-tree domain (tree operations) ---
   kOpBtreeInsert = 16,       // physiological: insert record into a leaf
@@ -79,6 +93,8 @@ struct LogRecord {
     return op_code == kOpPhysicalWrite || op_code == kOpIdentityWrite;
   }
   bool IsCheckpoint() const { return op_code == kOpCheckpoint; }
+  bool IsInstallIdentity() const { return op_code == kOpInstallIdentity; }
+  bool IsReplayIdentity() const { return op_code == kOpReplayIdentity; }
 
   /// Serialized size on disk including framing.
   size_t EncodedSize() const;

@@ -40,11 +40,12 @@ class LogWriter {
   /// streams to a standby.
   Status Force(std::string* sealed = nullptr);
 
-  /// Points the writer at a fresh, empty file (a log roll). Bytes still
-  /// buffered go to the new file at the next Force().
-  void SetFile(std::shared_ptr<File> file) {
+  /// Points the writer at a file holding `file_bytes` bytes: a fresh,
+  /// empty one after a log roll, or the active one after a tail cut.
+  /// Bytes still buffered go to that file at the next Force().
+  void SetFile(std::shared_ptr<File> file, uint64_t file_bytes = 0) {
     file_ = std::move(file);
-    file_bytes_ = 0;
+    file_bytes_ = file_bytes;
   }
 
   /// Bytes appended to the current file, including those it already had.

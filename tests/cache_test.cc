@@ -560,10 +560,9 @@ TEST_F(WriteBackTest, FlatBatchSkipsTheJournalAndSyncsThePartitionOnce) {
   const CacheStats after = cache_->stats();
 
   // Pages 0, 2, 4 and 6 left as one flat batch: four one-page runs in
-  // flight, one sync of the partition, nothing in the journal.
+  // flight, one sync of the partition.
   EXPECT_EQ(after.writeback_batches - before.writeback_batches, 1u);
   EXPECT_EQ(after.writeback_pages - before.writeback_pages, 4u);
-  EXPECT_EQ(after.writeback_journaled, 0u);
   EXPECT_EQ(counting_.count(FaultOp::kSync, "stable.p0"), 1u);
   EXPECT_EQ(counting_.count(FaultOp::kSync, "stable.journal"), 0u);
   EXPECT_EQ(counting_.count(FaultOp::kWriteAt, "stable.journal"), 0u);
@@ -589,12 +588,11 @@ TEST_F(WriteBackTest, BatchWithAPredecessorPairIsWrittenInTwoLevels) {
   faulty_.SetPolicy(nullptr);
 
   // Level 0 is page 2 with the fillers 10 and 11, level 1 is page 1: two
-  // writes, each synced before the next starts, and no journal IO.
+  // writes, each synced before the next starts.
   const CacheStats stats = cache_->stats();
   EXPECT_EQ(stats.writeback_batches, 1u);
   EXPECT_EQ(stats.writeback_pages, 4u);
   EXPECT_EQ(stats.writeback_multilevel, 1u);
-  EXPECT_EQ(stats.writeback_journaled, 0u);
   EXPECT_EQ(counting_.count(FaultOp::kSync, "stable.p0"), 2u);
   EXPECT_EQ(counting_.count(FaultOp::kWriteAt, "stable.journal"), 0u);
   EXPECT_EQ(counting_.count(FaultOp::kSync, "stable.journal"), 0u);
@@ -603,7 +601,7 @@ TEST_F(WriteBackTest, BatchWithAPredecessorPairIsWrittenInTwoLevels) {
   EXPECT_EQ(StablePrefix(P(1), 9), "overwrite");
 }
 
-TEST_F(WriteBackTest, MultiPageNodeStillGoesThroughTheJournal) {
+TEST_F(WriteBackTest, MultiPageNodeIsInstalledThroughIdentityWrites) {
   Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/16,
        /*partitions=*/1, &faulty_);
   ASSERT_OK(WritePageOp(1, "one"));
@@ -613,16 +611,29 @@ TEST_F(WriteBackTest, MultiPageNodeStillGoesThroughTheJournal) {
   for (uint32_t i = 10; i < 24; ++i) {
     ASSERT_OK(WritePageOp(i, "filler"));
   }
+  const Lsn before = log_->next_lsn();
   faulty_.SetPolicy(&counting_);
   ASSERT_OK(WritePageOp(99, "new"));  // evicts page 1; page 2 comes along
   faulty_.SetPolicy(nullptr);
 
+  // Both vars went to the log first, counted apart from the backup's
+  // Iw/oF; then the batch was one write-graph level: one sync of the
+  // partition, and no journal file at all.
   const CacheStats stats = cache_->stats();
   EXPECT_EQ(stats.writeback_batches, 1u);
-  EXPECT_EQ(stats.writeback_journaled, 1u);
   EXPECT_EQ(stats.writeback_multilevel, 0u);
-  EXPECT_GT(counting_.count(FaultOp::kWriteAt, "stable.journal"), 0u);
-  EXPECT_GT(counting_.count(FaultOp::kSync, "stable.journal"), 0u);
+  EXPECT_EQ(stats.multivar_identity_writes, 2u);
+  EXPECT_EQ(stats.identity_writes, 0u);
+  EXPECT_EQ(stats.decisions_logged, 0u);
+  std::vector<PageId> logged;
+  ASSERT_OK(log_->Scan(before, [&](const LogRecord& rec) {
+    if (rec.IsInstallIdentity()) logged.push_back(rec.writeset[0]);
+    return Status::OK();
+  }));
+  EXPECT_EQ(logged, (std::vector<PageId>{P(1), P(2)}));
+  EXPECT_EQ(counting_.count(FaultOp::kSync, "stable.p0"), 1u);
+  EXPECT_EQ(counting_.count(FaultOp::kWriteAt, "stable.journal"), 0u);
+  EXPECT_FALSE(env_.FileExists("stable.journal"));
   EXPECT_FALSE(cache_->IsDirty(P(1)));
   EXPECT_FALSE(cache_->IsDirty(P(2)));
 }

@@ -4,6 +4,7 @@
 
 #include "common/coding.h"
 #include "filestore/file_ops.h"
+#include "io/faulty_env.h"
 #include "io/mem_env.h"
 #include "ops/op_registry.h"
 #include "ops/operation.h"
@@ -199,6 +200,154 @@ TEST_F(RedoTest, EmptyLogIsANoOp) {
                        RunRedo(*log_, registry_, stable_.get(), 1));
   EXPECT_EQ(report.records_scanned, 0u);
   EXPECT_EQ(report.pages_written, 0u);
+}
+
+
+/// Crash points inside redo's own write-back. A and C sit in partition 0,
+/// B and D in partition 1, so no single sync covers a pair: the replayed
+/// pages must go to S in write-graph levels, and a node whose vars are
+/// both dirty must be staged on the log first, or a crash between the two
+/// syncs leaves a state the next redo cannot finish from.
+const PageId kA{0, 1};
+const PageId kB{1, 1};
+const PageId kC{0, 2};
+const PageId kD{1, 2};
+
+LogRecord FileValues(const PageId& id, std::vector<int64_t> values) {
+  PageImage page;
+  file_page::SetValues(&page, values.data(), values.size());
+  return MakePhysicalWrite(id, page);
+}
+
+struct ReplayRig {
+  std::unique_ptr<LogManager> log;
+  std::unique_ptr<PageStore> stable;
+};
+
+/// Opens the log and S in `env`; with `records`, logs them and installs
+/// the leading physical writes (the pages' initial values) in S. With
+/// `fill_to_roll`, checkpoint records (replay skips them) go first and
+/// leave the active log file 4 KiB short of a roll, so the first level a
+/// replay stages rolls it.
+ReplayRig OpenReplayRig(MemEnv* env, std::vector<LogRecord> records = {},
+                        bool fill_to_roll = false) {
+  ReplayRig rig;
+  rig.log = std::move(LogManager::Open(env, "log")).value();
+  rig.stable = std::move(PageStore::Open(env, "stable", 2)).value();
+  if (fill_to_roll) {
+    uint64_t room = kLogRollBytes - 4096;
+    for (const LogRecord& rec : records) room -= rec.EncodedSize();
+    while (room > 1024) {
+      LogRecord pad;
+      pad.op_code = kOpCheckpoint;
+      pad.payload.assign(std::min<uint64_t>(room - 512, 256 << 10), 'p');
+      rig.log->Append(&pad);
+      room -= pad.EncodedSize();
+    }
+  }
+  bool installing = true;
+  for (LogRecord& rec : records) {
+    rig.log->Append(&rec);
+    installing = installing && rec.op_code == kOpPhysicalWrite;
+    if (installing) {
+      PageImage image = PageImage::FromRaw(rec.payload);
+      image.set_lsn(rec.lsn);
+      EXPECT_OK(rig.stable->WritePage(rec.writeset[0], image));
+    }
+  }
+  EXPECT_OK(rig.log->Force());
+  return rig;
+}
+
+Status RedoOwnLog(ReplayRig* rig, const OpRegistry& registry) {
+  return RunCrashRedo(rig->log.get(), RedoTarget::kDatabase, registry,
+                      rig->stable.get(), 1)
+      .status();
+}
+
+/// Runs redo over `records` once to count its durability events (one sync
+/// per partition per level, a log force before each level that stages,
+/// and the log cut), then crashes it at each one in turn: the next redo
+/// must bring S to the oracle and hand every staged LSN back.
+void CrashEveryFlushEvent(const std::vector<LogRecord>& records,
+                          uint64_t expect_events, bool fill_to_roll = false) {
+  OpRegistry registry;
+  RegisterFileOps(&registry);
+  uint64_t events = 0;
+  Lsn next_lsn = 0;
+  {
+    MemEnv env;
+    ReplayRig rig = OpenReplayRig(&env, records, fill_to_roll);
+    next_lsn = rig.log->next_lsn();
+    const uint64_t before = env.durable_events();
+    ASSERT_OK(RedoOwnLog(&rig, registry));
+    events = env.durable_events() - before;
+    EXPECT_EQ(rig.log->next_lsn(), next_lsn);
+  }
+  ASSERT_EQ(events, expect_events);
+
+  for (uint64_t k = 1; k <= events; ++k) {
+    MemEnv env;
+    {
+      ReplayRig rig = OpenReplayRig(&env, records, fill_to_roll);
+      CrashAtEventInjector injector(k);
+      env.SetFaultInjector(&injector);
+      EXPECT_FALSE(RedoOwnLog(&rig, registry).ok()) << "crash point " << k;
+    }
+    env.CrashAndRestart();
+    env.SetFaultInjector(nullptr);
+
+    ReplayRig rig = OpenReplayRig(&env);
+    ASSERT_OK(RedoOwnLog(&rig, registry));
+    EXPECT_EQ(rig.log->next_lsn(), next_lsn) << "staged records survived";
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<PageStore> oracle,
+                         PageStore::Open(&env, "oracle", 2));
+    ASSERT_OK(RunRedoRange(*rig.log, registry, oracle.get(), 1, kInvalidLsn,
+                           /*only_partition=*/nullptr,
+                           /*use_identity_seeds=*/false)
+                  .status());
+    EXPECT_EQ(testutil::DiffStores(*rig.stable, *oracle, 2, 3), "")
+        << "crash point " << k;
+  }
+}
+
+TEST(ReplayFlushCrashTest, CopyThenOverwriteOfItsSource) {
+  // Two levels, B's then A's, nothing staged: one sync each.
+  CrashEveryFlushEvent({FileValues(kA, {1, 2, 3}), FileValues(kB, {9}),
+                        MakeFileCopy({kA}, {kB}), MakeFileTransform({kA}, 7)},
+                       /*expect_events=*/2);
+}
+
+TEST(ReplayFlushCrashTest, CycleCollapsesIntoATwoVarNode) {
+  // B = f(A), A = g(B), then both rewritten from both: one node {A, B},
+  // staged (a force), written (two syncs), cut (one truncation).
+  CrashEveryFlushEvent({FileValues(kA, {1, 2, 3}), FileValues(kB, {9}),
+                        MakeFileCopy({kA}, {kB}), MakeFileCopy({kB}, {kA}),
+                        MakeFileTransform({kA, kB}, 7)},
+                       /*expect_events=*/4);
+}
+
+/// Node {A, B} reads C, which node {C, D} overwrites afterwards: two
+/// two-var nodes in two levels, each staged before its level is written.
+std::vector<LogRecord> TwoStagedLevels() {
+  return {FileValues(kA, {1, 2, 3}),    FileValues(kB, {9}),
+          FileValues(kC, {4, 5}),       FileValues(kD, {6}),
+          MakeFileCopy({kA}, {kB}),     MakeFileCopy({kB}, {kA}),
+          MakeFileTransform({kA, kB}, 7), MakeFileCopy({kC}, {kA}),
+          MakeFileCopy({kC}, {kD}),     MakeFileCopy({kD}, {kC}),
+          MakeFileTransform({kC, kD}, 5)};
+}
+
+TEST(ReplayFlushCrashTest, TwoMultiVarNodesInTwoLevels) {
+  // Per level a force and two syncs, then one truncation.
+  CrashEveryFlushEvent(TwoStagedLevels(), /*expect_events=*/7);
+}
+
+TEST(ReplayFlushCrashTest, StagedLevelsSpanALogRoll) {
+  // The first level's force rolls the log, so the second level stages in
+  // a new file and the cut spans two: each file is truncated.
+  CrashEveryFlushEvent(TwoStagedLevels(), /*expect_events=*/8,
+                       /*fill_to_roll=*/true);
 }
 
 }  // namespace

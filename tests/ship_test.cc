@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "filestore/file_ops.h"
 #include "filestore/filestore.h"
 #include "io/durable_cursor.h"
 #include "ship/log_shipper.h"
@@ -526,6 +527,44 @@ TEST(StandbyApplierTest, CountsAndSkipsCorruptFrames) {
   ASSERT_OK(channel.Send(frame));
   ASSERT_OK(applier.Drain());
   EXPECT_EQ(applier.applied_lsn(), tail);
+}
+
+// A two-page Transform replays as one node with two dirty vars, which
+// the standby stages on its own log before writing them. A stable write
+// fault after the staging fails the frame; the retry must cut those
+// staged records too, or they hold LSNs the primary ships next.
+TEST(StandbyApplierTest, RetryAfterStableWriteFaultCutsEveryStagedRecord) {
+  ShipRig rig;
+  ASSERT_OK(rig.Open());
+  ASSERT_OK(rig.Update(6, 3000));
+  ASSERT_OK(rig.Replicate());
+
+  FileStore files(rig.engine.db.get(), 0, 0, 1, 24);
+  LogRecord pair =
+      MakeFileTransform({files.PagesOf(1)[0], files.PagesOf(2)[0]}, 7);
+  ASSERT_OK(rig.engine.db->Execute(&pair));
+  ASSERT_OK(rig.engine.db->FlushAll());
+  ASSERT_OK(rig.engine.db->ForceLog());
+  ASSERT_OK(rig.shipper->Pump());
+
+  ScriptedFaultPolicy fault(
+      {{FaultOp::kWriteAt, "sb.stable", 1, FaultAction::kFail}});
+  rig.engine.env.SetPolicy(&fault);
+  EXPECT_FALSE(rig.applier->Drain().ok());
+  rig.engine.env.SetPolicy(nullptr);
+  ASSERT_EQ(fault.fired(), 1u);
+
+  ASSERT_OK(rig.applier->Drain());
+  EXPECT_GT(rig.applier->stats().pages_staged, 0u);
+  EXPECT_EQ(rig.applier->applied_lsn(), rig.primary_tail());
+  EXPECT_EQ(rig.standby_tail(), rig.primary_tail());
+
+  // The primary's next records land right after the standby's tail.
+  ASSERT_OK(rig.Update(4, 4000));
+  ASSERT_OK(rig.Replicate());
+  EXPECT_EQ(rig.standby_tail(), rig.primary_tail());
+  ASSERT_OK(torture::VerifyDbAgainstOwnLog(&rig.engine,
+                                           rig.engine.standby.get()));
 }
 
 // ---------- standby mode + promotion ----------

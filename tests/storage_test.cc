@@ -115,7 +115,7 @@ TEST_F(PageStoreTest, BatchWritesAllPages) {
   for (uint32_t i = 0; i < 5; ++i) {
     batch.push_back({PageId{0, i}, MakePage("p" + std::to_string(i), i + 1)});
   }
-  ASSERT_OK(store_->WriteBatchAtomic(batch));
+  ASSERT_OK(store_->WritePages(batch));
   for (uint32_t i = 0; i < 5; ++i) {
     PageImage page;
     ASSERT_OK(store_->ReadPage(PageId{0, i}, &page));
@@ -126,7 +126,7 @@ TEST_F(PageStoreTest, BatchWritesAllPages) {
 TEST_F(PageStoreTest, BatchSpanningPartitions) {
   std::vector<PageStore::Entry> batch{{PageId{0, 0}, MakePage("a", 1)},
                                       {PageId{1, 9}, MakePage("b", 2)}};
-  ASSERT_OK(store_->WriteBatchAtomic(batch));
+  ASSERT_OK(store_->WritePages(batch));
   PageImage page;
   ASSERT_OK(store_->ReadPage(PageId{1, 9}, &page));
   EXPECT_EQ(page.lsn(), 2u);
@@ -162,126 +162,26 @@ TEST_F(PageStoreTest, CopyAllFrom) {
   EXPECT_EQ(testutil::DiffStores(*store_, *dst, 2, 4), "");
 }
 
-// Crash atomicity: sweep every crash point inside an atomic batch write
-// and verify the batch is all-or-nothing after journal recovery.
-TEST_F(PageStoreTest, BatchIsAtomicAcrossEveryCrashPoint) {
-  // Baseline state.
-  for (uint32_t i = 0; i < 3; ++i) {
-    ASSERT_OK(store_->WritePage(PageId{0, i}, MakePage("old", 1)));
-  }
-
-  // Count durable events in one full batch.
-  uint64_t baseline = env_.durable_events();
-  std::vector<PageStore::Entry> batch;
-  for (uint32_t i = 0; i < 3; ++i) {
-    batch.push_back({PageId{0, i}, MakePage("new", 2)});
-  }
-  ASSERT_OK(store_->WriteBatchAtomic(batch));
-  uint64_t events_per_batch = env_.durable_events() - baseline;
-  ASSERT_GT(events_per_batch, 2u);
-
-  for (uint64_t k = 1; k <= events_per_batch; ++k) {
-    MemEnv env;
-    auto r = PageStore::Open(&env, "s", 1);
-    ASSERT_TRUE(r.ok());
-    std::unique_ptr<PageStore> store = std::move(r).value();
-    for (uint32_t i = 0; i < 3; ++i) {
-      ASSERT_OK(store->WritePage(PageId{0, i}, MakePage("old", 1)));
-    }
-    CrashAtEventInjector injector(k);
-    env.SetFaultInjector(&injector);
-    std::vector<PageStore::Entry> b;
-    for (uint32_t i = 0; i < 3; ++i) {
-      b.push_back({PageId{0, i}, MakePage("new", 2)});
-    }
-    Status s = store->WriteBatchAtomic(b);  // may fail: that's the crash
-    (void)s;
-    env.CrashAndRestart();
-
-    // Reopen: journal recovery must leave all-old or all-new.
-    auto r2 = PageStore::Open(&env, "s", 1);
-    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-    std::unique_ptr<PageStore> recovered = std::move(r2).value();
-    int news = 0;
-    for (uint32_t i = 0; i < 3; ++i) {
-      PageImage page;
-      ASSERT_OK(recovered->ReadPage(PageId{0, i}, &page));
-      if (page.lsn() == 2) ++news;
-    }
-    EXPECT_TRUE(news == 0 || news == 3)
-        << "crash point " << k << " left partial batch (" << news << "/3)";
-  }
-}
-
-// A multi-partition batch syncs its journal, then each touched partition
-// once (not once per page), then the retired journal. A crash at any of
-// those events leaves every page old or every page new after reopen.
-TEST(PageStoreBatchTest, TwoPartitionBatchSyncsEachPartitionOnceAndIsAtomic) {
-  const std::vector<PageId> ids{PageId{0, 1}, PageId{1, 5}, PageId{0, 2}};
-  auto batch_of = [&](const std::string& content, Lsn lsn) {
-    std::vector<PageStore::Entry> batch;
-    for (const PageId& id : ids) batch.push_back({id, MakePage(content, lsn)});
-    return batch;
-  };
-  auto open_with_old_pages = [&](MemEnv* env) {
-    auto r = PageStore::Open(env, "s", 2);
-    EXPECT_TRUE(r.ok());
-    std::unique_ptr<PageStore> store = std::move(r).value();
-    for (const PageId& id : ids) {
-      EXPECT_OK(store->WritePage(id, MakePage("old", 1)));
-    }
-    return store;
-  };
-
-  uint64_t events = 0;
+// A store written by an older build may hold a shadow journal with a
+// committed multi-page batch in it. This build has no journal to replay,
+// so it refuses the store instead of silently dropping the batch; an
+// empty leftover journal holds nothing and is ignored.
+TEST(PageStoreJournalTest, LeftoverJournalIsRefused) {
+  MemEnv env;
   {
-    MemEnv env;
-    std::unique_ptr<PageStore> store = open_with_old_pages(&env);
-    const uint64_t before = env.durable_events();
-    ASSERT_OK(store->WriteBatchAtomic(batch_of("new", 2)));
-    events = env.durable_events() - before;
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<PageStore> store,
+                         PageStore::Open(&env, "s", 1));
+    ASSERT_OK(store->WritePage(PageId{0, 0}, MakePage("kept", 1)));
   }
-  EXPECT_EQ(events, 4u);  // journal, partition 0, partition 1, retire
-
-  for (uint64_t k = 1; k <= events; ++k) {
-    MemEnv env;
-    std::unique_ptr<PageStore> store = open_with_old_pages(&env);
-    CrashAtEventInjector injector(k);
-    env.SetFaultInjector(&injector);
-    EXPECT_FALSE(store->WriteBatchAtomic(batch_of("new", 2)).ok()) << k;
-    store.reset();
-    env.CrashAndRestart();
-
-    auto r = PageStore::Open(&env, "s", 2);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    std::unique_ptr<PageStore> recovered = std::move(r).value();
-    int news = 0;
-    for (const PageId& id : ids) {
-      PageImage page;
-      ASSERT_OK(recovered->ReadPage(id, &page));
-      if (page.lsn() == 2) ++news;
-    }
-    EXPECT_TRUE(news == 0 || news == 3)
-        << "crash at event " << k << " left " << news << "/3 new pages";
-    // Crashes after the journal committed replay it: all new.
-    if (k > 1) {
-      EXPECT_EQ(news, 3) << k;
-    }
-  }
-}
-
-TEST_F(PageStoreTest, JournalReplayIsIdempotentOnReopen) {
-  std::vector<PageStore::Entry> batch{{PageId{0, 0}, MakePage("a", 5)},
-                                      {PageId{0, 1}, MakePage("b", 6)}};
-  ASSERT_OK(store_->WriteBatchAtomic(batch));
-  // Reopen over the same env twice.
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<PageStore> again,
-                         PageStore::Open(&env_, "store", 2));
-    PageImage page;
-    ASSERT_OK(again->ReadPage(PageId{0, 1}, &page));
-    EXPECT_EQ(page.lsn(), 6u);
-  }
+  EXPECT_FALSE(env.FileExists("s.journal"));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<File> journal,
+                       env.OpenFile("s.journal", /*create=*/true));
+  ASSERT_OK(PageStore::Open(&env, "s", 1).status());
+  ASSERT_OK(journal->WriteAt(0, Slice("LLBJ committed batch")));
+  ASSERT_OK(journal->Sync());
+  Result<std::unique_ptr<PageStore>> refused = PageStore::Open(&env, "s", 1);
+  ASSERT_TRUE(refused.status().IsCorruption()) << refused.status().ToString();
+  EXPECT_NE(refused.status().ToString().find("s.journal"), std::string::npos);
 }
 
 }  // namespace

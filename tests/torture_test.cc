@@ -56,8 +56,8 @@ TEST(CrashSweepTest, BackupScenarioAllPoints) {
 
 TEST(CrashSweepTest, WriteBackScenarioAllPoints) {
   // 16-page cache over a 32-page partition: dirty evictions install flat
-  // and journaled batches (the clean run checks both ran), with and
-  // without an active backup.
+  // and multi-level batches and a two-page node through identity writes
+  // (the clean run checks all ran), with and without an active backup.
   CrashSweepReport report =
       SweepAllPoints(ScenarioKind::kWriteBack, WriteGraphKind::kGeneral);
   EXPECT_GT(report.total_events, 0u);
@@ -391,9 +391,9 @@ TEST(FenceProtocolTest, MidStepFlushPerRegionTakesExactPath) {
 /// 2 (Done) while such a reader is still uninstalled, and the crash hits
 /// the first stable write after the log force. The shapes are those the
 /// write-back crash sweeps failed on: a two-level chain (seed 8), a
-/// journaled node behind an in-plan predecessor (seed 9), and a node
+/// multi-var node behind an in-plan predecessor (seed 9), and a node
 /// whose own Pend var read the Iw'd var (seed 6).
-enum class IwShape { kChain, kJournaledAfterPredecessor, kReaderInSameNode };
+enum class IwShape { kChain, kMultiVarAfterPredecessor, kReaderInSameNode };
 
 void CrashBetweenIwAndItsReader(IwShape shape) {
   DbOptions options;
@@ -427,7 +427,7 @@ void CrashBetweenIwAndItsReader(IwShape shape) {
       case IwShape::kChain:
         LLB_RETURN_IF_ERROR(files.Transform(2, 99));
         break;
-      case IwShape::kJournaledAfterPredecessor:
+      case IwShape::kMultiVarAfterPredecessor:
         pair = MakeFileTransform({PageId{0, 2}, PageId{0, 5}}, 99);
         LLB_RETURN_IF_ERROR(db->Execute(&pair));
         break;
@@ -458,8 +458,8 @@ TEST(IwOrderTest, ChainWaitsForItsPredecessor) {
   CrashBetweenIwAndItsReader(IwShape::kChain);
 }
 
-TEST(IwOrderTest, JournaledNodeWaitsForItsPredecessor) {
-  CrashBetweenIwAndItsReader(IwShape::kJournaledAfterPredecessor);
+TEST(IwOrderTest, MultiVarNodeWaitsForItsPredecessor) {
+  CrashBetweenIwAndItsReader(IwShape::kMultiVarAfterPredecessor);
 }
 
 TEST(IwOrderTest, NodeLogsEveryVarWhenOneNeedsIw) {

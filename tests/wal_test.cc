@@ -415,6 +415,120 @@ TEST(SegmentedLogTest, CrashBetweenRollRenameAndCreateReopensDense) {
   ExpectDense(ScanLsns(*log, 1), 1, 8);
 }
 
+// Redo stages a multi-var node's pages at the log's tail and cuts them
+// once the pages are written; the cut must hand their LSNs back, also
+// when the commit that made them durable rolled the active file.
+TEST(SegmentedLogTest, TruncateAfterHandsTheTailLsnsBack) {
+  MemEnv env;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(&env, "log"));
+    for (int i = 0; i < 5; ++i) {
+      LogRecord rec = SampleRecord(0);
+      log->Append(&rec);
+    }
+    ASSERT_OK(log->Force());
+    ASSERT_OK(log->TruncateAfter(3));  // the cut lies in the active file
+    EXPECT_EQ(log->next_lsn(), 4u);
+    EXPECT_EQ(log->durable_lsn(), 3u);
+    ExpectDense(ScanLsns(*log, 1), 1, 3);
+
+    for (int i = 0; i < 3; ++i) {
+      LogRecord rec = SampleRecord(0);
+      log->Append(&rec);
+    }
+    ASSERT_OK(log->TruncatePrefix(1));  // commits 4..6, then rolls
+    ASSERT_EQ(log->Files().size(), 2u);
+    ASSERT_OK(log->TruncateAfter(4));  // the cut lies in the sealed file
+    ExpectDense(ScanLsns(*log, 1), 1, 4);
+    LogRecord next = SampleRecord(0);
+    EXPECT_EQ(log->Append(&next), 5u);
+    ASSERT_OK(log->Force());
+  }
+  env.CrashAndRestart();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  EXPECT_EQ(log->next_lsn(), 6u);
+  ExpectDense(ScanLsns(*log, 1), 1, 5);
+}
+
+// A force may roll the log between two of a replay's staged levels, and a
+// point-in-time cut may lie several files back: the cut unlinks the
+// sealed files wholly after it, empties the active file, and a reopen
+// continues right after it.
+TEST(SegmentedLogTest, TruncateAfterSpansSealedFiles) {
+  MemEnv env;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(&env, "log"));
+    for (int i = 0; i < 5; ++i) {
+      LogRecord rec = SampleRecord(0);
+      log->Append(&rec);
+    }
+    ASSERT_OK(log->TruncatePrefix(1));  // commits 1..5, then rolls
+    for (int i = 0; i < 2; ++i) {
+      LogRecord rec = SampleRecord(0);
+      log->Append(&rec);
+    }
+    ASSERT_OK(log->TruncatePrefix(1));  // commits 6..7, then rolls
+    LogRecord eight = SampleRecord(0);
+    log->Append(&eight);
+    ASSERT_OK(log->Force());
+    ASSERT_EQ(log->Files().size(), 3u);
+
+    ASSERT_OK(log->TruncateAfter(3));
+    EXPECT_EQ(log->next_lsn(), 4u);
+    EXPECT_EQ(log->durable_lsn(), 3u);
+    EXPECT_EQ(log->Files().size(), 2u);
+    ExpectDense(ScanLsns(*log, 1), 1, 3);
+    LogRecord next = SampleRecord(0);
+    EXPECT_EQ(log->Append(&next), 4u);
+    ASSERT_OK(log->Force());
+  }
+  env.CrashAndRestart();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  EXPECT_EQ(log->next_lsn(), 5u);
+  ExpectDense(ScanLsns(*log, 1), 1, 4);
+}
+
+// A cut right below the log's oldest record empties that file instead of
+// unlinking it: it stays as the anchor naming the next LSN. A cut below
+// the log's start is refused.
+TEST(SegmentedLogTest, TruncateAfterKeepsTheOldestFileAsAnchor) {
+  MemEnv env;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(&env, "log"));
+    for (int i = 0; i < 3; ++i) {
+      LogRecord rec = SampleRecord(0);
+      log->Append(&rec);
+    }
+    ASSERT_OK(log->TruncatePrefix(1));  // rolls 1..3
+    for (int i = 0; i < 2; ++i) {
+      LogRecord rec = SampleRecord(0);
+      log->Append(&rec);
+    }
+    ASSERT_OK(log->TruncatePrefix(4));  // rolls 4..5, drops 1..3
+    LogRecord six = SampleRecord(0);
+    log->Append(&six);
+    ASSERT_OK(log->Force());
+    ASSERT_EQ(log->Files().front().first_lsn, 4u);
+
+    EXPECT_TRUE(log->TruncateAfter(2).IsFailedPrecondition());
+    ASSERT_OK(log->TruncateAfter(3));
+    EXPECT_EQ(log->next_lsn(), 4u);
+    EXPECT_TRUE(ScanLsns(*log, 1).empty());
+    EXPECT_EQ(log->Files().front().bytes, 0u);
+  }
+  env.CrashAndRestart();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  EXPECT_EQ(log->next_lsn(), 4u);
+  LogRecord next = SampleRecord(0);
+  EXPECT_EQ(log->Append(&next), 4u);
+}
+
 TEST(SegmentedLogTest, FullTruncationLeavesAnAnchorForTheNextLsn) {
   MemEnv env;
   {

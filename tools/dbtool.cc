@@ -942,11 +942,11 @@ int RunOneSweep(ScenarioKind kind, uint64_t seed, uint64_t max_points,
   ScenarioOptions scenario;
   scenario.kind = kind;
   scenario.seed = seed;
-  // Backup and restore sweep the general-operation path; resume and scrub
-  // sweep the tree path, matching the coverage split in torture_test.cc.
+  // Resume and scrub sweep the tree path; the rest sweep the general-
+  // operation path, log shipping included so the standby replays
+  // two-page nodes (torture_test.cc sweeps its tree path in full).
   scenario.graph =
-      (kind == ScenarioKind::kResume || kind == ScenarioKind::kScrub ||
-       kind == ScenarioKind::kLogShipping)
+      (kind == ScenarioKind::kResume || kind == ScenarioKind::kScrub)
           ? WriteGraphKind::kTree
           : WriteGraphKind::kGeneral;
   if (kind == ScenarioKind::kBatchedBackup) {
@@ -1133,8 +1133,9 @@ int Usage() {
           "      log-truncate, concurrent, or all); catalog sweeps\n"
           "      compressed-backup retention: chain + dedup protection\n"
           "      must survive a crash at every catalog save and\n"
-          "      file-deletion event; write-back sweeps the cache's flat,\n"
-          "      multi-level and journaled eviction batches; log-truncate\n"
+          "      file-deletion event; write-back sweeps the cache's flat\n"
+          "      and multi-level eviction batches and multi-var nodes\n"
+          "      installed through identity writes; log-truncate\n"
           "      sweeps log rolls, whole-file truncation and the PITR\n"
           "      cut: run once to count durability events, then crash at each\n"
           "      one, recover, and verify db + completed backups against\n"
