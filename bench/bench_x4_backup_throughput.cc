@@ -206,8 +206,8 @@ std::unique_ptr<UpdaterEngine> NewUpdaterEngine() {
   // Smaller than one partition's file set: the round-robin updater
   // misses on most writes and keeps evicting dirty pages, so the
   // measured path is the Iw/oF install under an active backup, not a
-  // cache hit. `WriteValues` is a blind write (W_P), so a miss reserves
-  // its page and reads nothing from S.
+  // cache hit. `WriteValues` is a blind write (FileWrite), so a miss
+  // reserves its page and reads nothing from S.
   options.cache_pages = 48;
   options.graph = WriteGraphKind::kGeneral;
   options.backup_policy = BackupPolicy::kGeneral;

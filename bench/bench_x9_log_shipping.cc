@@ -11,7 +11,8 @@
 // families run the identical update round on MemEnv, so the ratio is
 // CPU-bound on both sides and transfers across hardware:
 //
-//   BM_PrimaryIngest — execute a round of FileStore ops, force the log,
+//   BM_PrimaryIngest — execute a round of file-page writes, each logged
+//                      as its full page image, force the log,
 //                      pump the shipper into an in-process channel.
 //                      Bytes = frame bytes durably published.
 //   BM_StandbyApply  — drain a prebuilt spool of shipped frames into a
@@ -35,8 +36,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "filestore/file_ops.h"
 #include "filestore/filestore.h"
 #include "io/mem_env.h"
+#include "ops/operation.h"
 #include "ship/log_shipper.h"
 #include "ship/standby_applier.h"
 #include "sim/harness.h"
@@ -86,17 +89,22 @@ struct Primary {
   }
 
   /// One update round: write every file, force the log (seals a
-  /// segment), pump the shipper (publishes the frame durably).
+  /// segment), pump the shipper (publishes the frame durably). Each write
+  /// logs the page's full image, so frames carry page-sized records and
+  /// MB/s measures byte throughput on both sides (FileStore::WriteValues
+  /// would log only its four values).
   void RunRound() {
     ++round;
     for (uint32_t p = 0; p < kPartitions; ++p) {
       for (uint32_t f = 0; f < kFilesPerRound; ++f) {
-        Check(files[p]->WriteValues(
-                  f, {static_cast<int64_t>(round),
-                      static_cast<int64_t>(p) * 1000 + f,
-                      static_cast<int64_t>(round * 31 + f),
-                      static_cast<int64_t>(round * 17 + p)}),
-              "write");
+        const int64_t values[] = {static_cast<int64_t>(round),
+                                  static_cast<int64_t>(p) * 1000 + f,
+                                  static_cast<int64_t>(round * 31 + f),
+                                  static_cast<int64_t>(round * 17 + p)};
+        PageImage image;
+        file_page::SetValues(&image, values, 4);
+        LogRecord rec = MakePhysicalWrite(files[p]->PagesOf(f)[0], image);
+        Check(db->Execute(&rec), "write");
       }
     }
     Check(db->ForceLog(), "force");

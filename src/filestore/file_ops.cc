@@ -68,6 +68,28 @@ Status ScatterValues(OpContext& ctx, const std::vector<PageId>& pages,
   return Status::OK();
 }
 
+// A blind write of one file page: the payload is the page's values, 8
+// bytes each, and the page is rebuilt from them exactly as WriteValues
+// built it. A record of any other shape is refused before its payload is
+// read.
+Status ApplyFileWrite(OpContext& ctx, const LogRecord& rec) {
+  if (!rec.readset.empty() || rec.writeset.size() != 1) {
+    return Status::Corruption("file write must blind-write one page");
+  }
+  if (rec.payload.size() % 8 != 0 ||
+      rec.payload.size() / 8 > file_page::kRecordsPerPage) {
+    return Status::Corruption("file write payload is not one page's values");
+  }
+  std::vector<int64_t> values(rec.payload.size() / 8);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] =
+        static_cast<int64_t>(DecodeFixed64(rec.payload.data() + 8 * i));
+  }
+  PageImage page;
+  file_page::SetValues(&page, values.data(), values.size());
+  return ctx.Write(rec.writeset[0], page);
+}
+
 Status ApplyCopy(OpContext& ctx, const LogRecord& rec) {
   // Page-wise copy: readset[i] -> writeset[i]. Tolerates a size mismatch
   // (defensive) by copying the overlapping prefix and zero-filling.
@@ -119,7 +141,19 @@ Status ApplyTransform(OpContext& ctx, const LogRecord& rec) {
 void RegisterFileOps(OpRegistry* registry) {
   registry->Register(kOpFileCopy, ApplyCopy);
   registry->Register(kOpFileSort, ApplySort);
+  registry->Register(kOpFileWrite, ApplyFileWrite);
   registry->Register(kOpFileTransform, ApplyTransform);
+}
+
+LogRecord MakeFileWrite(const PageId& id, const int64_t* values, size_t n) {
+  LogRecord rec;
+  rec.op_code = kOpFileWrite;
+  rec.writeset = {id};
+  rec.payload.reserve(8 * n);
+  for (size_t i = 0; i < n; ++i) {
+    PutFixed64(&rec.payload, static_cast<uint64_t>(values[i]));
+  }
+  return rec;
 }
 
 LogRecord MakeFileCopy(const std::vector<PageId>& src,

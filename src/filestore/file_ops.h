@@ -23,6 +23,11 @@ int64_t ValueAt(const PageImage& page, size_t i);
 void SetValues(PageImage* page, const int64_t* values, size_t n);
 }  // namespace file_page
 
+/// FileWrite(X, values): blind write of one file page, logging only its
+/// `n` values (8 bytes each, n <= kRecordsPerPage), not the 4 KiB image.
+/// Replay rebuilds the page WriteValues built, byte for byte.
+LogRecord MakeFileWrite(const PageId& id, const int64_t* values, size_t n);
+
 /// Copy(X, Y): general logical operation reading every page of X and
 /// writing every page of Y — "only source and target file identifiers are
 /// logged" (paper 1.1).

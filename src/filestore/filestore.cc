@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ops/operation.h"
-
 namespace llb {
 
 FileStore::FileStore(Database* db, PartitionId partition, uint32_t base_page,
@@ -34,10 +32,8 @@ Status FileStore::WriteValues(uint32_t file_id,
   size_t offset = 0;
   for (const PageId& id : pages) {
     size_t n = std::min(file_page::kRecordsPerPage, values.size() - offset);
-    PageImage image;
-    file_page::SetValues(&image, values.data() + offset, n);
+    LogRecord rec = MakeFileWrite(id, values.data() + offset, n);
     offset += n;
-    LogRecord rec = MakePhysicalWrite(id, image);
     LLB_RETURN_IF_ERROR(db_->Execute(&rec));
   }
   return Status::OK();

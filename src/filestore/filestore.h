@@ -26,7 +26,9 @@ class FileStore {
   FileStore(const FileStore&) = delete;
   FileStore& operator=(const FileStore&) = delete;
 
-  /// Replaces the file's contents (physical page writes).
+  /// Replaces the file's contents: one FileWrite record per page, each
+  /// logging that page's values (a page past the end logs none), never a
+  /// page image.
   Status WriteValues(uint32_t file_id, const std::vector<int64_t>& values);
 
   Result<std::vector<int64_t>> ReadValues(uint32_t file_id);

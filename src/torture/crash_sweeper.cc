@@ -156,12 +156,14 @@ class GeneralScenarioWorkload : public ScenarioWorkload {
   }
 
   Status BulkLog(uint64_t bytes) override {
-    // Each write logs a whole page image, so one page's worth of bytes
-    // per write: the page stays cached and dirty, and the records reach
-    // the log in one group commit when the flush installs it.
-    for (uint64_t logged = 0; logged < bytes; logged += kPageSize) {
-      LLB_RETURN_IF_ERROR(files_.WriteValues(
-          0, {static_cast<int64_t>(logged / kPageSize), 5}));
+    // Each write fills the first page, so its record carries at least
+    // kRecordsPerPage 8-byte values: the page stays cached and dirty, and
+    // the records reach the log in one group commit when the flush
+    // installs it.
+    std::vector<int64_t> values(file_page::kRecordsPerPage, 5);
+    for (uint64_t logged = 0; logged < bytes; logged += 8 * values.size()) {
+      values[0] = static_cast<int64_t>(logged);
+      LLB_RETURN_IF_ERROR(files_.WriteValues(0, values));
     }
     return db_->FlushAll();
   }

@@ -53,7 +53,7 @@ enum OpCode : uint16_t {
   // --- file-store domain (general logical operations) ---
   kOpFileCopy = 32,         // logical: copy file X to file Y (multi-page)
   kOpFileSort = 33,         // logical: sort file X into file Y
-  kOpFileWrite = 34,        // physical write of one file page
+  kOpFileWrite = 34,        // blind write of one file page's values
   kOpFileTransform = 35,    // physiological multi-page in-place transform
 
   // --- application-recovery domain ---
@@ -89,9 +89,6 @@ struct LogRecord {
   bool IsGroupBegin() const { return (flags & kGroupBegin) != 0; }
   bool IsGroupEnd() const { return (flags & kGroupEnd) != 0; }
   bool IsIdentityWrite() const { return op_code == kOpIdentityWrite; }
-  bool IsBlindWrite() const {
-    return op_code == kOpPhysicalWrite || op_code == kOpIdentityWrite;
-  }
   bool IsCheckpoint() const { return op_code == kOpCheckpoint; }
   bool IsInstallIdentity() const { return op_code == kOpInstallIdentity; }
   bool IsReplayIdentity() const { return op_code == kOpReplayIdentity; }

@@ -85,10 +85,8 @@ TEST(LogRecordTest, ClassificationHelpers) {
   LogRecord rec;
   rec.op_code = kOpIdentityWrite;
   EXPECT_TRUE(rec.IsIdentityWrite());
-  EXPECT_TRUE(rec.IsBlindWrite());
   rec.op_code = kOpPhysicalWrite;
   EXPECT_FALSE(rec.IsIdentityWrite());
-  EXPECT_TRUE(rec.IsBlindWrite());
   rec.op_code = kOpCheckpoint;
   EXPECT_TRUE(rec.IsCheckpoint());
 }

@@ -153,10 +153,14 @@ int CmdLog(MemEnv* env, const std::string& log_name) {
     return 1;
   }
   Status s = (*log_or)->Scan(1, [](const LogRecord& rec) {
-    printf("%8llu  %-12s reads=%-22s writes=%-22s payload=%zuB\n",
+    printf("%8llu  %-12s reads=%-22s writes=%-22s payload=%zuB",
            static_cast<unsigned long long>(rec.lsn), OpName(rec.op_code),
            SetToString(rec.readset).c_str(),
            SetToString(rec.writeset).c_str(), rec.payload.size());
+    if (rec.op_code == kOpFileWrite) {
+      printf(" values=%zu", rec.payload.size() / 8);
+    }
+    printf("\n");
     return Status::OK();
   });
   if (!s.ok()) {
