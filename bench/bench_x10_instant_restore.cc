@@ -25,10 +25,10 @@
 //                                     media-recovery slice grows to N
 //                                     records (zero-latency base env)
 //
-// tools/benchrunner derives ttft_speedup = offline-TTFT(t1) /
-// instant-TTFT and tools/bench_check.py gates it at >= 10x
-// (EXPERIMENTS.md X10). The transactions-during-restore rate is
-// reported raw: its off-line counterpart is identically zero.
+// bench/registry.json derives ttft_speedup = offline-TTFT(t1) /
+// instant-TTFT and its floor (EXPERIMENTS.md X10). The
+// transactions-during-restore rate is reported raw: its off-line
+// counterpart is identically zero.
 //
 // The binary also asserts (once, through the zero-latency base env)
 // that a drained instant restore leaves S byte-identical to what the
@@ -47,14 +47,13 @@
 #include "bench/bench_util.h"
 #include "filestore/filestore.h"
 #include "io/durable_cursor.h"
-#include "io/latency_env.h"
-#include "io/mem_env.h"
 #include "recovery/media_recovery.h"
 #include "sim/harness.h"
 
 namespace llb {
 namespace {
 
+using benchutil::BenchEngine;
 using benchutil::Check;
 using benchutil::CheckResult;
 
@@ -76,46 +75,18 @@ DbOptions X10Options() {
   return options;
 }
 
-/// A database over LatencyEnv(MemEnv), as in X7/X8: seeded and backed up
-/// through the zero-latency base env (setup is not the measurement),
-/// restored through the latency wrapper of the same MemEnv.
-struct DeviceEngine {
-  MemEnv base;
-  LatencyEnv env;
-
-  explicit DeviceEngine(const LatencyProfile& profile)
-      : env(&base, profile) {}
-};
-
-/// Post-backup slice records NewBackedUpEngine always writes: per
+/// Post-backup slice records BackUpAndWriteSlice always writes: per
 /// partition, 16 updates and 16 copies.
 constexpr uint32_t kBaseSliceRecords = kPartitions * 16 * 2;
 
-/// `slice_records` (at least kBaseSliceRecords) sizes the media-recovery
-/// slice; records beyond the base set are single-page updates spread
-/// over the pages the copies leave alone, so closures stay small while
-/// the slice grows.
-std::unique_ptr<DeviceEngine> NewBackedUpEngine(
-    const LatencyProfile& profile,
-    uint32_t slice_records = kBaseSliceRecords) {
-  DbOptions options = X10Options();
-  auto engine = std::make_unique<DeviceEngine>(profile);
-  std::unique_ptr<Database> db =
-      CheckResult(Database::Open(&engine->base, kDbName, options), "open");
-  RegisterAllOps(db->registry());
-  Check(db->Recover(), "recover");
-  std::vector<std::unique_ptr<FileStore>> files;
-  for (uint32_t p = 0; p < kPartitions; ++p) {
-    files.push_back(std::make_unique<FileStore>(
-        db.get(), p, /*base_page=*/0, /*pages_per_file=*/1,
-        /*num_files=*/kPages));
-    for (uint32_t f = 0; f < kPages; ++f) {
-      Check(files[p]->WriteValues(f, {static_cast<int64_t>(p) * 1000 + f, 1}),
-            "seed");
-    }
-  }
-  Check(db->FlushAll(), "flush");
-  Check(db->Checkpoint(), "checkpoint");
+/// Takes the full backup both restores start from, writes the
+/// media-recovery slice after it and closes the database.
+/// `slice_records` (at least kBaseSliceRecords) sizes the slice; records
+/// beyond the base set are single-page updates spread over the pages
+/// the copies leave alone, so closures stay small while the slice grows.
+void BackUpAndWriteSlice(BenchEngine* engine,
+                         uint32_t slice_records = kBaseSliceRecords) {
+  Database* db = engine->db();
   // Drop the seed workload's log prefix, as in X8: every restore under
   // measurement scans the log from the backup's start point, and a
   // multi-megabyte seed prefix would add a constant serial read that
@@ -129,57 +100,49 @@ std::unique_ptr<DeviceEngine> NewBackedUpEngine(
   // just singleton physical replays.
   for (uint32_t p = 0; p < kPartitions; ++p) {
     for (uint32_t f = 0; f < 16; ++f) {
-      Check(files[p]->WriteValues(f, {static_cast<int64_t>(f), 2}), "update");
-      Check(files[p]->Copy(f, f + 16), "copy");
+      Check(engine->files(p)->WriteValues(f, {static_cast<int64_t>(f), 2}),
+            "update");
+      Check(engine->files(p)->Copy(f, f + 16), "copy");
     }
   }
   for (uint32_t i = kBaseSliceRecords; i < slice_records; ++i) {
     const uint32_t p = i % kPartitions;
     const uint32_t f = 32 + (i / kPartitions) % (kPages - 32);
-    Check(files[p]->WriteValues(f, {static_cast<int64_t>(i), 4}), "update");
+    Check(engine->files(p)->WriteValues(f, {static_cast<int64_t>(i), 4}),
+          "update");
   }
   Check(db->FlushAll(), "flush");
   Check(db->ForceLog(), "force");
-  return engine;
-}
-
-void WipeStable(MemEnv* base) {
-  std::unique_ptr<PageStore> stable =
-      CheckResult(PageStore::Open(base, Database::StableName(kDbName),
-                                  kPartitions),
-                  "open S");
-  for (PartitionId p = 0; p < kPartitions; ++p) {
-    Check(stable->WipePartition(p), "wipe");
-  }
+  engine->Close();
 }
 
 /// Discards an abandoned instant restore between iterations: drop the
 /// handle, remove the restored-bitmap cell, wipe S — all through the
 /// zero-latency base env, outside the timed region.
-void ResetForNextRestore(DeviceEngine* engine, std::unique_ptr<Database>* db) {
+void ResetForNextRestore(BenchEngine* engine, std::unique_ptr<Database>* db) {
   db->reset();
-  Status removed = DurableCursor::Remove(&engine->base,
+  Status removed = DurableCursor::Remove(engine->base(),
                                          Database::RestoreBitmapName(kDbName));
   if (!removed.ok() && !removed.IsNotFound()) Check(removed, "remove bitmap");
-  WipeStable(&engine->base);
+  engine->WipeStable();
 }
 
 /// One-shot equivalence check (zero-latency base env): a drained instant
 /// restore must leave S byte-identical to the off-line restore.
-void CheckInstantMatchesOffline(DeviceEngine* engine) {
+void CheckInstantMatchesOffline(BenchEngine* engine) {
   OpRegistry registry;
   RegisterAllOps(&registry);
   RestoreOptions restore;
   restore.batch_pages = 32;
-  WipeStable(&engine->base);
-  Check(RestoreFromBackupWithOptions(&engine->base,
+  engine->WipeStable();
+  Check(RestoreFromBackupWithOptions(engine->base(),
                                      Database::StableName(kDbName),
                                      Database::LogName(kDbName), kBackupName,
                                      registry, restore)
             .status(),
         "offline restore");
   std::unique_ptr<PageStore> stable =
-      CheckResult(PageStore::Open(&engine->base, Database::StableName(kDbName),
+      CheckResult(PageStore::Open(engine->base(), Database::StableName(kDbName),
                                   kPartitions),
                   "open S");
   std::vector<std::string> offline_pages;
@@ -193,9 +156,9 @@ void CheckInstantMatchesOffline(DeviceEngine* engine) {
   }
   stable.reset();
 
-  WipeStable(&engine->base);
+  engine->WipeStable();
   std::unique_ptr<Database> db = CheckResult(
-      Database::OpenRestoring(&engine->base, kDbName, X10Options(),
+      Database::OpenRestoring(engine->base(), kDbName, X10Options(),
                               kBackupName),
       "open restoring");
   RegisterAllOps(db->registry());
@@ -205,7 +168,7 @@ void CheckInstantMatchesOffline(DeviceEngine* engine) {
   Check(db->FinishRestore(), "finish");
   db.reset();
 
-  stable = CheckResult(PageStore::Open(&engine->base,
+  stable = CheckResult(PageStore::Open(engine->base(),
                                        Database::StableName(kDbName),
                                        kPartitions),
                        "open S");
@@ -230,8 +193,8 @@ void CheckInstantMatchesOffline(DeviceEngine* engine) {
 // pipeline: batch 32, 2 runs in flight, T workers) plus open + crash
 // recovery.
 void BM_OfflineRestoreTTFT(benchmark::State& state) {
-  std::unique_ptr<DeviceEngine> engine =
-      NewBackedUpEngine(LatencyProfile::Hdd());
+  BenchEngine engine(kDbName, X10Options(), LatencyProfile::Hdd());
+  BackUpAndWriteSlice(&engine);
   OpRegistry registry;
   RegisterAllOps(&registry);
   RestoreOptions restore;
@@ -241,15 +204,15 @@ void BM_OfflineRestoreTTFT(benchmark::State& state) {
   std::unique_ptr<Database> db;
   for (auto _ : state) {
     state.PauseTiming();
-    ResetForNextRestore(engine.get(), &db);
+    ResetForNextRestore(&engine, &db);
     state.ResumeTiming();
-    Check(RestoreFromBackupWithOptions(&engine->env,
+    Check(RestoreFromBackupWithOptions(engine.env(),
                                        Database::StableName(kDbName),
                                        Database::LogName(kDbName), kBackupName,
                                        registry, restore)
               .status(),
           "restore");
-    db = CheckResult(Database::Open(&engine->env, kDbName, X10Options()),
+    db = CheckResult(Database::Open(engine.env(), kDbName, X10Options()),
                      "open");
     RegisterAllOps(db->registry());
     Check(db->Recover(), "recover");
@@ -269,15 +232,15 @@ BENCHMARK(BM_OfflineRestoreTTFT)
 // The rest of the store is still unrestored when the iteration ends —
 // that is the point; the background drain is measured separately.
 void BM_InstantRestoreTTFT(benchmark::State& state) {
-  std::unique_ptr<DeviceEngine> engine =
-      NewBackedUpEngine(LatencyProfile::Hdd());
+  BenchEngine engine(kDbName, X10Options(), LatencyProfile::Hdd());
+  BackUpAndWriteSlice(&engine);
   std::unique_ptr<Database> db;
   uint64_t restored_at_first = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    ResetForNextRestore(engine.get(), &db);
+    ResetForNextRestore(&engine, &db);
     state.ResumeTiming();
-    db = CheckResult(Database::OpenRestoring(&engine->env, kDbName,
+    db = CheckResult(Database::OpenRestoring(engine.env(), kDbName,
                                              X10Options(), kBackupName),
                      "open restoring");
     RegisterAllOps(db->registry());
@@ -289,7 +252,7 @@ void BM_InstantRestoreTTFT(benchmark::State& state) {
   state.counters["pages_restored_at_first_txn"] =
       static_cast<double>(restored_at_first) /
       static_cast<double>(state.iterations());
-  ResetForNextRestore(engine.get(), &db);
+  ResetForNextRestore(&engine, &db);
 }
 BENCHMARK(BM_InstantRestoreTTFT)
     ->UseRealTime()
@@ -300,19 +263,19 @@ BENCHMARK(BM_InstantRestoreTTFT)
 // with background RestoreStep batches until every page is back. The
 // off-line counterpart of this number is identically zero.
 void BM_TransactionsDuringRestore(benchmark::State& state) {
-  std::unique_ptr<DeviceEngine> engine =
-      NewBackedUpEngine(LatencyProfile::Hdd());
+  BenchEngine engine(kDbName, X10Options(), LatencyProfile::Hdd());
+  BackUpAndWriteSlice(&engine);
   static std::atomic<bool> equivalence_checked{false};
   if (!equivalence_checked.exchange(true)) {
-    CheckInstantMatchesOffline(engine.get());
+    CheckInstantMatchesOffline(&engine);
   }
   std::unique_ptr<Database> db;
   uint64_t transactions = 0;
   uint64_t faulted = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    ResetForNextRestore(engine.get(), &db);
-    db = CheckResult(Database::OpenRestoring(&engine->env, kDbName,
+    ResetForNextRestore(&engine, &db);
+    db = CheckResult(Database::OpenRestoring(engine.env(), kDbName,
                                              X10Options(), kBackupName),
                      "open restoring");
     RegisterAllOps(db->registry());
@@ -333,7 +296,7 @@ void BM_TransactionsDuringRestore(benchmark::State& state) {
     Check(db->FlushAll(), "flush");
   }
   state.SetItemsProcessed(static_cast<int64_t>(transactions));
-  ResetForNextRestore(engine.get(), &db);
+  ResetForNextRestore(&engine, &db);
 }
 BENCHMARK(BM_TransactionsDuringRestore)
     // Fixed iteration count: transactions append to the log, and the
@@ -352,16 +315,16 @@ BENCHMARK(BM_TransactionsDuringRestore)
 // unrestored single-page closures one at a time.
 void BM_FaultLatencyVsSlice(benchmark::State& state) {
   const uint32_t slice_records = static_cast<uint32_t>(state.range(0));
-  std::unique_ptr<DeviceEngine> engine =
-      NewBackedUpEngine(LatencyProfile::Hdd(), slice_records);
+  BenchEngine engine(kDbName, X10Options(), LatencyProfile::Hdd());
+  BackUpAndWriteSlice(&engine, slice_records);
   constexpr uint32_t kFaults = 64;
   std::vector<double> fault_us;
   uint64_t faulted = 0;
   std::unique_ptr<Database> db;
   for (auto _ : state) {
     state.PauseTiming();
-    ResetForNextRestore(engine.get(), &db);
-    db = CheckResult(Database::OpenRestoring(&engine->base, kDbName,
+    ResetForNextRestore(&engine, &db);
+    db = CheckResult(Database::OpenRestoring(engine.base(), kDbName,
                                              X10Options(), kBackupName),
                      "open restoring");
     RegisterAllOps(db->registry());
@@ -388,7 +351,7 @@ void BM_FaultLatencyVsSlice(benchmark::State& state) {
   state.counters["pages_per_fault"] =
       static_cast<double>(faulted) / static_cast<double>(fault_us.size());
   state.SetItemsProcessed(static_cast<int64_t>(fault_us.size()));
-  ResetForNextRestore(engine.get(), &db);
+  ResetForNextRestore(&engine, &db);
 }
 BENCHMARK(BM_FaultLatencyVsSlice)
     ->ArgNames({"slice"})

@@ -24,12 +24,11 @@
 // where per-op latency dominates transfer time — exactly the regime
 // fast devices live in.
 //
-// tools/benchrunner derives speedup_async_qd8 (sweep) and
-// speedup_async_restore_qd8 from the LatencyEnv families —
-// hardware-portable ratios gated >= 2x by tools/bench_check.py — and
-// speedup_posix_qd8 from the real-file family, gated by the loose
-// --min-posix-speedup floor (real files sit behind the page cache, so
-// the deep-queue win there is honest but machine-dependent).
+// bench/registry.json derives speedup_async_qd8 (sweep) and
+// speedup_async_restore_qd8 from the LatencyEnv families, which are
+// hardware-portable, and speedup_posix_qd8 from the real-file family
+// under a loose floor (real files sit behind the page cache, so the
+// deep-queue win there is honest but machine-dependent).
 
 #include <benchmark/benchmark.h>
 
@@ -37,19 +36,15 @@
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "filestore/filestore.h"
-#include "io/latency_env.h"
-#include "io/mem_env.h"
 #include "io/posix_env.h"
 #include "recovery/media_recovery.h"
-#include "sim/harness.h"
 
 namespace llb {
 namespace {
 
+using benchutil::BenchEngine;
 using benchutil::Check;
 using benchutil::CheckResult;
 
@@ -67,24 +62,6 @@ DbOptions EngineOptions() {
   options.backup_policy = BackupPolicy::kGeneral;
   options.backup_steps = kSteps;
   return options;
-}
-
-void SeedDatabase(Database* db) {
-  std::vector<std::unique_ptr<FileStore>> files;
-  for (uint32_t p = 0; p < kPartitions; ++p) {
-    files.push_back(std::make_unique<FileStore>(
-        db, p, /*base_page=*/0, /*pages_per_file=*/1, /*num_files=*/kPages));
-    for (uint32_t f = 0; f < kPages; ++f) {
-      Check(files[p]->WriteValues(f, {static_cast<int64_t>(p) * 1000 + f, 1}),
-            "seed");
-    }
-  }
-  Check(db->FlushAll(), "flush");
-  Check(db->Checkpoint(), "checkpoint");
-  // The measured transfers replay the log from the backup's scan start;
-  // drop the seed prefix so a serial log read does not drown the copy
-  // phase under measurement (the X8 rationale).
-  Check(db->TruncateLog(kInvalidLsn), "truncate");
 }
 
 BackupJobOptions SweepJob(uint32_t queue_depth) {
@@ -106,44 +83,22 @@ RestoreOptions RestoreJob(uint32_t queue_depth) {
 
 // ---------- LatencyEnv(Nvme) families ----------
 
-/// A database over LatencyEnv(MemEnv), the X7/X8 idiom: seeded through
-/// the zero-latency base env, measured through the latency wrapper.
-struct DeviceEngine {
-  MemEnv base;
-  LatencyEnv env;
-  std::unique_ptr<Database> db;
-
-  explicit DeviceEngine(const LatencyProfile& profile)
-      : env(&base, profile) {}
-};
-
-std::unique_ptr<DeviceEngine> NewLoadedEngine() {
-  auto engine = std::make_unique<DeviceEngine>(LatencyProfile::Nvme());
-  engine->db = CheckResult(
-      Database::Open(&engine->base, "x11", EngineOptions()), "open");
-  RegisterAllOps(engine->db->registry());
-  Check(engine->db->Recover(), "recover");
-  SeedDatabase(engine->db.get());
-  engine->db.reset();
-
-  engine->db = CheckResult(
-      Database::Open(&engine->env, "x11", EngineOptions()), "reopen");
-  RegisterAllOps(engine->db->registry());
-  Check(engine->db->Recover(), "recover");
-  return engine;
-}
-
 void BM_AsyncSweep(benchmark::State& state) {
-  std::unique_ptr<DeviceEngine> engine = NewLoadedEngine();
+  BenchEngine engine("x11", EngineOptions(), LatencyProfile::Nvme());
+  // Every family drops the seed's log prefix: the measured transfers
+  // replay the log from the backup's scan start, and a serial log read
+  // would drown the copy phase under measurement (the X8 rationale).
+  Check(engine.db()->TruncateLog(kInvalidLsn), "truncate");
+  engine.Reopen();
   BackupJobOptions job = SweepJob(static_cast<uint32_t>(state.range(0)));
 
   uint64_t pages_copied = 0;
   uint64_t read_batches = 0;
-  uint64_t device_us_before = engine->env.stats().simulated_us;
+  uint64_t device_us_before = engine.latency()->stats().simulated_us;
   int round = 0;
   for (auto _ : state) {
     BackupJobStats stats;
-    Check(engine->db
+    Check(engine.db()
               ->TakeBackupWithOptions("x11_" + std::to_string(round++), job,
                                       &stats)
               .status(),
@@ -158,7 +113,7 @@ void BM_AsyncSweep(benchmark::State& state) {
   // Simulated device time per sweep: constant across queue depths (the
   // same IOs happen), while real_time shrinks — the overlap is the win.
   state.counters["device_us"] =
-      static_cast<double>(engine->env.stats().simulated_us -
+      static_cast<double>(engine.latency()->stats().simulated_us -
                           device_us_before) /
       sweeps;
 }
@@ -171,34 +126,27 @@ BENCHMARK(BM_AsyncSweep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void WipeStable(Env* env, const std::string& db_name) {
-  std::unique_ptr<PageStore> stable = CheckResult(
-      PageStore::Open(env, Database::StableName(db_name), kPartitions),
-      "open S");
-  for (PartitionId p = 0; p < kPartitions; ++p) {
-    Check(stable->WipePartition(p), "wipe");
-  }
-}
-
 void BM_AsyncRestore(benchmark::State& state) {
-  std::unique_ptr<DeviceEngine> engine = NewLoadedEngine();
-  Check(engine->db->TakeBackup("x11_full").status(), "full backup");
-  Check(engine->db->ForceLog(), "force");
-  engine->db.reset();
+  BenchEngine engine("x11", EngineOptions(), LatencyProfile::Nvme());
+  Check(engine.db()->TruncateLog(kInvalidLsn), "truncate");
+  engine.Reopen();
+  Check(engine.db()->TakeBackup("x11_full").status(), "full backup");
+  Check(engine.db()->ForceLog(), "force");
+  engine.Close();
   OpRegistry registry;
   RegisterAllOps(&registry);
   RestoreOptions options = RestoreJob(static_cast<uint32_t>(state.range(0)));
 
   uint64_t pages_restored = 0;
-  uint64_t device_us_before = engine->env.stats().simulated_us;
+  uint64_t device_us_before = engine.latency()->stats().simulated_us;
   for (auto _ : state) {
     // The media failure is not the measurement: wipe through the
     // zero-latency base env outside the timed region.
     state.PauseTiming();
-    WipeStable(&engine->base, "x11");
+    engine.WipeStable();
     state.ResumeTiming();
     MediaRecoveryReport report = CheckResult(
-        RestoreFromBackupWithOptions(&engine->env,
+        RestoreFromBackupWithOptions(engine.env(),
                                      Database::StableName("x11"),
                                      Database::LogName("x11"), "x11_full",
                                      registry, options),
@@ -208,7 +156,7 @@ void BM_AsyncRestore(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(pages_restored) *
                           static_cast<int64_t>(kPageSize));
   state.counters["device_us"] =
-      static_cast<double>(engine->env.stats().simulated_us -
+      static_cast<double>(engine.latency()->stats().simulated_us -
                           device_us_before) /
       static_cast<double>(state.iterations());
 }
@@ -222,41 +170,29 @@ BENCHMARK(BM_AsyncRestore)
 
 // ---------- real-file (PosixEnv) families ----------
 
-/// A file-backed engine under a private temp root, removed on teardown.
-struct PosixEngine {
-  std::string root;
-  std::unique_ptr<PosixEnv> env;
-  std::unique_ptr<Database> db;
-
-  ~PosixEngine() {
-    db.reset();
-    env.reset();
-    if (!root.empty()) {
-      std::error_code ec;
-      std::filesystem::remove_all(root, ec);
+/// A fresh directory under $TMPDIR, removed with its files on
+/// destruction: the real-file families' root.
+class TempDir {
+ public:
+  TempDir()
+      : path_((std::filesystem::temp_directory_path() / "llb_x11_XXXXXX")
+                  .string()) {
+    if (mkdtemp(path_.data()) == nullptr) {
+      Check(Status::IoError("mkdtemp failed"), "tmpdir");
     }
   }
-};
-
-std::unique_ptr<PosixEngine> NewPosixEngine() {
-  const char* tmp = getenv("TMPDIR");
-  std::string pattern =
-      std::string(tmp != nullptr ? tmp : "/tmp") + "/llb_x11_XXXXXX";
-  std::vector<char> buf(pattern.begin(), pattern.end());
-  buf.push_back('\0');
-  if (mkdtemp(buf.data()) == nullptr) {
-    Check(Status::IoError("mkdtemp failed"), "tmpdir");
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
   }
-  auto engine = std::make_unique<PosixEngine>();
-  engine->root = buf.data();
-  engine->env = CheckResult(PosixEnv::Open(engine->root), "posix env");
-  engine->db = CheckResult(
-      Database::Open(engine->env.get(), "x11", EngineOptions()), "open");
-  RegisterAllOps(engine->db->registry());
-  Check(engine->db->Recover(), "recover");
-  SeedDatabase(engine->db.get());
-  return engine;
-}
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 void DeleteFilesContaining(Env* env, const std::string& substring) {
   for (const std::string& name : env->ListFiles()) {
@@ -267,7 +203,10 @@ void DeleteFilesContaining(Env* env, const std::string& substring) {
 }
 
 void BM_PosixSweep(benchmark::State& state) {
-  std::unique_ptr<PosixEngine> engine = NewPosixEngine();
+  TempDir dir;
+  BenchEngine engine("x11", EngineOptions(), std::nullopt,
+                     CheckResult(PosixEnv::Open(dir.path()), "posix env"));
+  Check(engine.db()->TruncateLog(kInvalidLsn), "truncate");
   BackupJobOptions job = SweepJob(static_cast<uint32_t>(state.range(0)));
 
   uint64_t pages_copied = 0;
@@ -275,13 +214,13 @@ void BM_PosixSweep(benchmark::State& state) {
   for (auto _ : state) {
     BackupJobStats stats;
     std::string name = "x11_bk_" + std::to_string(round++);
-    Check(engine->db->TakeBackupWithOptions(name, job, &stats).status(),
+    Check(engine.db()->TakeBackupWithOptions(name, job, &stats).status(),
           "backup");
     pages_copied += stats.pages_copied;
     // Unbounded backup accumulation would fill the disk on long runs;
     // the cleanup is real IO, so it stays outside the timed region.
     state.PauseTiming();
-    DeleteFilesContaining(engine->env.get(), name);
+    DeleteFilesContaining(engine.base(), name);
     state.ResumeTiming();
   }
   state.SetBytesProcessed(static_cast<int64_t>(pages_copied) *
@@ -295,10 +234,13 @@ BENCHMARK(BM_PosixSweep)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PosixRestore(benchmark::State& state) {
-  std::unique_ptr<PosixEngine> engine = NewPosixEngine();
-  Check(engine->db->TakeBackup("x11_full").status(), "full backup");
-  Check(engine->db->ForceLog(), "force");
-  engine->db.reset();
+  TempDir dir;
+  BenchEngine engine("x11", EngineOptions(), std::nullopt,
+                     CheckResult(PosixEnv::Open(dir.path()), "posix env"));
+  Check(engine.db()->TruncateLog(kInvalidLsn), "truncate");
+  Check(engine.db()->TakeBackup("x11_full").status(), "full backup");
+  Check(engine.db()->ForceLog(), "force");
+  engine.Close();
   OpRegistry registry;
   RegisterAllOps(&registry);
   RestoreOptions options = RestoreJob(static_cast<uint32_t>(state.range(0)));
@@ -306,10 +248,10 @@ void BM_PosixRestore(benchmark::State& state) {
   uint64_t pages_restored = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    WipeStable(engine->env.get(), "x11");
+    engine.WipeStable();
     state.ResumeTiming();
     MediaRecoveryReport report = CheckResult(
-        RestoreFromBackupWithOptions(engine->env.get(),
+        RestoreFromBackupWithOptions(engine.base(),
                                      Database::StableName("x11"),
                                      Database::LogName("x11"), "x11_full",
                                      registry, options),

@@ -21,21 +21,18 @@
 // interesting number is how fast the sweep moves logical pages, not how
 // few bytes it emits. The compressed variant also reports
 // `compression_ratio` (manifest raw_bytes / stored_bytes summed over
-// the run), which tools/bench_check.py gates >= --min-compression-ratio
-// (EXPERIMENTS.md X13).
+// the run), gated at its bench/registry.json floor (EXPERIMENTS.md X13).
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "filestore/filestore.h"
-#include "sim/harness.h"
 
 namespace llb {
 namespace {
 
+using benchutil::BenchEngine;
 using benchutil::Check;
 using benchutil::CheckResult;
 
@@ -44,34 +41,11 @@ constexpr uint32_t kHotFiles = kPages / 16;
 constexpr uint32_t kUpdatesPerRound = 64;
 constexpr uint32_t kSteps = 8;
 
-std::unique_ptr<TestEngine> NewLoadedEngine(FileStore** files_out) {
-  DbOptions options;
-  options.partitions = 1;
-  options.pages_per_partition = kPages;
-  options.cache_pages = 256;
-  options.graph = WriteGraphKind::kGeneral;
-  options.backup_policy = BackupPolicy::kGeneral;
-  options.backup_steps = kSteps;
-  std::unique_ptr<TestEngine> engine =
-      CheckResult(TestEngine::Create(options), "create");
-  // One-page files covering the whole store: real sealed pages whose
-  // payloads are small value lists over a zero tail — the sparse shape
-  // application pages actually have, which is what RLE monetises.
-  auto* files = new FileStore(engine->db(), /*partition=*/0, /*base_page=*/0,
-                              /*pages_per_file=*/1, /*num_files=*/kPages);
-  for (uint32_t f = 0; f < kPages; ++f) {
-    Check(files->WriteValues(f, {static_cast<int64_t>(f), 1}), "seed");
-  }
-  Check(engine->db()->FlushAll(), "flush");
-  Check(engine->db()->Checkpoint(), "checkpoint");
-  *files_out = files;
-  return engine;
-}
-
 // Deterministic skewed churn: every round rewrites kUpdatesPerRound
 // files drawn from the hot prefix, then flushes, so the hot pages'
 // LSNs move (defeating dedup) while the cold majority stays ref-able.
-void SkewedUpdateRound(TestEngine* engine, FileStore* files, uint32_t round) {
+void SkewedUpdateRound(BenchEngine* engine, uint32_t round) {
+  FileStore* files = engine->files(0);
   for (uint32_t i = 0; i < kUpdatesPerRound; ++i) {
     uint32_t f = (round * 131 + i * 257) % kHotFiles;
     Check(files->WriteValues(
@@ -82,9 +56,18 @@ void SkewedUpdateRound(TestEngine* engine, FileStore* files, uint32_t round) {
 }
 
 void BM_CompressedBackup(benchmark::State& state) {
-  FileStore* files = nullptr;
-  std::unique_ptr<TestEngine> engine = NewLoadedEngine(&files);
-  std::unique_ptr<FileStore> files_owner(files);
+  // One partition of one-page files covering the whole store: real
+  // sealed pages whose payloads are small value lists over a zero tail,
+  // the sparse shape application pages actually have, which is what RLE
+  // monetises.
+  DbOptions options;
+  options.partitions = 1;
+  options.pages_per_partition = kPages;
+  options.cache_pages = 256;
+  options.graph = WriteGraphKind::kGeneral;
+  options.backup_policy = BackupPolicy::kGeneral;
+  options.backup_steps = kSteps;
+  BenchEngine engine("db", options);
 
   BackupJobOptions job;
   job.steps = kSteps;
@@ -96,11 +79,11 @@ void BM_CompressedBackup(benchmark::State& state) {
   uint32_t round = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    SkewedUpdateRound(engine.get(), files, round);
+    SkewedUpdateRound(&engine, round);
     state.ResumeTiming();
     BackupJobStats stats;
     BackupManifest manifest = CheckResult(
-        engine->db()->TakeBackupWithOptions("x13_" + std::to_string(round++),
+        engine.db()->TakeBackupWithOptions("x13_" + std::to_string(round++),
                                             job, &stats),
         "backup");
     pages_copied += stats.pages_copied;

@@ -19,9 +19,8 @@
 // out the epoch watermark with the cache mutex released, so one
 // group-commit sync covers every concurrent waiter and updaters scale
 // past the single device sync.
-// tools/benchrunner derives updates_during_backup_ops_per_s and
-// updater_scaling_t4 = ops(t4) / ops(t1), which
-// tools/bench_check.py gates >= 2x (EXPERIMENTS.md X12).
+// bench/registry.json derives updater_scaling_t4 = ops(t4) / ops(t1)
+// and its floor (EXPERIMENTS.md X12).
 
 #include <benchmark/benchmark.h>
 
@@ -35,13 +34,12 @@
 #include "bench/bench_util.h"
 #include "btree/btree.h"
 #include "filestore/filestore.h"
-#include "io/latency_env.h"
-#include "io/mem_env.h"
 #include "sim/harness.h"
 
 namespace llb {
 namespace {
 
+using benchutil::BenchEngine;
 using benchutil::Check;
 using benchutil::CheckResult;
 
@@ -186,20 +184,7 @@ constexpr uint32_t kUpdaterPartitions = 16;  // one per updater at t=16
 constexpr uint32_t kFilesPerPartition = 64;  // > cache: writes miss
 constexpr uint32_t kOpsPerThread = 64;       // ops per thread per iteration
 
-/// A database over LatencyEnv(MemEnv): TestEngine hardcodes a bare
-/// MemEnv, so the device-shaped engine is wired by hand (same sequence
-/// as bench_x7's DeviceEngine).
-struct UpdaterEngine {
-  MemEnv base;
-  LatencyEnv env;
-  std::unique_ptr<Database> db;
-  std::vector<std::unique_ptr<FileStore>> files;
-
-  explicit UpdaterEngine(const LatencyProfile& profile)
-      : env(&base, profile) {}
-};
-
-std::unique_ptr<UpdaterEngine> NewUpdaterEngine() {
+DbOptions UpdaterOptions() {
   DbOptions options;
   options.partitions = kUpdaterPartitions;
   options.pages_per_partition = kFilesPerPartition;
@@ -212,44 +197,13 @@ std::unique_ptr<UpdaterEngine> NewUpdaterEngine() {
   options.graph = WriteGraphKind::kGeneral;
   options.backup_policy = BackupPolicy::kGeneral;
   options.backup_steps = 8;
-
-  auto engine = std::make_unique<UpdaterEngine>(LatencyProfile::Ssd());
-  // Seed through the zero-latency base env, then reopen over the
-  // latency wrapper of the same MemEnv for the measured runs.
-  engine->db = CheckResult(Database::Open(&engine->base, "x12", options),
-                           "open");
-  RegisterAllOps(engine->db->registry());
-  Check(engine->db->Recover(), "recover");
-  for (uint32_t p = 0; p < kUpdaterPartitions; ++p) {
-    engine->files.push_back(std::make_unique<FileStore>(
-        engine->db.get(), p, /*base_page=*/0, /*pages_per_file=*/1,
-        /*num_files=*/kFilesPerPartition));
-    for (uint32_t f = 0; f < kFilesPerPartition; ++f) {
-      Check(engine->files[p]->WriteValues(
-                f, {static_cast<int64_t>(p) * 1000 + f, 1}),
-            "seed");
-    }
-  }
-  Check(engine->db->FlushAll(), "flush");
-  Check(engine->db->Checkpoint(), "checkpoint");
-  engine->files.clear();
-  engine->db.reset();
-
-  engine->db = CheckResult(Database::Open(&engine->env, "x12", options),
-                           "reopen");
-  RegisterAllOps(engine->db->registry());
-  Check(engine->db->Recover(), "recover");
-  for (uint32_t p = 0; p < kUpdaterPartitions; ++p) {
-    engine->files.push_back(std::make_unique<FileStore>(
-        engine->db.get(), p, /*base_page=*/0, /*pages_per_file=*/1,
-        /*num_files=*/kFilesPerPartition));
-  }
-  return engine;
+  return options;
 }
 
 void BM_UpdatersDuringBackup(benchmark::State& state) {
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  std::unique_ptr<UpdaterEngine> engine = NewUpdaterEngine();
+  BenchEngine engine("x12", UpdaterOptions(), LatencyProfile::Ssd());
+  engine.Reopen();
 
   // Continuous backups on their own thread: a backup is always active,
   // so every dirty eviction is an Iw/oF flush decision.
@@ -258,7 +212,7 @@ void BM_UpdatersDuringBackup(benchmark::State& state) {
     int round = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       Status s =
-          engine->db->TakeBackup("bk" + std::to_string(round++)).status();
+          engine.db()->TakeBackup("bk" + std::to_string(round++)).status();
       if (!s.ok()) break;
     }
   });
@@ -275,7 +229,7 @@ void BM_UpdatersDuringBackup(benchmark::State& state) {
         for (uint32_t i = 0; i < kOpsPerThread; ++i) {
           uint32_t f = static_cast<uint32_t>(
               (key + i) * 2654435761u % kFilesPerPartition);
-          Check(engine->files[t]->WriteValues(
+          Check(engine.files(t)->WriteValues(
                     f, {static_cast<int64_t>(key + i), 1}),
                 "update");
         }
@@ -288,7 +242,7 @@ void BM_UpdatersDuringBackup(benchmark::State& state) {
   backup_thread.join();
   state.SetItemsProcessed(static_cast<int64_t>(total_ops));
 
-  DbStats stats = engine->db->GatherStats();
+  DbStats stats = engine.db()->GatherStats();
   state.counters["iwof_per_1k_ops"] =
       total_ops == 0 ? 0.0
                      : 1000.0 *

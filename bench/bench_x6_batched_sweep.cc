@@ -18,23 +18,22 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "filestore/filestore.h"
-#include "sim/harness.h"
 
 namespace llb {
 namespace {
 
+using benchutil::BenchEngine;
 using benchutil::Check;
-using benchutil::CheckResult;
 
 constexpr uint32_t kPages = 2048;
 constexpr uint32_t kSteps = 8;
 
-std::unique_ptr<TestEngine> NewLoadedEngine(FileStore** files_out) {
+// One partition of one-page files covering the whole store, so the
+// sweep reads real sealed pages rather than zero-page holes.
+DbOptions SweepOptions() {
   DbOptions options;
   options.partitions = 1;
   options.pages_per_partition = kPages;
@@ -42,19 +41,7 @@ std::unique_ptr<TestEngine> NewLoadedEngine(FileStore** files_out) {
   options.graph = WriteGraphKind::kGeneral;
   options.backup_policy = BackupPolicy::kGeneral;
   options.backup_steps = kSteps;
-  std::unique_ptr<TestEngine> engine =
-      CheckResult(TestEngine::Create(options), "create");
-  // One-page files covering the whole store, so the sweep reads real
-  // sealed pages rather than zero-page holes.
-  auto* files = new FileStore(engine->db(), /*partition=*/0, /*base_page=*/0,
-                              /*pages_per_file=*/1, /*num_files=*/kPages);
-  for (uint32_t f = 0; f < kPages; ++f) {
-    Check(files->WriteValues(f, {static_cast<int64_t>(f), 1}), "seed");
-  }
-  Check(engine->db()->FlushAll(), "flush");
-  Check(engine->db()->Checkpoint(), "checkpoint");
-  *files_out = files;
-  return engine;
+  return options;
 }
 
 void ReportSweepCounters(benchmark::State& state, const BackupJobStats& stats,
@@ -76,9 +63,7 @@ void ReportSweepCounters(benchmark::State& state, const BackupJobStats& stats,
 }
 
 void BM_BatchedSweep(benchmark::State& state) {
-  FileStore* files = nullptr;
-  std::unique_ptr<TestEngine> engine = NewLoadedEngine(&files);
-  std::unique_ptr<FileStore> files_owner(files);
+  BenchEngine engine("db", SweepOptions());
 
   BackupJobOptions job;
   job.steps = kSteps;
@@ -88,7 +73,7 @@ void BM_BatchedSweep(benchmark::State& state) {
   int round = 0;
   for (auto _ : state) {
     BackupJobStats stats;
-    Check(engine->db()
+    Check(engine.db()
               ->TakeBackupWithOptions("x6_" + std::to_string(round++), job,
                                       &stats)
               .status(),
@@ -113,9 +98,8 @@ BENCHMARK(BM_BatchedSweep)
     ->Unit(benchmark::kMillisecond);
 
 void BM_BatchedSweepOnline(benchmark::State& state) {
-  FileStore* files = nullptr;
-  std::unique_ptr<TestEngine> engine = NewLoadedEngine(&files);
-  std::unique_ptr<FileStore> files_owner(files);
+  BenchEngine engine("db", SweepOptions());
+  FileStore* files = engine.files(0);
 
   BackupJobOptions job;
   job.steps = kSteps;
@@ -129,18 +113,18 @@ void BM_BatchedSweepOnline(benchmark::State& state) {
       uint32_t f = (tick * 131 + static_cast<uint32_t>(i) * 257) % kPages;
       LLB_RETURN_IF_ERROR(
           files->WriteValues(f, {static_cast<int64_t>(f), 2}));
-      LLB_RETURN_IF_ERROR(engine->db()->FlushPage(files->PagesOf(f)[0]));
+      LLB_RETURN_IF_ERROR(engine.db()->FlushPage(files->PagesOf(f)[0]));
     }
     ++tick;
     return Status::OK();
   };
 
   BackupJobStats total;
-  uint64_t identity_before = engine->db()->GatherStats().cache.identity_writes;
+  uint64_t identity_before = engine.db()->GatherStats().cache.identity_writes;
   int round = 0;
   for (auto _ : state) {
     BackupJobStats stats;
-    Check(engine->db()
+    Check(engine.db()
               ->TakeBackupWithOptions("x6on_" + std::to_string(round++), job,
                                       &stats)
               .status(),
@@ -152,7 +136,7 @@ void BM_BatchedSweepOnline(benchmark::State& state) {
     total.read_stage_us += stats.read_stage_us;
     total.write_stage_us += stats.write_stage_us;
   }
-  uint64_t identity_after = engine->db()->GatherStats().cache.identity_writes;
+  uint64_t identity_after = engine.db()->GatherStats().cache.identity_writes;
   state.SetBytesProcessed(static_cast<int64_t>(total.pages_copied) *
                           static_cast<int64_t>(kPageSize));
   double sweeps = static_cast<double>(state.iterations());

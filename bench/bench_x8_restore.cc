@@ -16,26 +16,21 @@
 //   BM_ChainRestore/threads:T  — wipe S, restore a full + 2-incremental
 //                                chain (coalesced newest-wins apply)
 //
-// tools/benchrunner derives speedup_restore_tT = MB/s(T) / MB/s(1) from
-// the full-restore family and tools/bench_check.py gates
-// speedup_restore_t4 >= 2x (EXPERIMENTS.md X8).
+// bench/registry.json derives speedup_restore_tT = MB/s(T) / MB/s(1)
+// from the full-restore family, and its floor (EXPERIMENTS.md X8).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "filestore/filestore.h"
-#include "io/latency_env.h"
-#include "io/mem_env.h"
 #include "recovery/media_recovery.h"
-#include "sim/harness.h"
 
 namespace llb {
 namespace {
 
+using benchutil::BenchEngine;
 using benchutil::Check;
 using benchutil::CheckResult;
 
@@ -43,44 +38,10 @@ constexpr uint32_t kPartitions = 8;
 constexpr uint32_t kPages = 256;  // per partition
 constexpr uint32_t kSteps = 8;
 
-/// A database over LatencyEnv(MemEnv), as in X7: seeded and backed up
-/// through the zero-latency base env (setup is not the measurement),
-/// restored through the latency wrapper of the same MemEnv.
-struct DeviceEngine {
-  MemEnv base;
-  LatencyEnv env;
-
-  explicit DeviceEngine(const LatencyProfile& profile)
-      : env(&base, profile) {}
-};
-
-std::unique_ptr<DeviceEngine> NewBackedUpEngine(
-    const LatencyProfile& profile) {
-  DbOptions options;
-  options.partitions = kPartitions;
-  options.pages_per_partition = kPages;
-  options.cache_pages = 256;
-  options.graph = WriteGraphKind::kGeneral;
-  options.backup_policy = BackupPolicy::kGeneral;
-  options.backup_steps = kSteps;
-
-  auto engine = std::make_unique<DeviceEngine>(profile);
-  std::unique_ptr<Database> db =
-      CheckResult(Database::Open(&engine->base, "x8", options), "open");
-  RegisterAllOps(db->registry());
-  Check(db->Recover(), "recover");
-  std::vector<std::unique_ptr<FileStore>> files;
-  for (uint32_t p = 0; p < kPartitions; ++p) {
-    files.push_back(std::make_unique<FileStore>(
-        db.get(), p, /*base_page=*/0, /*pages_per_file=*/1,
-        /*num_files=*/kPages));
-    for (uint32_t f = 0; f < kPages; ++f) {
-      Check(files[p]->WriteValues(f, {static_cast<int64_t>(p) * 1000 + f, 1}),
-            "seed");
-    }
-  }
-  Check(db->FlushAll(), "flush");
-  Check(db->Checkpoint(), "checkpoint");
+/// Takes the backups every restore under measurement starts from, then
+/// closes the database: restore is off-line.
+void TakeBackupChain(BenchEngine* engine) {
+  Database* db = engine->db();
   // Drop the seed workload's log prefix: the restores under measurement
   // replay from the backups' scan start points, and every restore scans
   // the whole log file through the simulated device — a multi-megabyte
@@ -95,7 +56,8 @@ std::unique_ptr<DeviceEngine> NewBackedUpEngine(
   for (int round = 1; round <= 2; ++round) {
     for (uint32_t p = 0; p < kPartitions; ++p) {
       for (uint32_t f = 0; f < kPages / 8; ++f) {
-        Check(files[p]->WriteValues(f, {round, static_cast<int64_t>(f)}),
+        Check(engine->files(p)->WriteValues(
+                  f, {round, static_cast<int64_t>(f)}),
               "delta");
       }
     }
@@ -112,20 +74,19 @@ std::unique_ptr<DeviceEngine> NewBackedUpEngine(
   Check(db->FlushAll(), "flush");
   Check(db->TakeBackup("x8_full").status(), "full backup");
   Check(db->ForceLog(), "force");
-  return engine;
-}
-
-void WipeStable(MemEnv* base) {
-  std::unique_ptr<PageStore> stable = CheckResult(
-      PageStore::Open(base, Database::StableName("x8"), kPartitions), "open S");
-  for (PartitionId p = 0; p < kPartitions; ++p) {
-    Check(stable->WipePartition(p), "wipe");
-  }
+  engine->Close();
 }
 
 void RunRestoreBench(benchmark::State& state, const std::string& chain) {
-  std::unique_ptr<DeviceEngine> engine =
-      NewBackedUpEngine(LatencyProfile::Hdd());
+  DbOptions db_options;
+  db_options.partitions = kPartitions;
+  db_options.pages_per_partition = kPages;
+  db_options.cache_pages = 256;
+  db_options.graph = WriteGraphKind::kGeneral;
+  db_options.backup_policy = BackupPolicy::kGeneral;
+  db_options.backup_steps = kSteps;
+  BenchEngine engine("x8", db_options, LatencyProfile::Hdd());
+  TakeBackupChain(&engine);
   OpRegistry registry;
   RegisterAllOps(&registry);
 
@@ -135,15 +96,15 @@ void RunRestoreBench(benchmark::State& state, const std::string& chain) {
   options.threads = static_cast<uint32_t>(state.range(0));
 
   uint64_t pages_restored = 0;
-  LatencyEnvStats before = engine->env.stats();
+  LatencyEnvStats before = engine.latency()->stats();
   for (auto _ : state) {
     // The media failure itself is not the measurement: wipe S through
     // the zero-latency base env outside the timed region.
     state.PauseTiming();
-    WipeStable(&engine->base);
+    engine.WipeStable();
     state.ResumeTiming();
     MediaRecoveryReport report = CheckResult(
-        RestoreFromBackupWithOptions(&engine->env,
+        RestoreFromBackupWithOptions(engine.env(),
                                      Database::StableName("x8"),
                                      Database::LogName("x8"), chain, registry,
                                      options),
@@ -158,7 +119,7 @@ void RunRestoreBench(benchmark::State& state, const std::string& chain) {
   // Simulated device time per restore: roughly constant across thread
   // counts (the same IOs happen), while real_time shrinks — the overlap
   // is the speedup.
-  LatencyEnvStats after = engine->env.stats();
+  LatencyEnvStats after = engine.latency()->stats();
   state.counters["device_us"] =
       static_cast<double>(after.simulated_us - before.simulated_us) /
       restores;

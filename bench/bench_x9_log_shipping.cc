@@ -20,8 +20,8 @@
 //                      force, redo onto stable, flush). Bytes = frame
 //                      bytes applied.
 //
-// tools/benchrunner derives ship_keepup_ratio = apply MB/s / ingest MB/s
-// and tools/bench_check.py gates it >= 0.3. Apply skips op execution and
+// bench/registry.json derives ship_keepup_ratio = apply MB/s / ingest
+// MB/s and its floor. Apply skips op execution and
 // the shipper but pays a log force plus a page flush per frame (the
 // standby's stable store tracks its log continuously, so a standby crash
 // recovers from near the tail), so it lands somewhat below ingest on an
